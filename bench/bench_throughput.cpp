@@ -92,11 +92,11 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-optimisation baseline, re-measured on the recording host at the seed
-// of this PR (binary-heap EventQueue, per-message NIC scheduling; the
-// request path, LRU and Zipf paths already carry the previous PR's
-// optimisations).  Median of three full runs per mix.  Re-measured numbers
-// land in "after"; keeping the baseline in-source makes the JSON
+// Baseline: this bench built from the commit before eager event
+// cancellation (calendar-queue EventQueue whose cancelled events stayed
+// stored until their tick) and run on the recording host.  Median of five
+// full runs, alternated with runs of the current build.  Re-measured
+// numbers land in "after"; keeping the baseline in-source makes the JSON
 // self-contained and the speedup claims auditable.
 // ---------------------------------------------------------------------------
 
@@ -115,14 +115,14 @@ struct BaselineNumbers {
 };
 
 constexpr BaselineNumbers kBaseline = {
-    /*zipf_samples_per_sec=*/76.5e6,
-    /*lru_ops_per_sec=*/18.0e6,
-    /*event_queue_ops_per_sec=*/3.3e6,
-    /*allocs_per_request=*/0.0,  // zero-allocation path landed one PR earlier
+    /*zipf_samples_per_sec=*/51.08e6,
+    /*lru_ops_per_sec=*/11.21e6,
+    /*event_queue_ops_per_sec=*/10.75e6,
+    /*allocs_per_request=*/0.0,
     {
-        /*Browsing=*/{3341611, 292774, 0.000359},
-        /*Shopping=*/{2952276, 189098, 0.000789},
-        /*Ordering=*/{2906820, 109984, 0.001184},
+        /*Browsing=*/{5491999, 481179, 0.000267},
+        /*Shopping=*/{5279658, 338171, 0.000442},
+        /*Ordering=*/{4988748, 188757, 0.000681},
     },
 };
 
@@ -218,7 +218,7 @@ double bench_event_queue(std::uint64_t iterations) {
     }
   }
   const double elapsed = seconds_since(start);
-  if (q.live_size() == 0xdeadbeef) std::printf("!");
+  if (q.size() == 0xdeadbeef) std::printf("!");
   return static_cast<double>(ops) / elapsed;
 }
 
@@ -246,12 +246,11 @@ struct ClusterRun {
 };
 
 ClusterRun run_cluster(tpcw::WorkloadKind kind, double warmup_s,
-                       double measure_s, bool nic_batching = false,
+                       double measure_s,
                        const std::string& metrics_path = std::string(),
                        const std::string& trace_path = std::string()) {
   sim::Simulator sim;
   core::SystemModel system(sim, {});
-  system.network().set_destination_batching(nic_batching);
   obs::TraceRecorder trace;
   if (!trace_path.empty()) system.set_trace_recorder(&trace);
   tpcw::WipsMeter meter;
@@ -314,8 +313,7 @@ void print_end_to_end(const char* name, const ClusterRun& run) {
 }
 
 void write_json(double zipf_rate, double lru_rate, double queue_rate,
-                const ClusterRun (&runs)[3], const ClusterRun (&batched)[3],
-                bool smoke) {
+                const ClusterRun (&runs)[3], bool smoke) {
   std::FILE* out = std::fopen("BENCH_throughput.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_throughput.json\n");
@@ -334,9 +332,10 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "  \"browsers\": 530,\n");
   std::fprintf(out, "  \"before\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"median of three full runs at the seed "
-               "of this PR on the same host: binary-heap EventQueue, "
-               "per-message NIC scheduling\",\n");
+               "    \"provenance\": \"median of five full runs of the "
+               "previous build on the same host: calendar-queue "
+               "EventQueue with lazy cancellation (cancelled events stay "
+               "stored until their tick)\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n",
                kBaseline.zipf_samples_per_sec);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n",
@@ -358,9 +357,8 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "    ]\n  },\n");
   std::fprintf(out, "  \"after\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"hierarchical calendar-queue "
-               "EventQueue, per-message NIC scheduling (destination "
-               "batching off = default)\",\n");
+               "    \"provenance\": \"calendar-queue EventQueue with "
+               "eager cancellation (cancel frees the slot at once)\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n", zipf_rate);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n", lru_rate);
   std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n", queue_rate);
@@ -386,30 +384,6 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
                  static_cast<double>(runs[i].latency.p95_us) / 1e3,
                  static_cast<double>(runs[i].latency.p99_us) / 1e3,
                  static_cast<double>(runs[i].latency.max_us) / 1e3,
-                 i < 2 ? "," : "");
-  }
-  std::fprintf(out, "    ]\n  },\n");
-  std::fprintf(out, "  \"after_batched\": {\n");
-  std::fprintf(out,
-               "    \"provenance\": \"same build with NIC destination "
-               "batching enabled (opt-in): identical delivery latencies "
-               "from fewer simulator events; equal-time tie order is not "
-               "byte-stable, so golden runs keep it off\",\n");
-  std::fprintf(out, "    \"end_to_end\": [\n");
-  for (int i = 0; i < 3; ++i) {
-    std::fprintf(out,
-                 "      {\"mix\": \"%s\", \"events_per_sec\": %.0f, "
-                 "\"requests_per_sec\": %.0f, \"wall_s_per_sim_s\": %.4f, "
-                 "\"events\": %llu, "
-                 "\"events_vs_unbatched\": %.3f}%s\n",
-                 kMixNames[i], batched[i].numbers.events_per_sec,
-                 batched[i].numbers.requests_per_sec,
-                 batched[i].numbers.wall_per_sim_second,
-                 static_cast<unsigned long long>(batched[i].events),
-                 runs[i].events > 0
-                     ? static_cast<double>(batched[i].events) /
-                           static_cast<double>(runs[i].events)
-                     : 0.0,
                  i < 2 ? "," : "");
   }
   std::fprintf(out, "    ]\n  },\n");
@@ -480,21 +454,11 @@ int main(int argc, char** argv) {
     // Telemetry opt-ins attach to the Shopping run (the canonical mix).
     const bool telemetry = i == 1;
     runs[i] = run_cluster(kKinds[i], warmup_s, measure_s,
-                          /*nic_batching=*/false,
                           telemetry ? metrics_path : std::string(),
                           telemetry ? trace_path : std::string());
     print_end_to_end(kNames[i], runs[i]);
   }
 
-  std::printf(
-      "== end-to-end, NIC destination batching enabled (opt-in) ==\n");
-  ClusterRun batched[3];
-  for (int i = 0; i < 3; ++i) {
-    batched[i] = run_cluster(kKinds[i], warmup_s, measure_s,
-                             /*nic_batching=*/true);
-    print_end_to_end(kNames[i], batched[i]);
-  }
-
-  write_json(zipf_rate, lru_rate, queue_rate, runs, batched, smoke);
+  write_json(zipf_rate, lru_rate, queue_rate, runs, smoke);
   return 0;
 }

@@ -37,92 +37,18 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
     sim_.schedule(common::SimTime::zero(), std::move(on_delivered));
     return true;
   }
-  const common::SimTime demand = from.nic_time(bytes);
-  const common::SimTime latency = from.hardware().nic_latency + extra;
-  if (!batching_) {
-    Msg* msg = msgs_.acquire();
-    msg->net = this;
-    msg->from = &from;
-    msg->latency = latency;
-    msg->batch = nullptr;
-    msg->on_delivered = std::move(on_delivered);
-    auto done = [msg] { msg->net->nic_done(msg); };
-    static_assert(sim::Resource::Completion::stores_inline<decltype(done)>(),
-                  "NIC completion closure must not allocate");
-    if (!from.nic().submit(demand, std::move(done))) msgs_.release(msg);
-    return true;
-  }
-  if (open_.size() <= from.id()) open_.resize(from.id() + 1);
-  OpenSlot& slot = open_[from.id()];
-  if (slot.msg != nullptr && slot.to == to.id() &&
-      from.nic().extend_queued_tail(slot.job, demand)) {
-    // Coalesce onto the still-queued tail job to this destination.  The
-    // extend only succeeds when a fresh submit would also have been
-    // admitted, so batching never smuggles work past the NIC's checks.
-    Msg* head = slot.msg;
-    Batch* batch = head->batch;
-    if (batch == nullptr) {
-      batch = batches_.acquire();
-      batch->members.clear();
-      batch->cum = head->demand;
-      batch->members.push_back(
-          Member{batch->cum, head->latency, std::move(head->on_delivered)});
-      head->batch = batch;
-      ++batches_coalesced_;
-      ++messages_batched_;  // the head now rides the merged job too
-    }
-    batch->cum += demand;
-    batch->members.push_back(Member{batch->cum, latency, std::move(on_delivered)});
-    ++messages_batched_;
-    return true;
-  }
   Msg* msg = msgs_.acquire();
   msg->net = this;
-  msg->from = &from;
-  msg->latency = latency;
-  msg->demand = demand;
-  msg->batch = nullptr;
+  msg->latency = from.hardware().nic_latency + extra;
   msg->on_delivered = std::move(on_delivered);
-  auto started = [msg] { msg->net->nic_started(msg); };
   auto done = [msg] { msg->net->nic_done(msg); };
-  static_assert(sim::Resource::Completion::stores_inline<decltype(started)>(),
-                "NIC start closure must not allocate");
   static_assert(sim::Resource::Completion::stores_inline<decltype(done)>(),
                 "NIC completion closure must not allocate");
-  // Only a job that actually queued can be extended later; when the NIC is
-  // idle the job starts inside submit_job and the window never opens.
-  const bool will_queue = from.nic().busy() >= from.nic().servers();
-  const sim::Resource::JobId job =
-      from.nic().submit_job(demand, std::move(started), std::move(done));
-  if (job == 0) {
-    // Waiting line full: the message is lost at the sender, same as the
-    // plain-submit rejection before batching existed.
+  // Waiting line full: the message is lost at the sender.
+  if (!from.nic().submit(from.nic_time(bytes), std::move(done))) {
     msgs_.release(msg);
-    return true;
-  }
-  if (will_queue) {
-    slot = OpenSlot{msg, job, to.id()};
-  } else {
-    slot = OpenSlot{};
   }
   return true;
-}
-
-void Network::nic_started(Msg* msg) {
-  OpenSlot& slot = open_[msg->from->id()];
-  if (slot.msg == msg) slot = OpenSlot{};  // on the wire: window closed
-  Batch* batch = msg->batch;
-  if (batch == nullptr) return;
-  // Replay the unbatched delivery schedule: member i left the NIC at
-  // start + prefix_i (scaled by the slowdown the merged job started
-  // under) and arrived one propagation latency later.  Members are
-  // scheduled in send order, so equal-time deliveries keep their order.
-  const double slow = msg->from->nic().slowdown();
-  for (Member& member : batch->members) {
-    const common::SimTime serial =
-        slow == 1.0 ? member.prefix : member.prefix * slow;
-    sim_.schedule(serial + member.latency, std::move(member.on_delivered));
-  }
 }
 
 void Network::set_link_fault(NodeId from, NodeId to, double drop,
@@ -155,15 +81,6 @@ const Network::LinkFault* Network::match_fault(NodeId from, NodeId to) const {
 }
 
 void Network::nic_done(Msg* msg) {
-  if (Batch* batch = msg->batch) {
-    // Deliveries were scheduled at serialization start; the merged job's
-    // completion only returns the pooled state.
-    batch->members.clear();
-    batches_.release(batch);
-    msg->batch = nullptr;
-    msgs_.release(msg);
-    return;
-  }
   const common::SimTime latency = msg->latency;
   sim::EventFn cb = std::move(msg->on_delivered);
   msgs_.release(msg);

@@ -44,11 +44,6 @@ class RingBuffer {
     return buffer_[head_];
   }
 
-  [[nodiscard]] T& back() {
-    assert(size_ > 0);
-    return buffer_[(head_ + size_ - 1) & mask_];
-  }
-
   void pop_front() {
     assert(size_ > 0);
     buffer_[head_] = T{};

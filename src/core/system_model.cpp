@@ -736,8 +736,8 @@ void SystemModel::set_trace_recorder(obs::TraceRecorder* trace) {
 }
 
 void SystemModel::register_metrics() {
-  // Network fabric (absorbs the PR-6 NIC batching counters).  Sums run in
-  // shard (= line) order, so every aggregate is deterministic.
+  // Network fabric.  Sums run in shard (= line) order, so every aggregate
+  // is deterministic.
   metrics_.add_counter("network.messages_sent", [this] {
     std::uint64_t total = 0;
     for (const Shard& shard : shards_) total += shard.network->messages_sent();
@@ -755,23 +755,10 @@ void SystemModel::register_metrics() {
     for (const Shard& shard : shards_) bytes += shard.network->bytes_sent();
     return bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0u;
   });
-  metrics_.add_counter("network.batches_coalesced", [this] {
-    std::uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.network->batches_coalesced();
-    }
-    return total;
-  });
-  metrics_.add_counter("network.messages_batched", [this] {
-    std::uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.network->messages_batched();
-    }
-    return total;
-  });
 
-  // Event scheduler: executed work plus the calendar queue's lazy-cancel
-  // debt (stored - live slots awaiting reclamation), over all timelines.
+  // Event scheduler: executed work, pending events and the events the
+  // queues physically store, over all timelines.  Cancellation frees a slot
+  // at once, so stored always equals pending.
   metrics_.add_counter("scheduler.events_executed", [this] {
     std::uint64_t total = 0;
     for (const Shard& shard : shards_) total += shard.sim->events_executed();

@@ -22,11 +22,8 @@ EventId EventQueue::push(common::SimTime time, EventFn fn) {
   Node& node = nodes_[n];
   node.time = time;
   node.fn = std::move(fn);
-  node.next = kNil;
-  node.cancelled = false;
   const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
-  ++live_count_;
-  ++stored_count_;
+  ++size_;
   place(n);
   return id;
 }
@@ -34,18 +31,36 @@ EventId EventQueue::push(common::SimTime time, EventFn fn) {
 bool EventQueue::cancel(EventId id) {
   // Only events still pending can be cancelled; already-fired or already-
   // cancelled ids are a no-op so callers need not track event lifetimes.
-  if (!is_live(id)) return false;
-  Node& node = nodes_[slot_of(id)];
+  if (!is_pending(id)) return false;
+  const std::uint32_t n = slot_of(id);
+  Node& node = nodes_[n];
+  // The node sits where place() would put it against the current cursor
+  // (see the file comment), so its list follows from its tick alone.
+  const std::uint64_t tick = tick_of(node.time);
+  if (tick <= cursor_) {
+    unlink(ready_, n);
+  } else if (const std::size_t level = level_of(tick); level >= kLevels) {
+    unlink(overflow_, n);
+  } else {
+    const std::size_t idx = bucket_of(tick, level);
+    Wheel& wheel = wheels_[level];
+    unlink(wheel.buckets[idx], n);
+    if (wheel.buckets[idx].head == kNil) {
+      wheel.occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    }
+  }
+  node.fn = EventFn{};
   // Generation wrap after 2^32 reuses of one slot is accepted: a caller
   // would need to hold an id across four billion pushes into the same slot
   // to see a false match.
-  ++node.generation;  // the id dies now; the slot itself recycles at reap
-  node.cancelled = true;
-  --live_count_;
+  ++node.generation;
+  free_slots_.push_back(n);
+  --size_;
   return true;
 }
 
 void EventQueue::append(List& list, std::uint32_t n) {
+  nodes_[n].prev = list.tail;
   nodes_[n].next = kNil;
   if (list.tail == kNil) {
     list.head = n;
@@ -53,6 +68,20 @@ void EventQueue::append(List& list, std::uint32_t n) {
     nodes_[list.tail].next = n;
   }
   list.tail = n;
+}
+
+void EventQueue::unlink(List& list, std::uint32_t n) {
+  const Node& node = nodes_[n];
+  if (node.prev == kNil) {
+    list.head = node.next;
+  } else {
+    nodes_[node.prev].next = node.next;
+  }
+  if (node.next == kNil) {
+    list.tail = node.prev;
+  } else {
+    nodes_[node.next].prev = node.prev;
+  }
 }
 
 void EventQueue::place(std::uint32_t n) {
@@ -63,18 +92,14 @@ void EventQueue::place(std::uint32_t n) {
     ready_insert(n);
     return;
   }
-  // The level is the highest digit (base 2^kBucketBits) in which the tick
-  // differs from the cursor: all higher digits match, so the bucket is
+  // All digits above the level match the cursor's, so the bucket is
   // reached before any cascade could disturb it.
-  const std::uint64_t diff = tick ^ cursor_;
-  const std::size_t level =
-      (static_cast<std::size_t>(std::bit_width(diff)) - 1) / kBucketBits;
+  const std::size_t level = level_of(tick);
   if (level >= kLevels) {
     append(overflow_, n);
     return;
   }
-  const std::size_t idx = static_cast<std::size_t>(
-      (tick >> (level * kBucketBits)) & kIndexMask);
+  const std::size_t idx = bucket_of(tick, level);
   Wheel& wheel = wheels_[level];
   append(wheel.buckets[idx], n);
   wheel.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
@@ -96,7 +121,9 @@ void EventQueue::ready_insert(std::uint32_t n) {
     cur = nodes_[cur].next;
   }
   assert(cur != kNil);  // the tail is strictly later, so we stop before it
+  nodes_[n].prev = prev;
   nodes_[n].next = cur;
+  nodes_[cur].prev = n;
   if (prev == kNil) {
     ready_.head = n;
   } else {
@@ -104,46 +131,25 @@ void EventQueue::ready_insert(std::uint32_t n) {
   }
 }
 
-void EventQueue::ensure_ready() {
-  for (;;) {
-    while (ready_.head != kNil && nodes_[ready_.head].cancelled) {
-      // Reap a lazily-cancelled node: release its closure eagerly and
-      // return the slot to the free list.
-      const std::uint32_t n = ready_.head;
-      ready_.head = nodes_[n].next;
-      if (ready_.head == kNil) ready_.tail = kNil;
-      nodes_[n].fn = EventFn{};
-      free_slots_.push_back(n);
-      --stored_count_;
-    }
-    if (ready_.head != kNil) return;
-    if (!advance()) return;  // nothing stored; callers' preconditions apply
-  }
-}
-
 common::SimTime EventQueue::next_time() {
-  ensure_ready();
-  assert(ready_.head != kNil);
+  if (ready_.head == kNil) advance();
   return nodes_[ready_.head].time;
 }
 
 EventQueue::Entry EventQueue::pop() {
-  ensure_ready();
-  assert(ready_.head != kNil);
+  if (ready_.head == kNil) advance();
   const std::uint32_t n = ready_.head;
   Node& node = nodes_[n];
-  ready_.head = node.next;
-  if (ready_.head == kNil) ready_.tail = kNil;
+  unlink(ready_, n);
   const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
   ++node.generation;  // retire the id; the slot is free for reuse
   free_slots_.push_back(n);
-  --live_count_;
-  --stored_count_;
+  --size_;
   return Entry{node.time, id, std::move(node.fn)};
 }
 
-bool EventQueue::advance() {
-  assert(ready_.head == kNil);
+void EventQueue::advance() {
+  assert(ready_.head == kNil && size_ > 0);
   for (;;) {
     // Level 0: the next populated one-tick bucket in the current 256-tick
     // block.  Buckets at or below the cursor's digit are empty (drained or
@@ -156,7 +162,7 @@ bool EventQueue::advance() {
       ready_ = wheel.buckets[b];  // whole-list splice: one tick's FIFO run
       wheel.buckets[b] = List{};
       wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      return true;
+      return;
     }
     // Block exhausted: cascade one bucket down from the lowest populated
     // higher level.  Redistributing in stored order into provably-empty
@@ -187,12 +193,12 @@ bool EventQueue::advance() {
     if (cascaded) {
       // Nodes whose tick equals the new cursor landed in the ready list
       // and must pop before anything the level-0 scan would find.
-      if (ready_.head != kNil) return true;
+      if (ready_.head != kNil) return;
       continue;
     }
-    if (overflow_.head == kNil) return false;
+    if (overflow_.head == kNil) return;  // nothing stored: precondition
     drain_overflow_epoch();
-    if (ready_.head != kNil) return true;
+    if (ready_.head != kNil) return;
   }
 }
 

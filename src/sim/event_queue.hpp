@@ -11,21 +11,31 @@
 // exhausted a bucket from the lowest-populated higher level cascades down.
 //
 // Storage is a single slab of nodes that doubles as the id slot table;
-// buckets, the ready run and the overflow are intrusive singly-linked
+// buckets, the ready run and the overflow are intrusive doubly-linked
 // lists threaded through the slab.  Moving an event between levels is a
 // pointer splice — the closure payload never moves — and once the slab has
-// grown to the peak event population the queue performs no heap
+// grown to the peak pending population the queue performs no heap
 // allocation at all, no matter which buckets future times touch.
 //
 // Determinism: equal-time events pop in push order.  The wheel preserves
-// this without sequence numbers because every list involved is append-only
-// in push order — a bucket receives nodes either from `push` (later pushes
-// append later) or from a cascade, which distributes a single parent
-// bucket's nodes in their stored order into child buckets that are
-// provably empty at that moment.  Pop order is therefore byte-identical to
-// the previous (time, sequence) binary heap.  Cancellation is lazy:
-// cancelled nodes are reaped when their tick is reached, which keeps the
-// hot path free of structural repair.
+// this without sequence numbers because every list involved only ever
+// gains nodes in push order — a bucket receives nodes either from `push`
+// (later pushes append later) or from a cascade, which distributes a
+// single parent bucket's nodes in their stored order into child buckets
+// that are provably empty at that moment.  Pop order is therefore
+// byte-identical to the previous (time, sequence) binary heap.
+//
+// Cancellation is eager: cancel() unlinks the node, destroys its closure
+// and frees its slot at once, so a cancelled timer costs no memory and is
+// never cascaded.  The node's list needs no stored location; it follows
+// from the node's tick and the cursor exactly as in place(): at or behind
+// the cursor means the ready run, otherwise the highest base-256 digit in
+// which tick and cursor differ names the wheel level (overflow beyond the
+// last one).  The mapping holds for as long as the node is stored: the
+// cursor only ever moves into the next populated bucket, whose nodes are
+// re-placed (or become the ready run), and every node it leaves in place
+// still differs from it in the same highest digit.  Unlinking never
+// reorders the nodes that remain, so cancellation cannot change pop order.
 //
 // Event ids are generation-stamped slot handles: the low 32 bits index the
 // slab, the high 32 bits carry that slot's generation at push time.
@@ -37,6 +47,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -67,28 +78,24 @@ class EventQueue {
   /// never zero, so 0 is safe as a caller-side "no event" sentinel.
   EventId push(common::SimTime time, EventFn fn);
 
-  /// Marks an event as cancelled.  Returns false when the id is unknown or
-  /// already fired (cancelling those is a no-op, not an error).
+  /// Removes a pending event and frees its slot at once.  Returns false
+  /// when the id is unknown, already fired or already cancelled (a no-op,
+  /// not an error).
   bool cancel(EventId id);
 
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  /// True when no events are pending.
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Time of the earliest live event.  Precondition: !empty().
+  /// Time of the earliest pending event.  Precondition: !empty().
   [[nodiscard]] common::SimTime next_time();
 
-  /// Removes and returns the earliest live event.  Precondition: !empty().
+  /// Removes and returns the earliest pending event.  Precondition:
+  /// !empty().
   Entry pop();
 
-  /// Number of live (pending, non-cancelled) events.  Exact under lazy
-  /// cancellation: a cancelled-but-unreaped entry is excluded the moment
-  /// cancel() returns, so queue-depth introspection never overcounts.
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-  /// Historic name for size(); kept for existing call sites.
-  [[nodiscard]] std::size_t live_size() const { return live_count_; }
-  /// Physical entries still held (live + cancelled-but-unreaped).  The gap
-  /// between this and size() is the lazy-cancellation debt.
-  [[nodiscard]] std::size_t stored_size() const { return stored_count_; }
+  /// Number of pending events, which is also the number of slab slots in
+  /// use: a cancelled event holds none.
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   /// 2^kBucketBits buckets per level; level l buckets span 2^(8l) ticks.
@@ -98,15 +105,15 @@ class EventQueue {
   static constexpr std::uint64_t kIndexMask = kBuckets - 1;
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// Slab node: event payload + id slot + intrusive list link.  The slab
+  /// Slab node: event payload + id slot + intrusive list links.  The slab
   /// index is the id's low 32 bits, so one array serves as event storage,
   /// slot table and list arena at once.
   struct Node {
     common::SimTime time;
     EventFn fn;
     std::uint32_t generation = 1;  // bumped on pop/cancel; 0 never occurs
-    std::uint32_t next = kNil;
-    bool cancelled = false;
+    std::uint32_t prev = kNil;     // kNil at a list's head
+    std::uint32_t next = kNil;     // kNil at a list's tail
   };
 
   struct List {
@@ -132,26 +139,36 @@ class EventQueue {
     const std::int64_t us = time.as_micros();
     return us <= 0 ? 0 : static_cast<std::uint64_t>(us);
   }
-  /// True when `id` refers to a live (pending, non-cancelled) event.
-  [[nodiscard]] bool is_live(EventId id) const {
+  /// True when `id` refers to a pending event.
+  [[nodiscard]] bool is_pending(EventId id) const {
     const std::uint32_t slot = slot_of(id);
     return slot < nodes_.size() &&
            nodes_[slot].generation == generation_of(id);
   }
+  /// Wheel level of a tick strictly after the cursor: the highest digit
+  /// (base 2^kBucketBits) in which the two differ.  kLevels or more means
+  /// the overflow list.
+  [[nodiscard]] std::size_t level_of(std::uint64_t tick) const {
+    return (static_cast<std::size_t>(std::bit_width(tick ^ cursor_)) - 1) /
+           kBucketBits;
+  }
+  [[nodiscard]] static std::size_t bucket_of(std::uint64_t tick,
+                                             std::size_t level) {
+    return static_cast<std::size_t>((tick >> (level * kBucketBits)) &
+                                    kIndexMask);
+  }
 
   void append(List& list, std::uint32_t n);
+  void unlink(List& list, std::uint32_t n);
   /// Routes a node to the ready list, a wheel bucket, or the overflow list
   /// according to its tick's distance from the cursor.
   void place(std::uint32_t n);
   /// Inserts into the ready list keeping (time, push-order) sorted; the
   /// common case (at or after every queued time) is an O(1) append.
   void ready_insert(std::uint32_t n);
-  /// Reaps cancelled nodes and reloads the ready list from the wheels
-  /// until a live node leads it (or everything stored is exhausted).
-  void ensure_ready();
   /// Advances the cursor to the next populated tick and loads it into the
-  /// ready list.  Returns false when wheels and overflow are all empty.
-  bool advance();
+  /// ready list.  Precondition: the ready list is empty and !empty().
+  void advance();
   /// Folds the earliest 2^32 µs epoch of overflow nodes back into the
   /// wheels (in stored order, preserving FIFO ties).
   void drain_overflow_epoch();
@@ -169,8 +186,7 @@ class EventQueue {
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_count_ = 0;
-  std::size_t stored_count_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace ah::sim

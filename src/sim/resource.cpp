@@ -27,32 +27,16 @@ void Resource::account_now() {
 }
 
 bool Resource::submit(common::SimTime demand, Completion on_complete) {
-  return submit_job(demand, {}, std::move(on_complete)) != 0;
-}
-
-Resource::JobId Resource::submit_job(common::SimTime demand,
-                                     Completion on_start,
-                                     Completion on_complete) {
   account_now();
-  const JobId id = next_job_id_++;
   if (busy_ < config_.servers) {
-    start_service(Job{demand, id, std::move(on_start), std::move(on_complete)});
-    return id;
+    start_service(Job{demand, std::move(on_complete)});
+    return true;
   }
   if (queue_.size() >= config_.queue_capacity) {
     ++rejected_;
-    return 0;
+    return false;
   }
-  queue_.push_back(Job{demand, id, std::move(on_start), std::move(on_complete)});
-  return id;
-}
-
-bool Resource::extend_queued_tail(JobId job, common::SimTime extra) {
-  if (job == 0 || queue_.empty() || queue_.back().id != job) return false;
-  // A fresh arrival would be rejected right now, so folding more work into
-  // the tail would smuggle it past the admission check.
-  if (queue_.size() >= config_.queue_capacity) return false;
-  queue_.back().demand += extra;
+  queue_.push_back(Job{demand, std::move(on_complete)});
   return true;
 }
 
@@ -104,10 +88,6 @@ void Resource::start_pending() {
 void Resource::start_service(Job job) {
   ++busy_;
   const common::SimTime service = job.demand * config_.slowdown;
-  // The start signal fires before the completion event is scheduled, so a
-  // start hook observes the queue state of the exact service-start instant
-  // and any events it schedules order ahead of this job's completion.
-  if (job.on_start) job.on_start();
   auto finish = [this, on_complete = std::move(job.on_complete)]() mutable {
     on_service_done(std::move(on_complete));
   };

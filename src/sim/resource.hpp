@@ -47,30 +47,10 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Handle for a submitted job; 0 is the "no job / rejected" sentinel.
-  /// Monotonic per Resource, never reused.
-  using JobId = std::uint64_t;
-
   /// Submits a job with the given service demand.  Returns false (and drops
   /// the job) when the waiting line is full.  `on_complete` fires when the
   /// job finishes service.
   bool submit(common::SimTime demand, Completion on_complete);
-
-  /// Like submit(), but returns the job's id (0 when rejected) and fires
-  /// `on_start` at the instant the job enters service — before any of its
-  /// service time elapses.  Callers use the start signal to anchor derived
-  /// schedules (e.g. the network layer timestamps batched deliveries off
-  /// the serialization start).
-  JobId submit_job(common::SimTime demand, Completion on_start,
-                   Completion on_complete);
-
-  /// Folds `extra` service demand into job `job` iff it is the tail of the
-  /// waiting line (not yet started).  Returns false — and folds nothing —
-  /// when the job is unknown, already in service, not the tail, or when a
-  /// fresh arrival would have been rejected (waiting line at capacity), so
-  /// a successful extend is observationally identical to a back-to-back
-  /// submit of a second job: the server stays busy for the summed demand.
-  bool extend_queued_tail(JobId job, common::SimTime extra);
 
   /// Changes the number of servers.  Growth starts queued jobs immediately;
   /// shrink lets in-service jobs finish (capacity drops as they complete).
@@ -83,7 +63,6 @@ class Resource {
   [[nodiscard]] int servers() const { return config_.servers; }
   [[nodiscard]] int busy() const { return busy_; }
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] double slowdown() const { return config_.slowdown; }
 
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
@@ -109,8 +88,6 @@ class Resource {
  private:
   struct Job {
     common::SimTime demand = common::SimTime::zero();
-    JobId id = 0;
-    Completion on_start;
     Completion on_complete;
   };
 
@@ -127,7 +104,6 @@ class Resource {
 
   int busy_ = 0;
   common::RingBuffer<Job> queue_;
-  JobId next_job_id_ = 1;
 
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

@@ -47,10 +47,11 @@ class Simulator {
   bool step();
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.live_size(); }
-  /// Stored events including cancelled-but-unreclaimed slots — the lazy
-  /// cancellation debt the calendar queue carries (see EventQueue).
-  [[nodiscard]] std::size_t stored_events() const { return queue_.stored_size(); }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Events the queue physically holds.  Cancellation frees a slot at once
+  /// (see EventQueue), so this always equals pending_events(); it stays as
+  /// the scheduler's storage reading for telemetry.
+  [[nodiscard]] std::size_t stored_events() const { return queue_.size(); }
 
  private:
   EventQueue queue_;

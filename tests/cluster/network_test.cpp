@@ -55,110 +55,38 @@ TEST_F(NetworkTest, ConcurrentSendsSerializeOnNic) {
   EXPECT_EQ(second, SimTime::micros(2200));
 }
 
-TEST_F(NetworkTest, FanOutCoalescesOntoQueuedTailWithExactTimes) {
-  net_.set_destination_batching(true);
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
-  SimTime first = SimTime::zero();
-  SimTime second = SimTime::zero();
-  SimTime third = SimTime::zero();
-  // 12'500 bytes = 1 ms serialization each.  The first send starts at
-  // once (no batch window); the second queues and opens the window; the
-  // third folds into the second's NIC job.
-  net_.send(a, b, 12'500, [&] { first = sim_.now(); });
-  net_.send(a, b, 12'500, [&] { second = sim_.now(); });
-  net_.send(a, b, 12'500, [&] { third = sim_.now(); });
-  sim_.run();
-  // Delivery times are exactly the unbatched schedule.
-  EXPECT_EQ(first, SimTime::micros(1200));
-  EXPECT_EQ(second, SimTime::micros(2200));
-  EXPECT_EQ(third, SimTime::micros(3200));
-  EXPECT_EQ(net_.batches_coalesced(), 1u);
-  EXPECT_EQ(net_.messages_batched(), 2u);
-  // Two NIC queue operations served three messages.
-  EXPECT_EQ(a.nic().completed(), 2u);
-}
-
-TEST_F(NetworkTest, InterleavedDestinationClosesBatchWindow) {
-  net_.set_destination_batching(true);
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
-  Node c(sim_, 2, "c", hw_);
-  std::vector<std::pair<int, SimTime>> delivered;
-  net_.send(a, b, 12'500, [&] { delivered.push_back({1, sim_.now()}); });
-  net_.send(a, b, 12'500, [&] { delivered.push_back({2, sim_.now()}); });
-  net_.send(a, c, 12'500, [&] { delivered.push_back({3, sim_.now()}); });
-  net_.send(a, b, 12'500, [&] { delivered.push_back({4, sim_.now()}); });
-  sim_.run();
-  // The send to c closed b's window, and its own slot does not accept the
-  // final b message either: strict per-message FIFO times.
-  ASSERT_EQ(delivered.size(), 4u);
-  EXPECT_EQ(delivered[0], (std::pair<int, SimTime>{1, SimTime::micros(1200)}));
-  EXPECT_EQ(delivered[1], (std::pair<int, SimTime>{2, SimTime::micros(2200)}));
-  EXPECT_EQ(delivered[2], (std::pair<int, SimTime>{3, SimTime::micros(3200)}));
-  EXPECT_EQ(delivered[3], (std::pair<int, SimTime>{4, SimTime::micros(4200)}));
-  EXPECT_EQ(net_.batches_coalesced(), 0u);
-  EXPECT_EQ(net_.messages_batched(), 0u);
-}
-
-TEST_F(NetworkTest, BatchWindowClosesWhenJobStartsSerializing) {
-  net_.set_destination_batching(true);
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
-  SimTime late = SimTime::zero();
-  net_.send(a, b, 12'500, [] {});
-  net_.send(a, b, 12'500, [] {});  // queued: window opens
-  // By 1.5 ms the queued job is serializing (started at 1 ms), so this
-  // send must get its own NIC job, not ride the old window.
-  sim_.schedule(SimTime::micros(1500), [&] {
-    net_.send(a, b, 12'500, [&] { late = sim_.now(); });
-  });
-  sim_.run();
-  EXPECT_EQ(net_.batches_coalesced(), 0u);
-  // Queued at 1.5 ms, serializes 2-3 ms, +200 us latency.
-  EXPECT_EQ(late, SimTime::micros(3200));
-}
-
-TEST_F(NetworkTest, SlowdownScalesBatchedDeliveries) {
-  net_.set_destination_batching(true);
+TEST_F(NetworkTest, SlowdownScalesDeliveries) {
   Node a(sim_, 0, "a", hw_);
   Node b(sim_, 1, "b", hw_);
   a.nic().set_slowdown(2.0);
   SimTime first = SimTime::zero();
   SimTime second = SimTime::zero();
-  SimTime third = SimTime::zero();
   net_.send(a, b, 12'500, [&] { first = sim_.now(); });
   net_.send(a, b, 12'500, [&] { second = sim_.now(); });
-  net_.send(a, b, 12'500, [&] { third = sim_.now(); });
   sim_.run();
-  // Each 1 ms demand serves for 2 ms; member prefixes scale the same way.
+  // Each 1 ms demand serves for 2 ms; propagation latency is not scaled.
   EXPECT_EQ(first, SimTime::micros(2200));
   EXPECT_EQ(second, SimTime::micros(4200));
-  EXPECT_EQ(third, SimTime::micros(6200));
-  EXPECT_EQ(net_.batches_coalesced(), 1u);
 }
 
-TEST_F(NetworkTest, DroppedMessageStillChargesNicAndBlocksCoalescing) {
-  net_.set_destination_batching(true);
+TEST_F(NetworkTest, DroppedMessageStillChargesNic) {
   Node a(sim_, 0, "a", hw_);
   Node b(sim_, 1, "b", hw_);
   Node c(sim_, 2, "c", hw_);
   net_.set_link_fault(a.id(), c.id(), /*drop=*/1.0, SimTime::zero());
   std::vector<std::pair<int, SimTime>> delivered;
   net_.send(a, b, 12'500, [&] { delivered.push_back({1, sim_.now()}); });
-  net_.send(a, b, 12'500, [&] { delivered.push_back({2, sim_.now()}); });
-  // Dropped, but its serialization still queues on the NIC — the batch
-  // window's job is no longer the queue tail afterwards.
-  EXPECT_FALSE(net_.send(a, c, 12'500, [&] { delivered.push_back({3, sim_.now()}); }));
-  net_.send(a, b, 12'500, [&] { delivered.push_back({4, sim_.now()}); });
+  // Dropped, but its serialization still queues on the NIC.
+  EXPECT_FALSE(net_.send(a, c, 12'500,
+                         [&] { delivered.push_back({2, sim_.now()}); }));
+  net_.send(a, b, 12'500, [&] { delivered.push_back({3, sim_.now()}); });
   sim_.run();
   EXPECT_EQ(net_.messages_dropped(), 1u);
-  ASSERT_EQ(delivered.size(), 3u);
+  ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(delivered[0], (std::pair<int, SimTime>{1, SimTime::micros(1200)}));
-  EXPECT_EQ(delivered[1], (std::pair<int, SimTime>{2, SimTime::micros(2200)}));
-  // The dropped frame occupied the wire for 2-3 ms.
-  EXPECT_EQ(delivered[2], (std::pair<int, SimTime>{4, SimTime::micros(4200)}));
-  EXPECT_EQ(a.nic().completed(), 4u);
+  // The dropped frame occupied the wire for 1-2 ms.
+  EXPECT_EQ(delivered[1], (std::pair<int, SimTime>{3, SimTime::micros(3200)}));
+  EXPECT_EQ(a.nic().completed(), 3u);
 }
 
 TEST_F(NetworkTest, CountsTraffic) {

@@ -151,76 +151,6 @@ TEST_F(ResourceTest, EmptyCompletionAllowed) {
   EXPECT_EQ(r.completed(), 1u);
 }
 
-TEST_F(ResourceTest, SubmitJobIdsAreMonotoneAndZeroMeansRejected) {
-  Resource r(sim_, "r", {.servers = 1, .queue_capacity = 1});
-  const Resource::JobId a = r.submit_job(SimTime::millis(1), {}, {});
-  const Resource::JobId b = r.submit_job(SimTime::millis(1), {}, {});
-  const Resource::JobId c = r.submit_job(SimTime::millis(1), {}, {});
-  EXPECT_NE(a, 0u);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(c, 0u);  // waiting line full: rejected
-  EXPECT_EQ(r.rejected(), 1u);
-}
-
-TEST_F(ResourceTest, OnStartFiresAtServiceStartInstant) {
-  Resource r(sim_, "r", {.servers = 1});
-  SimTime first_start = SimTime::millis(-1);
-  SimTime second_start = SimTime::millis(-1);
-  r.submit_job(SimTime::millis(10), [&] { first_start = sim_.now(); }, {});
-  // The idle server starts the job inside submit_job itself.
-  EXPECT_EQ(first_start, SimTime::zero());
-  r.submit_job(SimTime::millis(5), [&] { second_start = sim_.now(); }, {});
-  EXPECT_EQ(second_start, SimTime::millis(-1));  // still queued
-  sim_.run();
-  EXPECT_EQ(second_start, SimTime::millis(10));
-}
-
-TEST_F(ResourceTest, OnStartOrdersAheadOfOwnCompletion) {
-  // Events scheduled from the start hook at the job's own completion time
-  // are pushed earlier, so they pop first.
-  Resource r(sim_, "r", {.servers = 1});
-  std::vector<int> order;
-  r.submit_job(
-      SimTime::millis(10),
-      [&] { sim_.schedule(SimTime::millis(10), [&] { order.push_back(1); }); },
-      [&] { order.push_back(2); });
-  sim_.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST_F(ResourceTest, ExtendQueuedTailFoldsDemand) {
-  Resource r(sim_, "r", {.servers = 1});
-  SimTime done_at = SimTime::zero();
-  r.submit(SimTime::millis(10), {});  // in service
-  const Resource::JobId tail =
-      r.submit_job(SimTime::millis(5), {}, [&] { done_at = sim_.now(); });
-  EXPECT_TRUE(r.extend_queued_tail(tail, SimTime::millis(3)));
-  sim_.run();
-  // The merged job serves for the summed demand: 10 + (5 + 3).
-  EXPECT_EQ(done_at, SimTime::millis(18));
-  EXPECT_EQ(r.completed(), 2u);
-}
-
-TEST_F(ResourceTest, ExtendRefusesInServiceNonTailAndSentinel) {
-  Resource r(sim_, "r", {.servers = 1, .queue_capacity = 4});
-  const Resource::JobId head = r.submit_job(SimTime::millis(10), {}, {});
-  EXPECT_FALSE(r.extend_queued_tail(head, SimTime::millis(1)));  // in service
-  const Resource::JobId mid = r.submit_job(SimTime::millis(10), {}, {});
-  const Resource::JobId tail = r.submit_job(SimTime::millis(10), {}, {});
-  EXPECT_FALSE(r.extend_queued_tail(mid, SimTime::millis(1)));  // not the tail
-  EXPECT_FALSE(r.extend_queued_tail(0, SimTime::millis(1)));    // sentinel
-  EXPECT_TRUE(r.extend_queued_tail(tail, SimTime::millis(1)));
-}
-
-TEST_F(ResourceTest, ExtendRefusesWhenQueueAtCapacity) {
-  // A fresh arrival would be rejected, so folding into the tail must be
-  // refused too — batching cannot smuggle work past admission control.
-  Resource r(sim_, "r", {.servers = 1, .queue_capacity = 1});
-  r.submit(SimTime::millis(10), {});  // in service
-  const Resource::JobId tail = r.submit_job(SimTime::millis(10), {}, {});
-  EXPECT_FALSE(r.extend_queued_tail(tail, SimTime::millis(1)));
-}
-
 TEST_F(ResourceTest, ZeroDemandJobCompletesImmediately) {
   Resource r(sim_, "r", {.servers = 1});
   bool done = false;

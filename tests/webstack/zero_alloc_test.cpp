@@ -230,6 +230,47 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
   EXPECT_GT(controller.ticks(), ticks_before);
 }
 
+TEST_F(ZeroAllocTest, CancelledHopTimeoutsDoNotAllocate) {
+  // Every hop arms a timeout that its reply cancels.  The timeout outlasts
+  // the whole run, so no timer ever reaches its tick: a cancelled timer
+  // must hand its queue slot back at once.  The measured phase arms more
+  // timers than the warm-up did, so a queue that kept cancelled timers
+  // until their tick would have to grow its event storage here.
+  RequestProfile dynamic_db;
+  dynamic_db.name = "dyn-db";
+  dynamic_db.cacheable = false;
+  dynamic_db.app_cpu = SimTime::millis(2);
+  dynamic_db.queries[0] = 2;
+  dynamic_db.queries[1] = 1;
+
+  build_cluster();
+  const SimTime timeout = SimTime::seconds(3600);
+  frontend_.set_hop_timeout(timeout);
+  app_router_.set_hop_timeout(timeout);
+  db_router_.set_hop_timeout(timeout);
+
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(run_one(dynamic_db));
+
+  g_allocs.store(0);
+  g_track.store(true);
+  constexpr int kMeasured = 200;
+  int served = 0;
+  for (int i = 0; i < kMeasured; ++i) {
+    if (run_one(dynamic_db)) ++served;
+  }
+  g_track.store(false);
+
+  EXPECT_EQ(served, kMeasured);
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "cancelled hop timeouts performed heap allocations";
+  // No timer fired: each one was cancelled by its reply.
+  EXPECT_LT(sim_.now(), timeout);
+  EXPECT_EQ(frontend_.stats().timeouts + app_router_.stats().timeouts +
+                db_router_.stats().timeouts,
+            0u);
+  EXPECT_EQ(sim_.stored_events(), sim_.pending_events());
+}
+
 TEST_F(ZeroAllocTest, TelemetryRecordingDoesNotAllocate) {
   // Same steady-state property with the full telemetry layer switched on:
   // hop histograms on every router and a span recorder sampling every
