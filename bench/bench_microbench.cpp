@@ -1,7 +1,9 @@
 // Micro-benchmarks of the simulation and tuning primitives
 // (google-benchmark).  These are engineering benchmarks, not paper
 // reproductions: they track the cost of the hot paths that determine how
-// many tuning iterations per wall-clock second the harness sustains.
+// many tuning iterations per wall-clock second the harness sustains.  The
+// event queue, LRU cache and Zipf sampler are timed in bench_throughput
+// instead, whose BENCH_throughput.json keeps their before/after record.
 #include <benchmark/benchmark.h>
 
 #include <malloc.h>  // malloc_usable_size (glibc)
@@ -17,19 +19,16 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/node.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel_evaluator.hpp"
 #include "core/system_model.hpp"
 #include "harmony/simplex.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "tpcw/mix.hpp"
-#include "tpcw/zipf.hpp"
 #include "core/model_immutable.hpp"
-#include "webstack/lru_cache.hpp"
 #include "webstack/params.hpp"
 
 // ---------------------------------------------------------------------------
@@ -99,48 +98,6 @@ namespace {
 
 using namespace ah;
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (std::size_t i = 0; i < n; ++i) {
-      queue.push(common::SimTime::micros(rng.uniform_int(0, 1'000'000)),
-                 [] {});
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().time);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
-
-// The pattern resource timeouts produce: most scheduled events are
-// cancelled before they fire.  This is the case the generation-stamped
-// lazy-cancel design targets (O(1) cancel, no hash-set bookkeeping).
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(1);
-  std::vector<sim::EventId> ids;
-  ids.reserve(n);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    ids.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(queue.push(
-          common::SimTime::micros(rng.uniform_int(0, 1'000'000)), [] {}));
-    }
-    // Cancel 7 of every 8 events (timeout armed, request completed first).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i % 8 != 0) benchmark::DoNotOptimize(queue.cancel(ids[i]));
-    }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().time);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1024)->Arg(16384);
-
 void BM_SimulatorSelfScheduling(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
@@ -172,17 +129,6 @@ void BM_ResourceSubmitComplete(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceSubmitComplete);
 
-void BM_LruCacheMixedOps(benchmark::State& state) {
-  webstack::LruCache cache(8LL * 1024 * 1024);
-  common::Rng rng(7);
-  for (auto _ : state) {
-    const auto key = static_cast<std::uint64_t>(rng.uniform_int(0, 4095));
-    if (cache.lookup(key) < 0) cache.insert(key, 4096 + (key % 8192));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LruCacheMixedOps);
-
 void BM_MixSampling(benchmark::State& state) {
   const auto& mix = tpcw::Mix::standard(tpcw::WorkloadKind::kShopping);
   common::Rng rng(3);
@@ -192,16 +138,6 @@ void BM_MixSampling(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MixSampling);
-
-void BM_ZipfSampling(benchmark::State& state) {
-  tpcw::ZipfSampler zipf(10000, 0.8);
-  common::Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.sample(rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ZipfSampling);
 
 void BM_SimplexStep(benchmark::State& state) {
   const auto dims = static_cast<std::size_t>(state.range(0));
@@ -306,54 +242,33 @@ BENCHMARK(BM_ParallelEvaluatorScaling)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// Bytes-per-replica: quantifies the sharing win of the immutable model
-// layer in the same file as the thread-scaling it enables.  Duplicated is
-// the pre-sharing replica layout (eager all-roles nodes, a private
-// popularity CDF per workload); shared is the current default (lazy roles,
-// one ModelImmutable amortised over the replicas).  Exact live-heap
-// deltas — host-independent, meaningful even when the speedup column is
-// not ("valid": false).
-struct ReplicaBytes {
-  double duplicated = 0.0;
-  double shared = 0.0;
-};
-
-ReplicaBytes measure_replica_bytes() {
+// Bytes-per-replica of the replica layout the scaling benchmark runs: one
+// ModelImmutable amortised over the replicas, roles created on demand.
+// Exact live-heap delta — host-independent, meaningful even when the
+// speedup column is not ("valid": false).
+double measure_replica_bytes() {
   core::Experiment::Config experiment;
   experiment.browsers = 200;  // the scaling benchmark's population
-  const auto build_all = [&experiment](bool shared_layer) {
-    core::SystemModel::Config topology;
-    const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
-    std::shared_ptr<const core::ModelImmutable> layer;
-    if (shared_layer) {
-      layer = core::make_model_immutable(topology, experiment);
-    } else {
-      topology.eager_roles = true;
-    }
-    std::vector<std::unique_ptr<core::SystemModel>> systems;
-    std::vector<std::unique_ptr<core::Experiment>> experiments;
-    for (std::size_t r = 0; r < kScalingReplicas; ++r) {
-      core::SystemModel::Config config = topology;
-      config.shared = layer;
-      systems.push_back(std::make_unique<core::SystemModel>(config));
-      experiments.push_back(
-          std::make_unique<core::Experiment>(*systems.back(), experiment));
-    }
-    const std::int64_t after = g_live_bytes.load(std::memory_order_relaxed);
-    return static_cast<double>(after - before) /
-           static_cast<double>(kScalingReplicas);
-  };
-  ReplicaBytes bytes;
-  bytes.duplicated = build_all(/*shared_layer=*/false);
-  bytes.shared = build_all(/*shared_layer=*/true);
-  return bytes;
+  core::SystemModel::Config topology;
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  topology.shared = core::make_model_immutable(topology, experiment);
+  std::vector<std::unique_ptr<core::SystemModel>> systems;
+  std::vector<std::unique_ptr<core::Experiment>> experiments;
+  for (std::size_t r = 0; r < kScalingReplicas; ++r) {
+    systems.push_back(std::make_unique<core::SystemModel>(topology));
+    experiments.push_back(
+        std::make_unique<core::Experiment>(*systems.back(), experiment));
+  }
+  const std::int64_t after = g_live_bytes.load(std::memory_order_relaxed);
+  return static_cast<double>(after - before) /
+         static_cast<double>(kScalingReplicas);
 }
 
 // Dumps the scaling sweep as BENCH_parallel.json so the repo records the
 // threads -> iterations/sec trajectory alongside the reproduction CSVs.
 void write_parallel_json() {
   if (g_scaling.empty()) return;  // benchmark filtered out
-  const ReplicaBytes replica_bytes = measure_replica_bytes();
+  const double replica_bytes = measure_replica_bytes();
   std::FILE* out = std::fopen("BENCH_parallel.json", "w");
   if (out == nullptr) return;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -372,14 +287,8 @@ void write_parallel_json() {
                "hardware_concurrency on the recording machine; valid=false "
                "means a single-core host, where speedup <= 1.0 is "
                "meaningless.  bytes_per_replica is host-independent\",\n");
-  std::fprintf(out, "  \"bytes_per_replica\": {\n");
-  std::fprintf(out,
-               "    \"duplicated\": %.0f,\n    \"shared\": %.0f,\n"
-               "    \"reduction_ratio\": %.2f\n  },\n",
-               replica_bytes.duplicated, replica_bytes.shared,
-               replica_bytes.shared > 0.0
-                   ? replica_bytes.duplicated / replica_bytes.shared
-                   : 0.0);
+  std::fprintf(out, "  \"bytes_per_replica\": {\"shared\": %.0f},\n",
+               replica_bytes);
   std::fprintf(out, "  \"results\": [\n");
   std::size_t written = 0;
   for (const auto& [threads, sample] : g_scaling) {

@@ -1,5 +1,5 @@
-// Cluster-scale benchmark: how the sharded per-line timelines and the
-// shared immutable model layer change what one process can hold.
+// Cluster-scale benchmark: how the per-line timelines and the shared
+// immutable model layer change what one process can hold.
 //
 // Two questions, two sections:
 //
@@ -9,10 +9,8 @@
 //                     threads.  Per-line event order is thread-count
 //                     independent, so every cell computes identical
 //                     virtual histories; only the wall clock moves.
-//   * sharing win   — resident bytes per replica when 8 replica systems
-//                     are built the pre-sharding way (eager all-roles
-//                     nodes, private tables) vs the current way (lazy
-//                     roles, one shared ModelImmutable + popularity CDF).
+//   * sharing       — resident bytes per replica when 8 replica systems
+//                     share one ModelImmutable + popularity CDF.
 //
 // Resident bytes are tracked with a global operator-new/delete hook that
 // adds/subtracts malloc_usable_size() of every live allocation — exact
@@ -206,7 +204,7 @@ ScalePoint run_scale_point(std::size_t lines,
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: bytes/replica, duplicated-model baseline vs shared layer.
+// Section 2: bytes/replica with the shared immutable layer.
 // ---------------------------------------------------------------------------
 
 struct SharingSample {
@@ -217,23 +215,16 @@ struct SharingSample {
 constexpr std::size_t kSharingReplicas = 8;
 
 /// Builds `kSharingReplicas` single-line replica systems (SystemModel +
-/// Experiment, the core::ParallelEvaluator unit) and returns the live-heap
-/// cost.  `shared_layer` false reproduces the pre-sharing layout: every
-/// node eagerly owns all three roles and every workload derives a private
-/// popularity CDF.  True is the current default: lazy roles plus one
-/// ModelImmutable (built inside the measured region, amortised over the
-/// replicas — that is the honest marginal cost).
-SharingSample build_replicas(bool shared_layer) {
+/// Experiment, the core::ParallelEvaluator unit) on one ModelImmutable and
+/// returns the live-heap cost.  The layer is built inside the measured
+/// region, amortised over the replicas — that is the honest marginal cost.
+SharingSample build_replicas() {
   core::SystemModel::Config topology;  // default single line, 3 nodes
   const core::Experiment::Config experiment = experiment_for(1);
 
   const std::int64_t before = live_bytes();
-  std::shared_ptr<const core::ModelImmutable> layer;
-  if (shared_layer) {
-    layer = core::make_model_immutable(topology, experiment);
-  } else {
-    topology.eager_roles = true;
-  }
+  const std::shared_ptr<const core::ModelImmutable> layer =
+      core::make_model_immutable(topology, experiment);
   std::vector<std::unique_ptr<core::SystemModel>> systems;
   std::vector<std::unique_ptr<core::Experiment>> experiments;
   for (std::size_t r = 0; r < kSharingReplicas; ++r) {
@@ -256,8 +247,8 @@ SharingSample build_replicas(bool shared_layer) {
 // ---------------------------------------------------------------------------
 
 void write_json(const std::vector<ScalePoint>& points,
-                const SharingSample& duplicated, const SharingSample& shared,
-                std::size_t iterations, bool valid, bool smoke) {
+                const SharingSample& shared, std::size_t iterations, bool valid,
+                bool smoke) {
   std::FILE* out = std::fopen("BENCH_scale.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_scale.json\n");
@@ -305,21 +296,11 @@ void write_json(const std::vector<ScalePoint>& points,
   std::fprintf(out, "    \"replicas\": %zu,\n", kSharingReplicas);
   std::fprintf(out, "    \"topology\": \"1 line x (1 proxy + 1 app + 1 db)\",\n");
   std::fprintf(out,
-               "    \"duplicated\": {\"layout\": \"eager roles, private "
-               "tables (pre-sharing)\", \"total_bytes\": %lld, "
-               "\"bytes_per_replica\": %.0f},\n",
-               static_cast<long long>(duplicated.total_bytes),
-               duplicated.bytes_per_replica);
-  std::fprintf(out,
                "    \"shared\": {\"layout\": \"lazy roles, one "
                "ModelImmutable + popularity CDF\", \"total_bytes\": %lld, "
-               "\"bytes_per_replica\": %.0f},\n",
+               "\"bytes_per_replica\": %.0f}\n",
                static_cast<long long>(shared.total_bytes),
                shared.bytes_per_replica);
-  std::fprintf(out, "    \"reduction_ratio\": %.2f\n",
-               shared.bytes_per_replica > 0.0
-                   ? duplicated.bytes_per_replica / shared.bytes_per_replica
-                   : 0.0);
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_scale.json\n");
@@ -367,19 +348,12 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  std::printf("== sharing win: %zu replicas, duplicated vs shared ==\n",
+  std::printf("== sharing: %zu replicas on one immutable layer ==\n",
               kSharingReplicas);
-  const SharingSample duplicated = build_replicas(/*shared_layer=*/false);
-  const SharingSample shared = build_replicas(/*shared_layer=*/true);
-  std::printf(
-      "  duplicated %10.1f KiB/replica | shared %10.1f KiB/replica | "
-      "%.2fx reduction\n",
-      duplicated.bytes_per_replica / 1024.0,
-      shared.bytes_per_replica / 1024.0,
-      shared.bytes_per_replica > 0.0
-          ? duplicated.bytes_per_replica / shared.bytes_per_replica
-          : 0.0);
+  const SharingSample shared = build_replicas();
+  std::printf("  shared %10.1f KiB/replica\n",
+              shared.bytes_per_replica / 1024.0);
 
-  write_json(points, duplicated, shared, iterations, valid, smoke);
+  write_json(points, shared, iterations, valid, smoke);
   return 0;
 }

@@ -112,8 +112,7 @@ void fan_out(std::size_t threads, std::size_t n,
 StudyResult run_study(const StudySpec& spec) {
   StudyResult result;
   {
-    sim::Simulator sim;
-    core::SystemModel system(sim, spec.topology);
+    core::SystemModel system(spec.topology);
     core::Experiment experiment(system, experiment_config(spec));
     core::TuningDriver driver(system, experiment,
                               {spec.method, spec.session});
@@ -121,8 +120,7 @@ StudyResult run_study(const StudySpec& spec) {
   }
   {
     // Baseline: identical system, no tuning, a few iterations to settle.
-    sim::Simulator sim;
-    core::SystemModel system(sim, spec.topology);
+    core::SystemModel system(spec.topology);
     core::Experiment experiment(system, experiment_config(spec));
     common::RunningStats stats;
     for (std::size_t i = 0; i < 5; ++i) {
@@ -138,8 +136,7 @@ double measure_configuration(const StudySpec& spec,
                              const harmony::PointI& configuration,
                              std::size_t iterations,
                              std::size_t warmup_iters) {
-  sim::Simulator sim;
-  core::SystemModel system(sim, spec.topology);
+  core::SystemModel system(spec.topology);
   core::Experiment experiment(system, experiment_config(spec));
   core::TuningDriver driver(system, experiment, {spec.method, spec.session});
   driver.apply_configuration(configuration);

@@ -21,6 +21,7 @@
 //                         [--metrics <path>] [--trace <path>]
 // Example: adaptive_cluster 60 10 --faults "crash:5@400; restart:5@900"
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -89,7 +90,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     system.enable_fault_tolerance({});
-    system.install_fault_plan(*plan);
+    try {
+      system.install_fault_plan(*plan);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
     std::printf("# fault plan armed: %zu events\n", plan->events.size());
   }
 

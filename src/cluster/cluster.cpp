@@ -9,14 +9,6 @@ AH_HOT_PATH_FILE;
 
 namespace ah::cluster {
 
-Cluster::Cluster(sim::Simulator& sim)
-    : sim_(sim),
-      tiers_{Tier{TierKind::kProxy}, Tier{TierKind::kApp}, Tier{TierKind::kDb}} {}
-
-NodeId Cluster::add_node(const NodeHardware& hw, TierKind tier_kind) {
-  return add_node(sim_, hw, tier_kind);
-}
-
 NodeId Cluster::add_node(sim::Simulator& sim, const NodeHardware& hw,
                          TierKind tier_kind) {
   const auto id = static_cast<NodeId>(nodes_.size());

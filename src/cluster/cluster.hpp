@@ -25,17 +25,14 @@ namespace ah::cluster {
 
 class Cluster {
  public:
-  explicit Cluster(sim::Simulator& sim);
+  Cluster() = default;
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Creates a node and assigns it to `tier`.  Returns its id.
-  NodeId add_node(const NodeHardware& hw, TierKind tier);
-
-  /// As above but placing the node's hardware on an explicit timeline.  A
-  /// sharded SystemModel keeps one Cluster for membership (ids, tiers) while
-  /// each work line's nodes run on that line's own Simulator.
+  /// Creates a node whose hardware runs on `sim` and assigns it to `tier`.
+  /// Returns its id.  The Cluster holds membership only (ids, tiers); each
+  /// work line of a core::SystemModel places its nodes on its own timeline.
   NodeId add_node(sim::Simulator& sim, const NodeHardware& hw, TierKind tier);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -65,13 +62,11 @@ class Cluster {
     move_observer_ = std::move(observer);
   }
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-
  private:
-  sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<TierKind> node_tier_;
-  std::array<Tier, kTierCount> tiers_;
+  std::array<Tier, kTierCount> tiers_{
+      Tier{TierKind::kProxy}, Tier{TierKind::kApp}, Tier{TierKind::kDb}};
   MoveObserver move_observer_;
 };
 

@@ -10,11 +10,11 @@
 // per request) and Tier::set_member_health (read by the reconfiguration
 // controller's capacity accounting).
 //
-// Probes are simulated-time events on the shared EventQueue, so runs remain
-// bit-identical across thread counts; the probe itself reads Node::alive()
-// synchronously — heartbeat RTT is far below the probe period on the
-// testbed's switched Ethernet, so modelling it would add events without
-// adding fidelity.
+// Probes are simulated-time events on the checker's timeline, so runs
+// remain bit-identical across thread counts; the probe itself reads
+// Node::alive() synchronously — heartbeat RTT is far below the probe period
+// on the testbed's switched Ethernet, so modelling it would add events
+// without adding fidelity.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +70,9 @@ class HealthChecker {
   }
 
   /// Restricts probing to `nodes` (a work line's slice of the cluster).
-  /// Empty means probe every node, the default.  A sharded SystemModel
-  /// gives each line's checker that line's nodes so health traffic and
-  /// mark flips stay on the line's own timeline.
+  /// Empty means probe every node, the default.  core::SystemModel gives
+  /// each line's checker that line's nodes so health traffic and mark
+  /// flips stay on the line's own timeline.
   void set_scope(std::vector<NodeId> nodes) { scope_ = std::move(nodes); }
   [[nodiscard]] const std::vector<NodeId>& scope() const { return scope_; }
 

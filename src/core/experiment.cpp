@@ -65,9 +65,9 @@ IterationResult Experiment::run_iteration() {
   for (auto& meter : meters_) meter->arm(measure_from, measure_to);
 
   const std::uint64_t disturbances_before = system_.disturbance_count();
-  // Advance every line to the window end — concurrently when the model is
-  // sharded and a thread pool is attached.  The merge below reads meters in
-  // line order, so the result is identical at any thread count.
+  // Advance every line to the window end — concurrently when a thread
+  // pool is attached.  The merge below reads meters in line order, so the
+  // result is identical at any thread count.
   system_.run_all_until(start + config_.iteration.total());
   ++iterations_;
 

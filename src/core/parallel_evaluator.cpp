@@ -33,10 +33,9 @@ ParallelEvaluator::ParallelEvaluator(common::ThreadPool& pool,
   replicas_.reserve(options_.replicas);
   for (std::size_t r = 0; r < options_.replicas; ++r) {
     Replica replica;
-    replica.sim = std::make_unique<sim::Simulator>();
     SystemModel::Config topology = options_.topology;
     topology.seed = replica_seed(options_.topology.seed, r);
-    replica.system = std::make_unique<SystemModel>(*replica.sim, topology);
+    replica.system = std::make_unique<SystemModel>(topology);
     Experiment::Config experiment = options_.experiment;
     experiment.seed = replica_seed(options_.experiment.seed, r);
     replica.experiment =

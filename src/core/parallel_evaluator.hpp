@@ -5,8 +5,9 @@
 // and the partitioning strategy tunes independent work lines — all of these
 // are independent measurements, so they can run concurrently.  One Simulator
 // owns one virtual timeline and is strictly single-threaded, so parallelism
-// comes from *replicas*: k independent (Simulator, SystemModel, Experiment)
-// triples built from the same configs with deterministic per-replica seeds.
+// comes from *replicas*: k independent (SystemModel, Experiment) pairs, each
+// model owning its work lines' timelines, built from the same configs with
+// deterministic per-replica seeds.
 //
 // Candidate i of a batch always runs on replica i % k, and each replica
 // evaluates its assigned candidates in ascending batch order on its own
@@ -21,8 +22,8 @@
 // A replica set intentionally trades that for independence: each replica's
 // state evolves only with the candidates it was assigned.  Results are
 // statistically equivalent but not bit-identical to the sequential
-// protocol, which is why TuningDriver keeps `threads == 1` on the legacy
-// single-system path.
+// protocol, which is why TuningDriver keeps `threads == 1` on the
+// sequential single-system path.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,6 @@
 #include "core/experiment.hpp"
 #include "core/system_model.hpp"
 #include "harmony/parameter.hpp"
-#include "sim/simulator.hpp"
 
 namespace ah::core {
 
@@ -95,7 +95,6 @@ class ParallelEvaluator {
 
  private:
   struct Replica {
-    std::unique_ptr<sim::Simulator> sim;
     std::unique_ptr<SystemModel> system;
     std::unique_ptr<Experiment> experiment;
   };

@@ -43,10 +43,10 @@ std::optional<harmony::ReconfigDecision> ReconfigController::check() {
 }
 
 void ReconfigController::enable_reactive(const ReactiveOptions& options) {
-  if (system_.sharded()) {
+  if (system_.line_count() > 1) {
     throw std::logic_error(
-        "reactive reconfiguration needs the single-timeline model "
-        "(move_node is cross-line state)");
+        "reactive reconfiguration needs a one-line model (move_node counts "
+        "tier membership cluster-wide)");
   }
   reactive_ = options;
   reactive_enabled_ = true;

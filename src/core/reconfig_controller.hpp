@@ -53,7 +53,7 @@ class ReconfigController {
 
   /// Arms reactive mode: installs the health-transition hook on the model
   /// and accepts observe_p95() reports.  Throws std::logic_error on a
-  /// sharded model (node moves need the single-timeline mode).
+  /// model with more than one line, which SystemModel::move_node refuses.
   void enable_reactive(const ReactiveOptions& options);
   [[nodiscard]] bool reactive_enabled() const { return reactive_enabled_; }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/analysis.hpp"
+#include "common/fmt.hpp"
 #include "common/log.hpp"
 #include "core/model_immutable.hpp"
 
@@ -36,86 +37,78 @@ double move_cost_seconds(TierKind tier) {
 }
 }  // namespace
 
+SystemModel::SystemModel(const Config& config) : config_(config) {
+  build(nullptr);
+}
+
 SystemModel::SystemModel(sim::Simulator& sim, const Config& config)
-    : config_(config), sharded_(false) {
-  Shard shard;
-  shard.sim = &sim;
-  shards_.push_back(std::move(shard));
-  build(config);
-}
-
-SystemModel::SystemModel(const Config& config)
-    : config_(config), sharded_(true) {
-  for (std::size_t li = 0; li < config.lines.size(); ++li) {
-    Shard shard;
-    shard.owned_sim = std::make_unique<sim::Simulator>();
-    shard.sim = shard.owned_sim.get();
-    shards_.push_back(std::move(shard));
+    : config_(config) {
+  if (config.lines.size() > 1) {
+    throw std::invalid_argument(
+        "SystemModel: a caller-owned timeline carries one work line; build "
+        "multi-line models with SystemModel(config)");
   }
-  build(config);
+  build(&sim);
 }
 
-void SystemModel::build(const Config& config) {
-  if (config.lines.empty()) {
+void SystemModel::build(sim::Simulator* borrowed) {
+  if (config_.lines.empty()) {
     throw std::invalid_argument("SystemModel: no work lines");
   }
-  for (Shard& shard : shards_) {
-    shard.network = std::make_unique<cluster::Network>(*shard.sim);
-    shard.monitor = std::make_unique<sim::UtilizationMonitor>(
-        *shard.sim, config.monitor_period, /*ewma_alpha=*/0.3);
-  }
-  cluster_ = std::make_unique<cluster::Cluster>(*shards_[0].sim);
-
-  const std::uint64_t seed = config.seed;
-  for (std::size_t li = 0; li < config.lines.size(); ++li) {
-    Shard& shard = shard_of_line(li);
-    Line line;
+  // Sized once: the routers point into each Line's histograms, so lines_
+  // must never reallocate.
+  lines_.resize(config_.lines.size());
+  const std::uint64_t seed = config_.seed;
+  for (std::size_t li = 0; li < lines_.size(); ++li) {
+    Line& line = lines_[li];
+    if (borrowed != nullptr) {
+      line.sim = borrowed;
+    } else {
+      line.owned_sim = std::make_unique<sim::Simulator>();
+      line.sim = line.owned_sim.get();
+    }
+    line.network = std::make_unique<cluster::Network>(*line.sim);
+    line.monitor = std::make_unique<sim::UtilizationMonitor>(
+        *line.sim, config_.monitor_period, /*ewma_alpha=*/0.3);
     line.frontend = std::make_unique<webstack::FrontendRouter>(
-        *shard.sim, config.frontend_policy, common::SimTime::micros(300),
+        *line.sim, config_.frontend_policy, common::SimTime::micros(300),
         common::mix_seed(seed, li * 3 + 0));
     line.app_router = std::make_unique<webstack::AppTierRouter>(
-        *shard.network, config.backend_policy,
+        *line.network, config_.backend_policy,
         common::mix_seed(seed, li * 3 + 1));
     line.db_router = std::make_unique<webstack::DbTierRouter>(
-        *shard.network, config.backend_policy,
+        *line.network, config_.backend_policy,
         common::mix_seed(seed, li * 3 + 2));
-    lines_.push_back(std::move(line));
+    line.frontend->set_hop_histogram(&line.frontend_latency);
+    line.app_router->set_hop_histogram(&line.app_hop_latency);
+    line.db_router->set_hop_histogram(&line.db_hop_latency);
   }
-  for (std::size_t li = 0; li < config.lines.size(); ++li) {
-    const LineSpec& spec = config.lines[li];
+  for (std::size_t li = 0; li < lines_.size(); ++li) {
+    const LineSpec& spec = config_.lines[li];
     if (spec.proxy_nodes < 1 || spec.app_nodes < 1 || spec.db_nodes < 1) {
       throw std::invalid_argument(
           "SystemModel: each line needs >= 1 node per tier");
     }
     for (int i = 0; i < spec.proxy_nodes; ++i) {
-      create_node(li, TierKind::kProxy, config);
+      create_node(li, TierKind::kProxy);
     }
     for (int i = 0; i < spec.app_nodes; ++i) {
-      create_node(li, TierKind::kApp, config);
+      create_node(li, TierKind::kApp);
     }
     for (int i = 0; i < spec.db_nodes; ++i) {
-      create_node(li, TierKind::kDb, config);
+      create_node(li, TierKind::kDb);
     }
-  }
-  // lines_ is final now; the hop histograms live inside the Line structs,
-  // so the router pointers are only wired once the vector stops moving.
-  for (Line& line : lines_) {
-    line.frontend->set_hop_histogram(&line.frontend_latency);
-    line.app_router->set_hop_histogram(&line.app_hop_latency);
-    line.db_router->set_hop_histogram(&line.db_hop_latency);
   }
   all_nodes_.reserve(nodes_.size());
   for (const NodeState& state : nodes_) all_nodes_.push_back(state.id);
   register_metrics();
-  for (Shard& shard : shards_) shard.monitor->start();
+  for (Line& line : lines_) line.monitor->start();
 }
 
-NodeId SystemModel::create_node(std::size_t line_index, TierKind tier,
-                                const Config& config) {
-  Shard& shard = shard_of_line(line_index);
-  const NodeId id = cluster_->add_node(*shard.sim, config.hardware, tier);
-  cluster::Node& node = cluster_->node(id);
+NodeId SystemModel::create_node(std::size_t line_index, TierKind tier) {
   Line& line = lines_[line_index];
+  const NodeId id = cluster_.add_node(*line.sim, config_.hardware, tier);
+  cluster::Node& node = cluster_.node(id);
 
   NodeState state;
   state.id = id;
@@ -123,28 +116,22 @@ NodeId SystemModel::create_node(std::size_t line_index, TierKind tier,
   nodes_.push_back(std::move(state));
   NodeState& stored = nodes_.back();
 
-  if (config.eager_roles) {
-    ensure_proxy(stored);
-    ensure_app(stored);
-    ensure_db(stored);
-  } else {
-    switch (tier) {
-      case TierKind::kProxy: ensure_proxy(stored); break;
-      case TierKind::kApp:   ensure_app(stored); break;
-      case TierKind::kDb:    ensure_db(stored); break;
-    }
+  switch (tier) {
+    case TierKind::kProxy: ensure_proxy(stored); break;
+    case TierKind::kApp:   ensure_app(stored); break;
+    case TierKind::kDb:    ensure_db(stored); break;
   }
 
-  stored.probe_base = shard.monitor->add_probe(
+  stored.probe_base = line.monitor->add_probe(
       node.name() + ".cpu", [&node] { return node.cpu_utilization_probe(); });
-  shard.monitor->add_probe(node.name() + ".disk", [&node] {
+  line.monitor->add_probe(node.name() + ".disk", [&node] {
     return node.disk_utilization_probe();
   });
-  shard.monitor->add_probe(node.name() + ".nic", [&node] {
+  line.monitor->add_probe(node.name() + ".nic", [&node] {
     return node.nic_utilization_probe();
   });
-  shard.monitor->add_probe(node.name() + ".mem",
-                           [&node] { return node.memory_pressure(); });
+  line.monitor->add_probe(node.name() + ".mem",
+                          [&node] { return node.memory_pressure(); });
 
   line.nodes.push_back(id);
   register_active(stored);
@@ -153,11 +140,11 @@ NodeId SystemModel::create_node(std::size_t line_index, TierKind tier,
 
 webstack::ProxyServer& SystemModel::ensure_proxy(NodeState& state) {
   if (state.proxy == nullptr) {
-    Shard& shard = shard_of_line(state.line);
-    cluster::Node& node = cluster_->node(state.id);
-    webstack::AppTierRouter* app_router = lines_[state.line].app_router.get();
+    Line& line = lines_[state.line];
+    cluster::Node& node = cluster_.node(state.id);
+    webstack::AppTierRouter* app_router = line.app_router.get();
     state.proxy = std::make_unique<webstack::ProxyServer>(
-        *shard.sim, node,
+        *line.sim, node,
         // Mixed hot/cold TU: this builder is construction-time code, but
         // the wiring closure it creates carries every proxy->app hop, so it
         // is seeded instead of whole-file-marking the model builder.
@@ -171,7 +158,7 @@ webstack::ProxyServer& SystemModel::ensure_proxy(NodeState& state) {
     deactivate_unless_current(state, TierKind::kProxy);
     if (fault_tolerance_enabled_) state.proxy->set_resilience(proxy_resilience_);
     if (admission_enabled_) {
-      state.proxy->set_admission(lines_[state.line].admission.get(),
+      state.proxy->set_admission(line.admission.get(),
                                  overload_config_.shed_mode);
     }
     if (trace_ != nullptr) state.proxy->set_trace(trace_);
@@ -181,11 +168,11 @@ webstack::ProxyServer& SystemModel::ensure_proxy(NodeState& state) {
 
 webstack::AppServer& SystemModel::ensure_app(NodeState& state) {
   if (state.app == nullptr) {
-    Shard& shard = shard_of_line(state.line);
-    cluster::Node& node = cluster_->node(state.id);
-    webstack::DbTierRouter* db_router = lines_[state.line].db_router.get();
+    Line& line = lines_[state.line];
+    cluster::Node& node = cluster_.node(state.id);
+    webstack::DbTierRouter* db_router = line.db_router.get();
     state.app = std::make_unique<webstack::AppServer>(
-        *shard.sim, node,
+        *line.sim, node,
         [db_router](const webstack::DbQuery& query, cluster::Node& from,
                     webstack::DbResultFn done) {
           AH_HOT_ENTRY;  // app->db hop: runs once per backend query
@@ -200,10 +187,9 @@ webstack::AppServer& SystemModel::ensure_app(NodeState& state) {
 
 webstack::DbServer& SystemModel::ensure_db(NodeState& state) {
   if (state.db == nullptr) {
-    Shard& shard = shard_of_line(state.line);
-    cluster::Node& node = cluster_->node(state.id);
+    cluster::Node& node = cluster_.node(state.id);
     state.db = std::make_unique<webstack::DbServer>(
-        *shard.sim, node, webstack::DbParams{},
+        *lines_[state.line].sim, node, webstack::DbParams{},
         common::mix_seed(config_.seed, 0x0db + state.id));
     deactivate_unless_current(state, TierKind::kDb);
     if (trace_ != nullptr) state.db->set_trace(trace_);
@@ -212,7 +198,7 @@ webstack::DbServer& SystemModel::ensure_db(NodeState& state) {
 }
 
 void SystemModel::deactivate_unless_current(NodeState& state, TierKind role) {
-  if (cluster_->tier_of(state.id) == role) return;
+  if (cluster_.tier_of(state.id) == role) return;
   switch (role) {
     case TierKind::kProxy: state.proxy->set_active(false); break;
     case TierKind::kApp:   state.app->set_active(false); break;
@@ -222,7 +208,7 @@ void SystemModel::deactivate_unless_current(NodeState& state, TierKind role) {
 
 void SystemModel::register_active(NodeState& state) {
   Line& line = lines_[state.line];
-  switch (cluster_->tier_of(state.id)) {
+  switch (cluster_.tier_of(state.id)) {
     case TierKind::kProxy: line.frontend->add_backend(state.proxy.get()); break;
     case TierKind::kApp:   line.app_router->add_backend(state.app.get()); break;
     case TierKind::kDb:    line.db_router->add_backend(state.db.get()); break;
@@ -242,41 +228,21 @@ webstack::FrontendRouter& SystemModel::frontend(std::size_t line) {
   return *lines_.at(line).frontend;
 }
 
-sim::Simulator& SystemModel::simulator() {
-  if (sharded_) {
-    throw std::logic_error(
-        "SystemModel: a sharded model has no single timeline; use "
-        "line_simulator()/run_all_until()");
-  }
-  return *shards_[0].sim;
-}
-
-sim::Simulator& SystemModel::line_simulator(std::size_t line) {
-  if (line >= lines_.size()) {
-    throw std::out_of_range("SystemModel::line_simulator: bad line");
-  }
-  return *shard_of_line(line).sim;
-}
-
 common::SimTime SystemModel::now() const {
-  // All shard clocks agree at run_all_until() barriers; line 0 stands in.
-  return shards_[0].sim->now();
+  // Every line's clock agrees at run_all_until() barriers; line 0 stands in.
+  return lines_[0].sim->now();
 }
 
 void SystemModel::run_all_until(common::SimTime until) {
-  if (!sharded_) {
-    shards_[0].sim->run_until(until);
-    return;
-  }
-  if (pool_ != nullptr && shards_.size() > 1 && pool_->size() > 1) {
+  if (pool_ != nullptr && lines_.size() > 1 && pool_->size() > 1) {
     // Each line's timeline is sequential within its task; which thread
     // runs which line never affects any line's event order, so the merge
     // below the barrier sees bit-identical state at any pool size.
-    pool_->parallel_for(shards_.size(), [this, until](std::size_t s) {
-      shards_[s].sim->run_until(until);
+    pool_->parallel_for(lines_.size(), [this, until](std::size_t li) {
+      lines_[li].sim->run_until(until);
     });
   } else {
-    for (Shard& shard : shards_) shard.sim->run_until(until);
+    for (Line& line : lines_) line.sim->run_until(until);
   }
 }
 
@@ -284,20 +250,6 @@ std::shared_ptr<const tpcw::ZipfSampler> SystemModel::shared_popularity()
     const {
   return config_.shared != nullptr ? config_.shared->popularity_ptr()
                                    : nullptr;
-}
-
-cluster::HealthChecker* SystemModel::line_health_checker(std::size_t line) {
-  if (line >= lines_.size()) {
-    throw std::out_of_range("SystemModel::line_health_checker: bad line");
-  }
-  return shard_of_line(line).health.get();
-}
-
-cluster::Network& SystemModel::line_network(std::size_t line) {
-  if (line >= lines_.size()) {
-    throw std::out_of_range("SystemModel::line_network: bad line");
-  }
-  return *shard_of_line(line).network;
 }
 
 const std::vector<NodeId>& SystemModel::line_nodes(std::size_t line) const {
@@ -311,7 +263,7 @@ std::size_t SystemModel::line_of(NodeId id) const {
 void SystemModel::apply_values_to_node(NodeId id,
                                        std::span<const std::int64_t> values) {
   NodeState& state = nodes_.at(id);
-  switch (cluster_->tier_of(id)) {
+  switch (cluster_.tier_of(id)) {
     case TierKind::kProxy:
       ensure_proxy(state).reconfigure(webstack::proxy_from_values(values));
       break;
@@ -349,7 +301,7 @@ webstack::DbServer& SystemModel::db_on(NodeId id) {
 
 int SystemModel::active_load(NodeId id) {
   NodeState& state = nodes_.at(id);
-  switch (cluster_->tier_of(id)) {
+  switch (cluster_.tier_of(id)) {
     case TierKind::kProxy: return state.proxy != nullptr ? state.proxy->load() : 0;
     case TierKind::kApp:   return state.app != nullptr ? state.app->load() : 0;
     case TierKind::kDb:    return state.db != nullptr ? state.db->load() : 0;
@@ -359,18 +311,18 @@ int SystemModel::active_load(NodeId id) {
 
 void SystemModel::move_node(NodeId id, TierKind to, bool immediate,
                             common::SimTime config_cost) {
-  if (sharded_) {
+  if (lines_.size() > 1) {
     throw std::logic_error(
-        "SystemModel: move_node needs the single-timeline mode (tier "
-        "membership is cross-line state)");
+        "SystemModel: move_node needs a one-line model (tier membership is "
+        "counted cluster-wide)");
   }
   NodeState& state = nodes_.at(id);
   if (state.moving) {
     throw std::logic_error("SystemModel: node already being moved");
   }
-  const TierKind from = cluster_->tier_of(id);
+  const TierKind from = cluster_.tier_of(id);
   if (from == to) return;
-  if (cluster_->tier(from).size() <= 1) {
+  if (cluster_.tier(from).size() <= 1) {
     throw std::logic_error("SystemModel: source tier would become empty");
   }
   state.moving = true;
@@ -385,38 +337,41 @@ void SystemModel::move_node(NodeId id, TierKind to, bool immediate,
     // already accounted in the decision); the switch starts now.
     finish_move(id, to, config_cost);
   } else {
-    // Wait for in-flight jobs to finish, polling the active server.
-    auto poll = std::make_shared<std::function<void()>>();
-    *poll = [this, id, to, config_cost, poll] {
-      if (active_load(id) > 0) {
-        shards_[0].sim->schedule(kDrainPoll, *poll);
-      } else {
-        finish_move(id, to, config_cost);
-      }
-    };
-    shards_[0].sim->schedule(kDrainPoll, *poll);
+    drain_then_finish(id, to, config_cost);
   }
+}
+
+void SystemModel::drain_then_finish(NodeId id, TierKind to,
+                                    common::SimTime config_cost) {
+  // Wait for in-flight jobs to finish, polling the active server.
+  lines_[nodes_.at(id).line].sim->schedule(
+      kDrainPoll, [this, id, to, config_cost] {
+        if (active_load(id) > 0) {
+          drain_then_finish(id, to, config_cost);
+        } else {
+          finish_move(id, to, config_cost);
+        }
+      });
 }
 
 void SystemModel::finish_move(NodeId id, TierKind to,
                               common::SimTime config_cost) {
-  shards_[0].sim->schedule(config_cost, [this, id, to] {
+  lines_[nodes_.at(id).line].sim->schedule(config_cost, [this, id, to] {
     NodeState& state = nodes_.at(id);
     // The target role is created (inactive) before membership changes, so
-    // its activation below charges the same restart burst the eager layout
-    // would have.
+    // its activation below charges the role's restart burst.
     switch (to) {
       case TierKind::kProxy: ensure_proxy(state); break;
       case TierKind::kApp:   ensure_app(state); break;
       case TierKind::kDb:    ensure_db(state); break;
     }
-    const TierKind from = cluster_->tier_of(id);
+    const TierKind from = cluster_.tier_of(id);
     switch (from) {
       case TierKind::kProxy: state.proxy->set_active(false); break;
       case TierKind::kApp:   state.app->set_active(false); break;
       case TierKind::kDb:    state.db->set_active(false); break;
     }
-    cluster_->move_node(id, to);
+    cluster_.move_node(id, to);
     switch (to) {
       case TierKind::kProxy: state.proxy->set_active(true); break;
       case TierKind::kApp:   state.app->set_active(true); break;
@@ -449,74 +404,56 @@ SystemModel::FaultToleranceConfig::default_proxy_resilience() {
 void SystemModel::enable_fault_tolerance(const FaultToleranceConfig& config) {
   if (!fault_tolerance_enabled_) {
     fault_tolerance_enabled_ = true;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
-      shard.health = std::make_unique<cluster::HealthChecker>(
-          *shard.sim, *cluster_, config.health);
-      // A sharded checker probes only its line's nodes: health state stays
+    for (Line& line : lines_) {
+      line.health = std::make_unique<cluster::HealthChecker>(
+          *line.sim, cluster_, config.health);
+      // Each checker probes only its line's nodes: health state stays
       // line-local, and the per-line sums below keep the metric totals.
-      if (sharded_) shard.health->set_scope(lines_[s].nodes);
-      shard.health->set_transition_observer([this](NodeId id, bool up) {
+      line.health->set_scope(line.nodes);
+      line.health->set_transition_observer([this](NodeId id, bool up) {
         disturbances_.fetch_add(1, std::memory_order_relaxed);
         common::log_info("health", "node{} marked {}", id, up ? "up" : "down");
         if (health_hook_) health_hook_(id, up);
       });
-      shard.health->start();
+      line.health->start();
     }
     // First enable: the health counters join the registry (PR-5 migration).
-    metrics_.add_counter("health.probes_sent", [this] {
-      std::uint64_t total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->probes_sent();
-      }
-      return total;
-    });
-    metrics_.add_counter("health.transitions", [this] {
-      std::uint64_t total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->transitions();
-      }
-      return total;
-    });
     // Probe-budget and mark-down visibility: how much of the probe budget
     // is being burnt (failed_probes), how often it is exhausted into a
     // mark flip (mark_downs/mark_ups), and the durations those flips cost
     // (downtime_us aggregate + nodes_down level).
-    metrics_.add_counter("health.failed_probes", [this] {
-      std::uint64_t total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->failed_probes();
-      }
-      return total;
+    const auto health_sum =
+        [this](std::uint64_t (cluster::HealthChecker::*counter)() const) {
+          std::uint64_t total = 0;
+          for (const Line& line : lines_) total += (*line.health.*counter)();
+          return total;
+        };
+    using cluster::HealthChecker;
+    metrics_.add_counter("health.probes_sent", [health_sum] {
+      return health_sum(&HealthChecker::probes_sent);
     });
-    metrics_.add_counter("health.mark_downs", [this] {
-      std::uint64_t total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->mark_downs();
-      }
-      return total;
+    metrics_.add_counter("health.transitions", [health_sum] {
+      return health_sum(&HealthChecker::transitions);
     });
-    metrics_.add_counter("health.mark_ups", [this] {
-      std::uint64_t total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->mark_ups();
-      }
-      return total;
+    metrics_.add_counter("health.failed_probes", [health_sum] {
+      return health_sum(&HealthChecker::failed_probes);
+    });
+    metrics_.add_counter("health.mark_downs", [health_sum] {
+      return health_sum(&HealthChecker::mark_downs);
+    });
+    metrics_.add_counter("health.mark_ups", [health_sum] {
+      return health_sum(&HealthChecker::mark_ups);
     });
     metrics_.add_counter("health.downtime_us", [this] {
       common::SimTime total = common::SimTime::zero();
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) {
-          total = total + shard.health->total_downtime();
-        }
+      for (const Line& line : lines_) {
+        total = total + line.health->total_downtime();
       }
       return static_cast<std::uint64_t>(total.as_micros());
     });
     metrics_.add_gauge("health.nodes_down", [this] {
       int total = 0;
-      for (const Shard& shard : shards_) {
-        if (shard.health != nullptr) total += shard.health->nodes_down();
-      }
+      for (const Line& line : lines_) total += line.health->nodes_down();
       return static_cast<double>(total);
     });
   }
@@ -535,10 +472,9 @@ void SystemModel::enable_admission_control(const OverloadControlConfig& config) 
   overload_config_ = config;
   if (!admission_enabled_) {
     admission_enabled_ = true;
-    for (std::size_t l = 0; l < lines_.size(); ++l) {
-      Line& line = lines_[l];
+    for (Line& line : lines_) {
       line.admission = std::make_unique<ctrl::AdmissionController>(
-          *shard_of_line(l).sim, config.admission);
+          *line.sim, config.admission);
       // Controller actuations taint measurement windows like faults do —
       // a window that straddles an admit-fraction change is not a clean
       // read of the configuration under test.
@@ -548,33 +484,24 @@ void SystemModel::enable_admission_control(const OverloadControlConfig& config) 
     }
     // First enable: the ctrl counters join the registry.  Sums are in line
     // order, so snapshots stay byte-identical at any thread count.
-    metrics_.add_counter("ctrl.admitted", [this] {
-      std::uint64_t total = 0;
-      for (const Line& line : lines_) {
-        if (line.admission != nullptr) total += line.admission->admitted();
-      }
-      return total;
+    const auto ctrl_sum =
+        [this](std::uint64_t (ctrl::AdmissionController::*counter)() const) {
+          std::uint64_t total = 0;
+          for (const Line& line : lines_) total += (*line.admission.*counter)();
+          return total;
+        };
+    using ctrl::AdmissionController;
+    metrics_.add_counter("ctrl.admitted", [ctrl_sum] {
+      return ctrl_sum(&AdmissionController::admitted);
     });
-    metrics_.add_counter("ctrl.shed", [this] {
-      std::uint64_t total = 0;
-      for (const Line& line : lines_) {
-        if (line.admission != nullptr) total += line.admission->shed();
-      }
-      return total;
+    metrics_.add_counter("ctrl.shed", [ctrl_sum] {
+      return ctrl_sum(&AdmissionController::shed);
     });
-    metrics_.add_counter("ctrl.ticks", [this] {
-      std::uint64_t total = 0;
-      for (const Line& line : lines_) {
-        if (line.admission != nullptr) total += line.admission->ticks();
-      }
-      return total;
+    metrics_.add_counter("ctrl.ticks", [ctrl_sum] {
+      return ctrl_sum(&AdmissionController::ticks);
     });
-    metrics_.add_counter("ctrl.adjustments", [this] {
-      std::uint64_t total = 0;
-      for (const Line& line : lines_) {
-        if (line.admission != nullptr) total += line.admission->adjustments();
-      }
-      return total;
+    metrics_.add_counter("ctrl.adjustments", [ctrl_sum] {
+      return ctrl_sum(&AdmissionController::adjustments);
     });
     for (std::size_t l = 0; l < lines_.size(); ++l) {
       ctrl::AdmissionController* controller = lines_[l].admission.get();
@@ -583,11 +510,7 @@ void SystemModel::enable_admission_control(const OverloadControlConfig& config) 
           [controller] { return controller->admit_fraction(); });
     }
   } else {
-    for (Line& line : lines_) {
-      if (line.admission != nullptr) {
-        line.admission->set_config(config.admission);
-      }
-    }
+    for (Line& line : lines_) line.admission->set_config(config.admission);
   }
   for (NodeState& state : nodes_) {
     if (state.proxy != nullptr) {
@@ -603,24 +526,23 @@ void SystemModel::install_scenario(const sim::ScenarioPlan& plan) {
 }
 
 void SystemModel::install_fault_plan(const sim::FaultPlan& plan) {
-  for (Shard& shard : shards_) {
-    if (shard.injector == nullptr) {
-      shard.injector = std::make_unique<sim::FaultInjector>(*shard.sim);
-    }
-  }
-  if (!sharded_) {
-    shards_[0].injector->arm(plan, [this](const sim::FaultEvent& event) {
-      apply_fault(0, event);
-    });
-    return;
-  }
   // Partition by the subject node's line so every event fires on the
-  // timeline whose state it touches.  Every injector is re-armed (possibly
-  // with an empty slice) so a re-install clears stale events everywhere.
-  std::vector<sim::FaultPlan> per_line(shards_.size());
+  // timeline whose state it touches.  Every line's injector is re-armed
+  // (possibly with an empty slice) so a re-install clears stale events
+  // everywhere.  Nothing is armed until every event has been checked.
+  std::vector<sim::FaultPlan> per_line(lines_.size());
   for (const sim::FaultEvent& event : plan.events) {
     const bool is_link = event.kind == sim::FaultEvent::Kind::kLinkDegrade ||
                          event.kind == sim::FaultEvent::Kind::kLinkRestore;
+    const auto known = [this, is_link](std::uint32_t id) {
+      return id < nodes_.size() || (is_link && id == sim::kFaultAnyNode);
+    };
+    if (!known(event.node) || (is_link && !known(event.peer))) {
+      throw std::invalid_argument(common::format(
+          "fault plan: {} names node {}, but the model has nodes 0-{}",
+          sim::fault_kind_name(event.kind),
+          known(event.node) ? event.peer : event.node, nodes_.size() - 1));
+    }
     if (is_link && event.node == sim::kFaultAnyNode &&
         event.peer == sim::kFaultAnyNode) {
       for (sim::FaultPlan& slice : per_line) slice.events.push_back(event);
@@ -630,14 +552,18 @@ void SystemModel::install_fault_plan(const sim::FaultPlan& plan) {
     if (is_link && subject == sim::kFaultAnyNode) subject = event.peer;
     per_line[line_of(subject)].events.push_back(event);
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].injector->arm(
-        per_line[s],
-        [this, s](const sim::FaultEvent& event) { apply_fault(s, event); });
+  for (std::size_t li = 0; li < lines_.size(); ++li) {
+    Line& line = lines_[li];
+    if (line.injector == nullptr) {
+      line.injector = std::make_unique<sim::FaultInjector>(*line.sim);
+    }
+    line.injector->arm(per_line[li], [this, li](const sim::FaultEvent& event) {
+      apply_fault(li, event);
+    });
   }
 }
 
-void SystemModel::apply_fault(std::size_t shard, const sim::FaultEvent& event) {
+void SystemModel::apply_fault(std::size_t line, const sim::FaultEvent& event) {
   switch (event.kind) {
     case sim::FaultEvent::Kind::kCrash:
       crash_node(event.node);
@@ -655,18 +581,18 @@ void SystemModel::apply_fault(std::size_t shard, const sim::FaultEvent& event) {
       // sim::kFaultAnyNode and cluster::kAnyNode are both ~0u, so ids pass
       // through unchanged.
       disturbances_.fetch_add(1, std::memory_order_relaxed);
-      shards_[shard].network->set_link_fault(event.node, event.peer,
-                                             event.magnitude, event.delay);
+      lines_[line].network->set_link_fault(event.node, event.peer,
+                                           event.magnitude, event.delay);
       break;
     case sim::FaultEvent::Kind::kLinkRestore:
       disturbances_.fetch_add(1, std::memory_order_relaxed);
-      shards_[shard].network->clear_link_fault(event.node, event.peer);
+      lines_[line].network->clear_link_fault(event.node, event.peer);
       break;
   }
 }
 
 void SystemModel::set_role_active(NodeState& state, bool active) {
-  switch (cluster_->tier_of(state.id)) {
+  switch (cluster_.tier_of(state.id)) {
     case TierKind::kProxy: state.proxy->set_active(active); break;
     case TierKind::kApp:   state.app->set_active(active); break;
     case TierKind::kDb:    state.db->set_active(active); break;
@@ -675,7 +601,7 @@ void SystemModel::set_role_active(NodeState& state, bool active) {
 
 void SystemModel::crash_node(NodeId id) {
   NodeState& state = nodes_.at(id);
-  cluster::Node& node = cluster_->node(id);
+  cluster::Node& node = cluster_.node(id);
   if (!node.alive()) return;
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_alive(false);
@@ -703,7 +629,7 @@ void SystemModel::crash_node(NodeId id) {
 
 void SystemModel::restart_node(NodeId id) {
   NodeState& state = nodes_.at(id);
-  cluster::Node& node = cluster_->node(id);
+  cluster::Node& node = cluster_.node(id);
   if (node.alive()) return;
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_alive(true);
@@ -715,17 +641,17 @@ void SystemModel::restart_node(NodeId id) {
 }
 
 void SystemModel::set_node_fail_slow(NodeId id, double factor) {
-  cluster::Node& node = cluster_->node(id);
+  cluster::Node& node = cluster_.node(id);
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_fault_slowdown(factor);
   common::log_info("fault", "node{} fail-slow x{}", id, factor);
 }
 
 void SystemModel::set_trace_recorder(obs::TraceRecorder* trace) {
-  if (sharded_ && trace != nullptr) {
+  if (lines_.size() > 1 && trace != nullptr) {
     throw std::logic_error(
-        "SystemModel: trace recording shares one mutable ring; use the "
-        "single-timeline mode");
+        "SystemModel: trace recording shares one mutable ring; it needs a "
+        "one-line model");
   }
   trace_ = trace;
   for (NodeState& state : nodes_) {
@@ -736,23 +662,21 @@ void SystemModel::set_trace_recorder(obs::TraceRecorder* trace) {
 }
 
 void SystemModel::register_metrics() {
-  // Network fabric.  Sums run in shard (= line) order, so every aggregate
-  // is deterministic.
+  // Network fabric.  Sums run in line order, so every aggregate is
+  // deterministic.
   metrics_.add_counter("network.messages_sent", [this] {
     std::uint64_t total = 0;
-    for (const Shard& shard : shards_) total += shard.network->messages_sent();
+    for (const Line& line : lines_) total += line.network->messages_sent();
     return total;
   });
   metrics_.add_counter("network.messages_dropped", [this] {
     std::uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.network->messages_dropped();
-    }
+    for (const Line& line : lines_) total += line.network->messages_dropped();
     return total;
   });
   metrics_.add_counter("network.bytes_sent", [this] {
     common::Bytes bytes = 0;
-    for (const Shard& shard : shards_) bytes += shard.network->bytes_sent();
+    for (const Line& line : lines_) bytes += line.network->bytes_sent();
     return bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0u;
   });
 
@@ -761,17 +685,17 @@ void SystemModel::register_metrics() {
   // at once, so stored always equals pending.
   metrics_.add_counter("scheduler.events_executed", [this] {
     std::uint64_t total = 0;
-    for (const Shard& shard : shards_) total += shard.sim->events_executed();
+    for (const Line& line : lines_) total += line.sim->events_executed();
     return total;
   });
   metrics_.add_counter("scheduler.pending_events", [this] {
     std::size_t total = 0;
-    for (const Shard& shard : shards_) total += shard.sim->pending_events();
+    for (const Line& line : lines_) total += line.sim->pending_events();
     return static_cast<std::uint64_t>(total);
   });
   metrics_.add_counter("scheduler.stored_events", [this] {
     std::size_t total = 0;
-    for (const Shard& shard : shards_) total += shard.sim->stored_events();
+    for (const Line& line : lines_) total += line.sim->stored_events();
     return static_cast<std::uint64_t>(total);
   });
 
@@ -796,7 +720,7 @@ void SystemModel::register_metrics() {
   });
 
   // Server stats, aggregated over nodes.  Helper sums one Stats field;
-  // never-created roles contribute zero, exactly like eager idle ones.
+  // never-created roles contribute zero.
   const auto proxy_sum =
       [this](std::uint64_t webstack::ProxyServer::Stats::*field) {
         std::uint64_t total = 0;
@@ -906,20 +830,18 @@ void SystemModel::register_metrics() {
     return static_cast<double>(total);
   });
 
-  // Utilization monitor: sample count plus every probe's EWMA.  Shards in
-  // line order, probes in node-creation order — the legacy single shard
-  // yields exactly the historical sequence.
+  // Utilization monitor: sample count plus every probe's EWMA.  Lines in
+  // index order, probes in node-creation order.
   metrics_.add_counter("monitor.samples_taken", [this] {
     std::uint64_t total = 0;
-    for (const Shard& shard : shards_) total += shard.monitor->samples_taken();
+    for (const Line& line : lines_) total += line.monitor->samples_taken();
     return total;
   });
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::size_t i = 0; i < shards_[s].monitor->probe_count(); ++i) {
-      metrics_.add_gauge("util." + shards_[s].monitor->probe_name(i),
-                         [this, s, i] {
-                           return shards_[s].monitor->smoothed(i);
-                         });
+  for (const Line& line : lines_) {
+    const sim::UtilizationMonitor* monitor = line.monitor.get();
+    for (std::size_t i = 0; i < monitor->probe_count(); ++i) {
+      metrics_.add_gauge("util." + monitor->probe_name(i),
+                         [monitor, i] { return monitor->smoothed(i); });
     }
   }
 
@@ -944,13 +866,13 @@ std::vector<harmony::NodeReading> SystemModel::readings() {
   out.reserve(nodes_.size());
   for (auto& state : nodes_) {
     if (state.moving) continue;  // mid-move nodes are neither donors nor hot
-    const cluster::Node& node = cluster_->node(state.id);
+    const cluster::Node& node = cluster_.node(state.id);
     // Dead or marked-down nodes carry no usable load signal and must not
     // be chosen as reconfiguration donors; the controller sees the tier's
     // capacity shrink instead (Tier::healthy_count).
     if (!node.alive() || !node.marked_up()) continue;
-    const TierKind tier = cluster_->tier_of(state.id);
-    const sim::UtilizationMonitor& monitor = *shard_of_line(state.line).monitor;
+    const TierKind tier = cluster_.tier_of(state.id);
+    const sim::UtilizationMonitor& monitor = *lines_[state.line].monitor;
     harmony::NodeReading reading;
     reading.node_id = state.id;
     reading.tier = static_cast<int>(tier);

@@ -15,20 +15,19 @@
 //
 // Each node owns one server object per role it has ever played; only the
 // one matching the node's current tier is active and registered in the
-// line's routers.  Roles are created on demand (a db node never pays for a
-// proxy's cache index unless it is actually moved into the proxy tier);
-// Config::eager_roles restores the historical all-three-up-front layout.
+// line's routers.  Roles are created on demand: a db node never pays for a
+// proxy's cache index unless it is actually moved into the proxy tier.
 // Tier reconfiguration (paper §IV) is then: deregister the old role, wait
 // out the configuration cost F (optionally draining first), activate the
 // new role, register it.  In-flight requests complete on the old role while
 // the switch is pending — the paper's "uninterrupted service" property.
 //
-// Timelines.  The legacy constructor runs every line on one caller-owned
-// Simulator.  The sharded constructor gives each line its own Simulator,
-// network, monitor and (when enabled) health checker / fault injector —
-// lines share no mutable state, so run_all_until() can advance them on
-// separate ThreadPool threads and merge observations only at the barrier.
-// Results are bit-identical at any thread count (see DESIGN.md).
+// Timelines.  Each line runs on its own Simulator with its own network,
+// monitor and (when enabled) health checker / fault injector — lines share
+// no mutable state, so run_all_until() can advance them on separate
+// ThreadPool threads and merge observations only at the barrier.  Results
+// are bit-identical at any thread count (see DESIGN.md).  A one-line model
+// may borrow a caller-owned Simulator instead of owning one.
 #pragma once
 
 #include <atomic>
@@ -94,19 +93,15 @@ class SystemModel {
     /// null means the model derives everything privately — behaviour is
     /// identical either way, only the memory footprint differs.
     std::shared_ptr<const ModelImmutable> shared;
-    /// Construct all three roles per node up front (the pre-sharding
-    /// layout).  Kept as the duplicated-model baseline bench_scale
-    /// measures the lazy default against.
-    bool eager_roles = false;
   };
 
-  /// Legacy single-timeline model: every line runs on `sim`.
-  SystemModel(sim::Simulator& sim, const Config& config);
-
-  /// Sharded model: one owned Simulator per work line.  Use
-  /// run_all_until()/now() instead of simulator(); set_thread_pool()
-  /// enables parallel line execution.
+  /// One owned Simulator per work line; set_thread_pool() lets
+  /// run_all_until() advance the lines concurrently.
   explicit SystemModel(const Config& config);
+
+  /// One-line model on a caller-owned timeline, which must outlive the
+  /// model.  Throws std::invalid_argument when `config` has more lines.
+  SystemModel(sim::Simulator& sim, const Config& config);
 
   SystemModel(const SystemModel&) = delete;
   SystemModel& operator=(const SystemModel&) = delete;
@@ -116,18 +111,16 @@ class SystemModel {
   /// (core::ParallelEvaluator) construct identical independent systems.
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] webstack::FrontendRouter& frontend(std::size_t line);
-  [[nodiscard]] cluster::Cluster& cluster() { return *cluster_; }
+  [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
 
   // -- Timelines ----------------------------------------------------------
-  /// True when each line owns its own timeline.
-  [[nodiscard]] bool sharded() const { return sharded_; }
-  /// The single shared timeline.  Throws std::logic_error on a sharded
-  /// model — per-line timelines are reached via line_simulator().
-  [[nodiscard]] sim::Simulator& simulator();
-  /// The timeline line `line` runs on (the shared one in legacy mode).
-  [[nodiscard]] sim::Simulator& line_simulator(std::size_t line);
-  /// Current virtual time.  On a sharded model this is only meaningful at
-  /// run_all_until() barriers, where every line's clock agrees.
+  /// The timeline line `line` runs on.
+  [[nodiscard]] sim::Simulator& line_simulator(std::size_t line) {
+    return *lines_.at(line).sim;
+  }
+  /// Current virtual time (line 0's clock).  With several lines it is only
+  /// meaningful at run_all_until() barriers, where every line's clock
+  /// agrees.
   [[nodiscard]] common::SimTime now() const;
   /// Advances every timeline to `until` (inclusive).  With a thread pool
   /// attached, lines run on separate threads; each line's event order is
@@ -180,9 +173,9 @@ class SystemModel {
   /// Moves a node into `to` (paper §IV step 5).  The old role stops taking
   /// traffic immediately; the new role activates after `config_cost`
   /// (plus a drain wait unless `immediate`).  Throws std::logic_error when
-  /// the source tier would become empty, or on a sharded model (tier
-  /// membership is cross-line state; node moves need the single-timeline
-  /// mode — sharded models are for parameter tuning at scale).
+  /// the source tier would become empty, or on a model with more than one
+  /// line: tier membership is counted cluster-wide, so a move could leave
+  /// one line without a node in the source tier.
   void move_node(cluster::NodeId id, cluster::TierKind to, bool immediate,
                  common::SimTime config_cost);
 
@@ -206,30 +199,35 @@ class SystemModel {
   };
 
   /// Starts health checking and arms per-hop timeouts + proxy resilience on
-  /// every line.  Idempotent (later calls just update the knobs).  On a
-  /// sharded model each line gets its own checker scoped to its nodes.
+  /// every line.  Idempotent (later calls just update the knobs).  Each
+  /// line gets its own checker scoped to its nodes.
   void enable_fault_tolerance(const FaultToleranceConfig& config);
   [[nodiscard]] bool fault_tolerance_enabled() const {
     return fault_tolerance_enabled_;
   }
-  /// Line 0's checker (the only one in legacy mode); null until
-  /// enable_fault_tolerance().
+  /// Line 0's checker; null until enable_fault_tolerance().
   [[nodiscard]] cluster::HealthChecker* health_checker() {
-    return shards_[0].health.get();
+    return line_health_checker(0);
   }
   /// Line `line`'s checker; null until enable_fault_tolerance().
-  [[nodiscard]] cluster::HealthChecker* line_health_checker(std::size_t line);
-  /// Line 0's network fabric (the only one in legacy mode).
-  [[nodiscard]] cluster::Network& network() { return *shards_[0].network; }
+  [[nodiscard]] cluster::HealthChecker* line_health_checker(std::size_t line) {
+    return lines_.at(line).health.get();
+  }
+  /// Line 0's network fabric.
+  [[nodiscard]] cluster::Network& network() { return line_network(0); }
   /// The fabric carrying line `line`'s intra-line messages.
-  [[nodiscard]] cluster::Network& line_network(std::size_t line);
+  [[nodiscard]] cluster::Network& line_network(std::size_t line) {
+    return *lines_.at(line).network;
+  }
 
-  /// Schedules `plan` on this model's timeline(s); events are applied
-  /// through crash_node/restart_node/set_node_fail_slow and the network
-  /// link-fault hooks.  Re-installing replaces any previous plan.  On a
-  /// sharded model events are partitioned by the subject node's line (a
-  /// both-ends-wildcard link event lands on every line), keeping fault
-  /// plans line-local.
+  /// Schedules `plan` on the lines' timelines; events are applied through
+  /// crash_node/restart_node/set_node_fail_slow and the network link-fault
+  /// hooks.  Re-installing replaces any previous plan.  Events are
+  /// partitioned by the subject node's line (a both-ends-wildcard link
+  /// event lands on every line), keeping fault plans line-local.  Throws
+  /// std::invalid_argument, before arming anything, when an event names a
+  /// node the model does not have (link endpoints may be
+  /// sim::kFaultAnyNode).
   void install_fault_plan(const sim::FaultPlan& plan);
 
   /// Installs the fault half of a scenario and keeps the plan around so
@@ -293,8 +291,8 @@ class SystemModel {
   /// Monotonic count of fault events and health-state transitions.
   /// Measurement windows snapshot it before/after to tag windows that
   /// overlapped a disturbance (Experiment::run_iteration).  Atomic with
-  /// relaxed ordering: on a sharded model different lines' events bump it
-  /// concurrently; reads at run_all_until() barriers see a stable total.
+  /// relaxed ordering: different lines' events bump it concurrently;
+  /// reads at run_all_until() barriers see a stable total.
   [[nodiscard]] std::uint64_t disturbance_count() const {
     return disturbances_.load(std::memory_order_relaxed);
   }
@@ -305,14 +303,15 @@ class SystemModel {
   /// per-line latency histograms, all registered at construction.
   /// Snapshotting is on demand (cold path); nothing is pushed during
   /// simulation, so the registry is invisible to the timeline.  Aggregated
-  /// counters sum over shards in line order — snapshots are byte-identical
+  /// counters sum over lines in index order — snapshots are byte-identical
   /// at any thread count.
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
 
   /// Attaches (nullptr: detaches) a span recorder to every server of every
   /// node.  Off by default; sampling inside the recorder is sequence-based.
-  /// Throws std::logic_error on a sharded model: the recorder's ring is a
-  /// single mutable buffer and lines must not share mutable state.
+  /// Throws std::logic_error on a model with more than one line: the
+  /// recorder's ring is one mutable buffer, and lines running at the same
+  /// time must not share mutable state.
   void set_trace_recorder(obs::TraceRecorder* trace);
 
   /// Per-line latency histograms, always recording (passive observation):
@@ -329,9 +328,9 @@ class SystemModel {
   }
 
   // -- Monitoring ---------------------------------------------------------
-  /// Line 0's utilization monitor (the only one in legacy mode).
+  /// Line 0's utilization monitor.
   [[nodiscard]] sim::UtilizationMonitor& monitor() {
-    return *shards_[0].monitor;
+    return *lines_.at(0).monitor;
   }
   /// Snapshot of per-node readings for harmony::Reconfigurer, using the
   /// monitor's smoothed utilizations: [cpu, disk, nic, memory].
@@ -353,13 +352,21 @@ class SystemModel {
     bool moving = false;
   };
 
+  /// One work line: its timeline, the services bound to that timeline and
+  /// the line's routing fabric.  Everything that references the timeline
+  /// is declared after it, so it is destroyed first.
   struct Line {
+    std::unique_ptr<sim::Simulator> owned_sim;  // null on a borrowed one
+    sim::Simulator* sim = nullptr;
+    std::unique_ptr<cluster::Network> network;
+    std::unique_ptr<sim::UtilizationMonitor> monitor;
+    std::unique_ptr<cluster::HealthChecker> health;
+    std::unique_ptr<sim::FaultInjector> injector;
     std::vector<cluster::NodeId> nodes;
     std::unique_ptr<webstack::FrontendRouter> frontend;
     std::unique_ptr<webstack::AppTierRouter> app_router;
     std::unique_ptr<webstack::DbTierRouter> db_router;
-    /// Hop-latency histograms fed by the routers (wired after lines_ is
-    /// final — the histograms live inside this struct).
+    /// Hop-latency histograms fed by the routers.
     obs::Histogram frontend_latency;
     obs::Histogram app_hop_latency;
     obs::Histogram db_hop_latency;
@@ -367,52 +374,40 @@ class SystemModel {
     std::unique_ptr<ctrl::AdmissionController> admission;
   };
 
-  /// One timeline plus the per-timeline services.  Legacy mode has exactly
-  /// one (wrapping the caller's Simulator); sharded mode one per line.
-  struct Shard {
-    sim::Simulator* sim = nullptr;  // owned_sim.get() when owned
-    std::unique_ptr<sim::Simulator> owned_sim;
-    std::unique_ptr<cluster::Network> network;
-    std::unique_ptr<sim::UtilizationMonitor> monitor;
-    std::unique_ptr<cluster::HealthChecker> health;
-    std::unique_ptr<sim::FaultInjector> injector;
-  };
+  /// Builds every line on `borrowed`, or on an owned Simulator each when
+  /// it is null.
+  void build(sim::Simulator* borrowed);
 
-  void build(const Config& config);
-  [[nodiscard]] Shard& shard_of_line(std::size_t line) {
-    return shards_[sharded_ ? line : 0];
-  }
-
-  cluster::NodeId create_node(std::size_t line, cluster::TierKind tier,
-                              const Config& config);
-  /// Role factories: create on demand with the same arguments (and, for
-  /// the db, the same seed) eager construction would have used, inactive
-  /// unless the role matches the node's current tier — so lazy and eager
-  /// models behave bit-identically.
+  cluster::NodeId create_node(std::size_t line, cluster::TierKind tier);
+  /// Role factories: create a role on first touch, inactive unless it
+  /// matches the node's current tier.  Its arguments (and, for the db, its
+  /// seed) do not depend on when that happens.
   webstack::ProxyServer& ensure_proxy(NodeState& state);
   webstack::AppServer& ensure_app(NodeState& state);
   webstack::DbServer& ensure_db(NodeState& state);
   void deactivate_unless_current(NodeState& state, cluster::TierKind role);
   void register_active(NodeState& state);
   void deregister_active(NodeState& state, cluster::TierKind role);
+  /// Re-checks the node's active server every simulated second until it is
+  /// idle, then calls finish_move().
+  void drain_then_finish(cluster::NodeId id, cluster::TierKind to,
+                         common::SimTime config_cost);
   void finish_move(cluster::NodeId id, cluster::TierKind to,
                    common::SimTime config_cost);
   /// FaultInjector dispatcher: maps generic fault events onto this model.
-  /// `shard` routes link faults to the right line's network.
-  void apply_fault(std::size_t shard, const sim::FaultEvent& event);
+  /// `line` routes link faults to the right line's network.
+  void apply_fault(std::size_t line, const sim::FaultEvent& event);
   /// set_active(on/off) for the role matching the node's current tier.
   void set_role_active(NodeState& state, bool active);
   /// Registers every pull source with metrics_ (end of construction).
   void register_metrics();
 
   Config config_;
-  bool sharded_ = false;
   common::ThreadPool* pool_ = nullptr;
-  /// Owns the sharded Simulators — declared first so every member that
-  /// references a timeline is destroyed before it.
-  std::vector<Shard> shards_;
-  std::unique_ptr<cluster::Cluster> cluster_;
+  /// Owns the line timelines — declared before every other member that
+  /// references a timeline, so those are destroyed first.
   std::vector<Line> lines_;
+  cluster::Cluster cluster_;
   std::vector<NodeState> nodes_;
   std::vector<cluster::NodeId> all_nodes_;
   obs::Registry metrics_;

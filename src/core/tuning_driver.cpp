@@ -415,34 +415,21 @@ TuningResult TuningDriver::run(std::size_t iterations,
   TuningResult result;
   result.wips_series.reserve(iterations);
 
-  // A sharded system parallelises *within* the model — one task per work
-  // line inside each run_all_until barrier — so candidates keep the paper's
-  // exact sequential back-to-back protocol while threads still buy
-  // wall-clock speed.  The pool is attached for the whole run (exploration
-  // and validation both advance the timelines) and detached on every exit.
-  std::unique_ptr<common::ThreadPool> line_pool;
-  if (system_.sharded() && options_.threads != 1) {
-    line_pool = std::make_unique<common::ThreadPool>(options_.threads);
-    system_.set_thread_pool(line_pool.get());
-  }
-
   if (options_.method == TuningMethod::kNone) {
     explore_sequential(result, iterations);
     result.best_configuration = webstack::default_values();
     result.best_wips = result.mean_wips(0, iterations);
     result.validated_wips = result.best_wips;
     result.converged_at = 0;
-    if (line_pool != nullptr) system_.set_thread_pool(nullptr);
     return result;
   }
 
-  if (options_.threads == 1 || system_.sharded()) {
+  if (options_.threads == 1) {
     explore_sequential(result, iterations);
   } else {
     explore_parallel(result, iterations);
   }
   finalize(result, validation_iterations);
-  if (line_pool != nullptr) system_.set_thread_pool(nullptr);
   return result;
 }
 

@@ -21,7 +21,7 @@
 // Candidate evaluation runs in one of two modes, selected by
 // Options::threads:
 //
-//   threads == 1  legacy sequential (default): every candidate is measured
+//   threads == 1  sequential (default): every candidate is measured
 //                 back-to-back on the ONE live system — the paper's exact
 //                 protocol, state carry-over included.
 //   threads != 1  parallel: batches from the tuner's batch protocol
@@ -90,13 +90,12 @@ class TuningDriver {
   struct Options {
     TuningMethod method = TuningMethod::kDuplication;
     harmony::SessionOptions session{};
-    /// Evaluation workers: 1 = legacy sequential on the live system (the
-    /// paper's measurement semantics; the default), 0 = one worker per
-    /// hardware thread, N >= 2 = N workers.  Any value != 1 switches to
-    /// replica-set evaluation (see header comment) — unless the system is
-    /// sharded (one timeline per work line), in which case the sequential
-    /// protocol is kept and the workers instead advance the work-line
-    /// timelines concurrently inside each measurement window.
+    /// Evaluation workers: 1 = sequential on the live system (the paper's
+    /// measurement semantics; the default), 0 = one worker per hardware
+    /// thread, N >= 2 = N workers.  Any value != 1 switches to replica-set
+    /// evaluation (see header comment).  To advance a live model's work
+    /// lines concurrently instead, attach a pool with
+    /// SystemModel::set_thread_pool().
     std::size_t threads = 1;
     /// Replica timelines for parallel evaluation; 0 = auto
     /// (min(dimensions + 1, 16), i.e. enough for a full initial simplex).
@@ -143,7 +142,7 @@ class TuningDriver {
   /// Concatenation of each session's best configuration.
   [[nodiscard]] harmony::PointI concatenated_best() const;
 
-  /// Legacy protocol: one candidate at a time on the live system.
+  /// Sequential protocol: one candidate at a time on the live system.
   void explore_sequential(TuningResult& result, std::size_t iterations);
   /// Batch protocol on a ParallelEvaluator replica set.
   void explore_parallel(TuningResult& result, std::size_t iterations);

@@ -19,8 +19,8 @@
 // Determinism: admit() hashes the request id against the current threshold
 // — no RNG state, so the admitted subset is a pure function of (ids, salt,
 // fraction) and runs are byte-identical at any thread count.  Everything
-// here lives on one line's timeline; a sharded model gets one controller
-// per work line.
+// here lives on one line's timeline; core::SystemModel gives each work
+// line its own controller.
 //
 // Hot path: admit() and observe() run once per request and are
 // allocation-free; the periodic tick() walks histogram pages only.

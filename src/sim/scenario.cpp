@@ -361,7 +361,7 @@ bool Parser::parse_entry(const EntrySpan& e, std::size_t index) {
     if (!check_order(e, t0)) return false;
     // A dead switch hurts every link touching its members, both
     // directions.  The member id stays the subject on both event variants,
-    // so a sharded model lands each event on the member's own timeline.
+    // so a multi-line model lands each event on the member's own timeline.
     for (const std::uint32_t node : members) {
       for (const bool outbound : {true, false}) {
         FaultEvent degrade;

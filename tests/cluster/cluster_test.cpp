@@ -8,20 +8,20 @@ namespace {
 class ClusterTest : public ::testing::Test {
  protected:
   sim::Simulator sim_;
-  Cluster cluster_{sim_};
+  Cluster cluster_;
   NodeHardware hw_{};
 };
 
 TEST_F(ClusterTest, AddNodeAssignsSequentialIds) {
-  EXPECT_EQ(cluster_.add_node(hw_, TierKind::kProxy), 0u);
-  EXPECT_EQ(cluster_.add_node(hw_, TierKind::kApp), 1u);
+  EXPECT_EQ(cluster_.add_node(sim_, hw_, TierKind::kProxy), 0u);
+  EXPECT_EQ(cluster_.add_node(sim_, hw_, TierKind::kApp), 1u);
   EXPECT_EQ(cluster_.node_count(), 2u);
 }
 
 TEST_F(ClusterTest, TierMembershipRecorded) {
-  const auto p = cluster_.add_node(hw_, TierKind::kProxy);
-  const auto a = cluster_.add_node(hw_, TierKind::kApp);
-  const auto d = cluster_.add_node(hw_, TierKind::kDb);
+  const auto p = cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  const auto a = cluster_.add_node(sim_, hw_, TierKind::kApp);
+  const auto d = cluster_.add_node(sim_, hw_, TierKind::kDb);
   EXPECT_EQ(cluster_.tier_of(p), TierKind::kProxy);
   EXPECT_EQ(cluster_.tier_of(a), TierKind::kApp);
   EXPECT_EQ(cluster_.tier_of(d), TierKind::kDb);
@@ -29,8 +29,8 @@ TEST_F(ClusterTest, TierMembershipRecorded) {
 }
 
 TEST_F(ClusterTest, NodesInTierOrdered) {
-  const auto a = cluster_.add_node(hw_, TierKind::kApp);
-  const auto b = cluster_.add_node(hw_, TierKind::kApp);
+  const auto a = cluster_.add_node(sim_, hw_, TierKind::kApp);
+  const auto b = cluster_.add_node(sim_, hw_, TierKind::kApp);
   auto nodes = cluster_.nodes_in(TierKind::kApp);
   ASSERT_EQ(nodes.size(), 2u);
   EXPECT_EQ(nodes[0]->id(), a);
@@ -38,9 +38,9 @@ TEST_F(ClusterTest, NodesInTierOrdered) {
 }
 
 TEST_F(ClusterTest, MoveNodeUpdatesMembership) {
-  const auto p1 = cluster_.add_node(hw_, TierKind::kProxy);
-  cluster_.add_node(hw_, TierKind::kProxy);
-  cluster_.add_node(hw_, TierKind::kApp);
+  const auto p1 = cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  cluster_.add_node(sim_, hw_, TierKind::kApp);
   cluster_.move_node(p1, TierKind::kApp);
   EXPECT_EQ(cluster_.tier_of(p1), TierKind::kApp);
   EXPECT_EQ(cluster_.tier(TierKind::kProxy).size(), 1u);
@@ -48,13 +48,13 @@ TEST_F(ClusterTest, MoveNodeUpdatesMembership) {
 }
 
 TEST_F(ClusterTest, MoveLastNodeThrows) {
-  const auto p = cluster_.add_node(hw_, TierKind::kProxy);
-  cluster_.add_node(hw_, TierKind::kApp);
+  const auto p = cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  cluster_.add_node(sim_, hw_, TierKind::kApp);
   EXPECT_THROW(cluster_.move_node(p, TierKind::kApp), std::logic_error);
 }
 
 TEST_F(ClusterTest, MoveToSameTierIsNoop) {
-  const auto p = cluster_.add_node(hw_, TierKind::kProxy);
+  const auto p = cluster_.add_node(sim_, hw_, TierKind::kProxy);
   bool observed = false;
   cluster_.set_move_observer(
       [&](NodeId, TierKind, TierKind) { observed = true; });
@@ -63,8 +63,8 @@ TEST_F(ClusterTest, MoveToSameTierIsNoop) {
 }
 
 TEST_F(ClusterTest, MoveObserverFires) {
-  const auto p1 = cluster_.add_node(hw_, TierKind::kProxy);
-  cluster_.add_node(hw_, TierKind::kProxy);
+  const auto p1 = cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  cluster_.add_node(sim_, hw_, TierKind::kProxy);
   NodeId moved = 999;
   TierKind from{};
   TierKind to{};
@@ -84,8 +84,8 @@ TEST_F(ClusterTest, NodeAccessOutOfRangeThrows) {
 }
 
 TEST_F(ClusterTest, NodesGetDistinctNames) {
-  const auto a = cluster_.add_node(hw_, TierKind::kProxy);
-  const auto b = cluster_.add_node(hw_, TierKind::kProxy);
+  const auto a = cluster_.add_node(sim_, hw_, TierKind::kProxy);
+  const auto b = cluster_.add_node(sim_, hw_, TierKind::kProxy);
   EXPECT_NE(cluster_.node(a).name(), cluster_.node(b).name());
 }
 

@@ -13,7 +13,7 @@ using common::SimTime;
 class HealthCheckerTest : public ::testing::Test {
  protected:
   HealthCheckerTest() {
-    for (int i = 0; i < 3; ++i) cluster_.add_node(hw_, TierKind::kApp);
+    for (int i = 0; i < 3; ++i) cluster_.add_node(sim_, hw_, TierKind::kApp);
   }
 
   HealthChecker::Config fast_config() {
@@ -25,7 +25,7 @@ class HealthCheckerTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  Cluster cluster_{sim_};
+  Cluster cluster_;
   NodeHardware hw_{};
 };
 
@@ -153,7 +153,7 @@ TEST_F(HealthCheckerTest, CoversNodesAddedMidRun) {
   HealthChecker checker(sim_, cluster_, fast_config());
   checker.start();
   sim_.run_until(SimTime::seconds(0.5));
-  const auto id = cluster_.add_node(hw_, TierKind::kApp);
+  const auto id = cluster_.add_node(sim_, hw_, TierKind::kApp);
   cluster_.node(id).set_alive(false);
   sim_.run_until(SimTime::seconds(1.5));
   EXPECT_FALSE(checker.node_up(id));

@@ -87,11 +87,10 @@ TEST(ExperimentTest, WorkloadSwitchChangesMix) {
 }
 
 TEST(ExperimentTest, PerLineMetersForMultiLine) {
-  sim::Simulator sim;
   SystemModel::Config system_config;
   system_config.lines = {SystemModel::LineSpec{1, 1, 1},
                          SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, system_config);
+  SystemModel system(system_config);
   Experiment experiment(system, fast_config(200));
   experiment.run_iteration();
   const auto result = experiment.run_iteration();

@@ -151,5 +151,37 @@ TEST(FailureInjectionTest, PathologicalConfigThenRecoveryViaDefaults) {
   EXPECT_GT(restored.wips, healthy.wips * 0.8);
 }
 
+TEST(FailureInjectionTest, FaultPlanNamingUnknownNodesIsRejected) {
+  // A plan parses without knowing the topology, so the model checks the
+  // node ids before arming anything; an unknown id would otherwise abort
+  // the run when its event fired (or, as a link peer, do nothing).
+  sim::Simulator sim;
+  SystemModel system(sim, {});  // nodes 0-2
+  for (const char* text :
+       {"crash:3@10", "slow:7@10-20x3", "link:0-3@10-20,drop=0.5",
+        "link:9-*@10-20,drop=0.5", "crash:1@10; crash:5@11"}) {
+    const auto plan = sim::FaultPlan::parse(text);
+    ASSERT_TRUE(plan.has_value()) << text;
+    EXPECT_THROW(system.install_fault_plan(*plan), std::invalid_argument)
+        << text;
+  }
+  sim.run_until(SimTime::seconds(30.0));
+  EXPECT_EQ(system.disturbance_count(), 0u);  // nothing was armed
+
+  // Known ids and wildcard link ends are accepted on every line.
+  const auto plan = sim::FaultPlan::parse(
+      "link:*-2@40-50,drop=0.5; link:*-*@40-50,drop=0.1; crash:2@45");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_NO_THROW(system.install_fault_plan(*plan));
+  SystemModel::Config config;
+  config.lines = {SystemModel::LineSpec{1, 1, 1},
+                  SystemModel::LineSpec{1, 1, 1}};
+  SystemModel two_lines(config);
+  const auto beyond = sim::FaultPlan::parse("crash:6@10");
+  ASSERT_TRUE(beyond.has_value());
+  EXPECT_THROW(two_lines.install_fault_plan(*beyond), std::invalid_argument);
+  EXPECT_NO_THROW(two_lines.install_fault_plan(*plan));
+}
+
 }  // namespace
 }  // namespace ah::core

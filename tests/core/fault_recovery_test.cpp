@@ -122,7 +122,7 @@ TEST(FaultRecoveryTest, SequentialDriverDiscardsDisturbedWindows) {
 
   TuningDriver::Options options;
   options.method = TuningMethod::kDuplication;
-  options.threads = 1;  // legacy sequential path
+  options.threads = 1;  // sequential path
   TuningDriver driver(system, experiment, options);
   const auto result = driver.run(6, /*validation_iterations=*/0);
   ASSERT_EQ(result.wips_series.size(), 6u);

@@ -82,11 +82,10 @@ TEST(IntegrationTest, SecondHundredIterationsMostlyBeatDefault) {
 }
 
 TEST(IntegrationTest, PartitionedLinesTuneIndependently) {
-  sim::Simulator sim;
   SystemModel::Config system_config;
   system_config.lines = {SystemModel::LineSpec{1, 1, 1},
                          SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, system_config);
+  SystemModel system(system_config);
   Experiment experiment(system,
                         reduced(tpcw::WorkloadKind::kBrowsing, 1060));
   TuningDriver driver(system, experiment,

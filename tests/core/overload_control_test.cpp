@@ -164,7 +164,7 @@ TEST(OverloadControlTest, ReactiveRefusesShardedModels) {
   EXPECT_THROW(controller.enable_reactive({}), std::logic_error);
 }
 
-/// Full-stack scenario run on a sharded model: returns the WIPS series and
+/// Full-stack scenario run on a two-line model: returns the WIPS series and
 /// the registry snapshot for one thread count.
 std::pair<std::vector<double>, std::string> scenario_run(std::size_t threads) {
   SystemModel system(lines_config({{1, 1, 1}, {1, 1, 1}}));

@@ -139,11 +139,10 @@ TEST(TuningDriverParallelTest, DuplicationIdenticalAcrossThreadCounts) {
 }
 
 TuningResult run_partitioning(std::size_t threads) {
-  sim::Simulator sim;
   SystemModel::Config topology;
   topology.lines = {SystemModel::LineSpec{1, 1, 1},
                     SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, topology);
+  SystemModel system(topology);
   Experiment::Config experiment_config = small_experiment();
   experiment_config.browsers = 120;  // 60 per line
   Experiment experiment(system, experiment_config);

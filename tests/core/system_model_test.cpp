@@ -26,11 +26,10 @@ TEST(SystemModelTest, BuildsNodesPerLineSpec) {
 }
 
 TEST(SystemModelTest, MultiLineTopology) {
-  sim::Simulator sim;
   SystemModel::Config config;
   config.lines = {SystemModel::LineSpec{1, 1, 1},
                   SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, config);
+  SystemModel system(config);
   EXPECT_EQ(system.line_count(), 2u);
   EXPECT_EQ(system.cluster().node_count(), 6u);
   EXPECT_EQ(system.line_of(0), 0u);
@@ -45,6 +44,10 @@ TEST(SystemModelTest, RejectsEmptyConfigs) {
   SystemModel::Config zero;
   zero.lines = {SystemModel::LineSpec{0, 1, 1}};
   EXPECT_THROW(SystemModel(sim, zero), std::invalid_argument);
+  // A caller-owned timeline carries exactly one work line.
+  SystemModel::Config two;
+  two.lines = {SystemModel::LineSpec{1, 1, 1}, SystemModel::LineSpec{1, 1, 1}};
+  EXPECT_THROW(SystemModel(sim, two), std::invalid_argument);
 }
 
 TEST(SystemModelTest, OnlyMatchingRoleActive) {
@@ -76,11 +79,10 @@ TEST(SystemModelTest, ApplyValuesReachesTierServers) {
 }
 
 TEST(SystemModelTest, ApplyValuesLineIsScoped) {
-  sim::Simulator sim;
   SystemModel::Config config;
   config.lines = {SystemModel::LineSpec{1, 1, 1},
                   SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, config);
+  SystemModel system(config);
   auto values = webstack::default_values();
   values[webstack::catalogue_index("maxProcessors")] = 500;
   system.apply_values_line(1, values);

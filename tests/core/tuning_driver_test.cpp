@@ -60,12 +60,11 @@ TEST(TuningDriverTest, DefaultMethodSpansAllNodes) {
 }
 
 TEST(TuningDriverTest, PartitioningOneSessionPerLine) {
-  sim::Simulator sim;
   SystemModel::Config system_config;
   system_config.lines = {SystemModel::LineSpec{1, 1, 1},
                          SystemModel::LineSpec{1, 1, 1},
                          SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, system_config);
+  SystemModel system(system_config);
   Experiment experiment(system, fast_config(240));
   TuningDriver driver(system, experiment,
                       {.method = TuningMethod::kPartitioning});
@@ -112,11 +111,10 @@ TEST(TuningDriverTest, AppliedConfigurationsReachServers) {
 }
 
 TEST(TuningDriverTest, PartitioningResultLayoutConcatenates) {
-  sim::Simulator sim;
   SystemModel::Config system_config;
   system_config.lines = {SystemModel::LineSpec{1, 1, 1},
                          SystemModel::LineSpec{1, 1, 1}};
-  SystemModel system(sim, system_config);
+  SystemModel system(system_config);
   Experiment experiment(system, fast_config(200));
   TuningDriver driver(system, experiment,
                       {.method = TuningMethod::kPartitioning});
