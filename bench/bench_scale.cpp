@@ -9,8 +9,9 @@
 //                     threads.  Per-line event order is thread-count
 //                     independent, so every cell computes identical
 //                     virtual histories; only the wall clock moves.
-//   * sharing       — resident bytes per replica when 8 replica systems
-//                     share one ModelImmutable + popularity CDF.
+//   * sharing       — resident bytes per system when 8 independent
+//                     single-line systems share one ModelImmutable +
+//                     popularity CDF (Config::shared).
 //
 // Resident bytes are tracked with a global operator-new/delete hook that
 // adds/subtracts malloc_usable_size() of every live allocation — exact
@@ -204,21 +205,21 @@ ScalePoint run_scale_point(std::size_t lines,
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: bytes/replica with the shared immutable layer.
+// Section 2: bytes/system with the shared immutable layer.
 // ---------------------------------------------------------------------------
 
 struct SharingSample {
   std::int64_t total_bytes = 0;
-  double bytes_per_replica = 0.0;
+  double bytes_per_system = 0.0;
 };
 
-constexpr std::size_t kSharingReplicas = 8;
+constexpr std::size_t kSharingSystems = 8;
 
-/// Builds `kSharingReplicas` single-line replica systems (SystemModel +
-/// Experiment, the core::ParallelEvaluator unit) on one ModelImmutable and
-/// returns the live-heap cost.  The layer is built inside the measured
-/// region, amortised over the replicas — that is the honest marginal cost.
-SharingSample build_replicas() {
+/// Builds `kSharingSystems` single-line systems (SystemModel + Experiment)
+/// on one ModelImmutable and returns the live-heap cost.  The layer is
+/// built inside the measured region, amortised over the systems — that is
+/// the honest marginal cost.
+SharingSample build_shared_systems() {
   core::SystemModel::Config topology;  // default single line, 3 nodes
   const core::Experiment::Config experiment = experiment_for(1);
 
@@ -227,7 +228,7 @@ SharingSample build_replicas() {
       core::make_model_immutable(topology, experiment);
   std::vector<std::unique_ptr<core::SystemModel>> systems;
   std::vector<std::unique_ptr<core::Experiment>> experiments;
-  for (std::size_t r = 0; r < kSharingReplicas; ++r) {
+  for (std::size_t r = 0; r < kSharingSystems; ++r) {
     core::SystemModel::Config config = topology;
     config.shared = layer;
     systems.push_back(std::make_unique<core::SystemModel>(config));
@@ -237,8 +238,8 @@ SharingSample build_replicas() {
 
   SharingSample sample;
   sample.total_bytes = live_bytes() - before;
-  sample.bytes_per_replica = static_cast<double>(sample.total_bytes) /
-                             static_cast<double>(kSharingReplicas);
+  sample.bytes_per_system = static_cast<double>(sample.total_bytes) /
+                            static_cast<double>(kSharingSystems);
   return sample;
 }
 
@@ -293,14 +294,14 @@ void write_json(const std::vector<ScalePoint>& points,
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"sharing\": {\n");
-  std::fprintf(out, "    \"replicas\": %zu,\n", kSharingReplicas);
+  std::fprintf(out, "    \"systems\": %zu,\n", kSharingSystems);
   std::fprintf(out, "    \"topology\": \"1 line x (1 proxy + 1 app + 1 db)\",\n");
   std::fprintf(out,
                "    \"shared\": {\"layout\": \"lazy roles, one "
                "ModelImmutable + popularity CDF\", \"total_bytes\": %lld, "
-               "\"bytes_per_replica\": %.0f}\n",
+               "\"bytes_per_system\": %.0f}\n",
                static_cast<long long>(shared.total_bytes),
-               shared.bytes_per_replica);
+               shared.bytes_per_system);
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("wrote BENCH_scale.json\n");
@@ -348,11 +349,11 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  std::printf("== sharing: %zu replicas on one immutable layer ==\n",
-              kSharingReplicas);
-  const SharingSample shared = build_replicas();
-  std::printf("  shared %10.1f KiB/replica\n",
-              shared.bytes_per_replica / 1024.0);
+  std::printf("== sharing: %zu systems on one immutable layer ==\n",
+              kSharingSystems);
+  const SharingSample shared = build_shared_systems();
+  std::printf("  shared %10.1f KiB/system\n",
+              shared.bytes_per_system / 1024.0);
 
   write_json(points, shared, iterations, valid, smoke);
   return 0;

@@ -50,13 +50,6 @@ std::size_t LoadBalancer::pick(std::size_t n, LoadFn load, AvailFn avail) {
       ++next_;
       return masked ? nth_available(n, avail, rank) : rank;
     }
-    case BalancePolicy::kRandom: {
-      // Unmasked draws consume the RNG identically to the pre-fault code,
-      // which keeps golden outputs byte-stable when no fault is active.
-      const std::size_t rank = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(masked ? h : n) - 1));
-      return masked ? nth_available(n, avail, rank) : rank;
-    }
     case BalancePolicy::kLeastLoaded: {
       if (!load) return masked ? nth_available(n, avail, 0) : 0;
       std::size_t best = 0;

@@ -11,13 +11,12 @@
 
 #include "common/analysis.hpp"
 #include "common/function_ref.hpp"
-#include "common/rng.hpp"
 
 AH_HOT_PATH_FILE;
 
 namespace ah::cluster {
 
-enum class BalancePolicy { kRoundRobin, kLeastLoaded, kRandom };
+enum class BalancePolicy { kRoundRobin, kLeastLoaded };
 
 class LoadBalancer {
  public:
@@ -33,8 +32,7 @@ class LoadBalancer {
   /// available" and costs nothing — the unmasked fast paths are taken.
   using AvailFn = common::FunctionRef<bool(std::size_t)>;
 
-  explicit LoadBalancer(BalancePolicy policy, std::uint64_t seed = 1)
-      : policy_(policy), rng_(seed) {}
+  explicit LoadBalancer(BalancePolicy policy) : policy_(policy) {}
 
   /// Picks a backend in [0, n).  Precondition: n > 0.  When `avail` is
   /// given, only backends it admits are chosen; round-robin spreads evenly
@@ -54,7 +52,6 @@ class LoadBalancer {
  private:
   BalancePolicy policy_;
   std::size_t next_ = 0;
-  common::Rng rng_;
 };
 
 }  // namespace ah::cluster

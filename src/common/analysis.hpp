@@ -59,7 +59,7 @@
   static_assert(true, "ah-lint: allow layering: " reason)
 
 /// Marks a file as part of the immutable model layer: state defined here is
-/// shared read-only across replicas and work-line threads, so the file must
+/// shared read-only across models and work-line threads, so the file must
 /// hold no non-const statics and no `mutable` members (ah_lint rule
 /// `shared_state`).  Place once near the top: `AH_IMMUTABLE_STATE_FILE;`.
 #define AH_IMMUTABLE_STATE_FILE \

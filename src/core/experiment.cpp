@@ -11,16 +11,22 @@ Experiment::Experiment(SystemModel& system, const Config& config)
   assert(lines > 0);
   const int per_line =
       std::max(1, config_.browsers / static_cast<int>(lines));
+  tpcw::Workload::Config wc;
+  wc.browsers = per_line;
+  wc.item_count = config_.item_count;
+  // One popularity CDF for every line: the model's shared table when it
+  // covers this item scale, otherwise one built here.  Sampling draws from
+  // each browser's RNG, so sharing is bit-identical to per-line tables.
+  wc.shared_popularity = system_.shared_popularity();
+  if (wc.shared_popularity == nullptr ||
+      wc.shared_popularity->size() != wc.item_count ||
+      wc.shared_popularity->alpha() != wc.zipf_alpha) {
+    wc.shared_popularity =
+        std::make_shared<const tpcw::ZipfSampler>(wc.item_count, wc.zipf_alpha);
+  }
   for (std::size_t li = 0; li < lines; ++li) {
     meters_.push_back(std::make_unique<tpcw::WipsMeter>());
-    tpcw::Workload::Config wc;
-    wc.browsers = per_line;
-    wc.item_count = config_.item_count;
     wc.seed = common::mix_seed(config_.seed, li);
-    // One shared popularity CDF across all lines (and, via the immutable
-    // layer, all replicas).  Workload falls back to a private copy when
-    // the table's scale does not match.
-    wc.shared_popularity = system_.shared_popularity();
     workloads_.push_back(std::make_unique<tpcw::Workload>(
         system_.line_simulator(li), system_.frontend(li),
         &tpcw::Mix::standard(workload_), *meters_.back(), wc));

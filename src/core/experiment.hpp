@@ -90,8 +90,6 @@ class Experiment {
   void apply_scenario(const sim::ScenarioPlan& plan);
 
   [[nodiscard]] std::size_t iterations_run() const { return iterations_; }
-  /// The configuration this experiment was built from (replica cloning).
-  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] SystemModel& system() { return system_; }
   [[nodiscard]] const tpcw::WipsMeter& meter(std::size_t line) const;
 

@@ -42,17 +42,10 @@ std::shared_ptr<const ModelImmutable> make_model_immutable(
   // Zipf exponent alone — the same inputs Workload would use to build its
   // private copy, so sharing it is bit-identical.
   const tpcw::Workload::Config workload_defaults{};
-  return make_model_immutable(
+  return std::make_shared<const ModelImmutable>(
       topology, experiment,
       std::make_shared<const tpcw::ZipfSampler>(experiment.item_count,
                                                 workload_defaults.zipf_alpha));
-}
-
-std::shared_ptr<const ModelImmutable> make_model_immutable(
-    const SystemModel::Config& topology, const Experiment::Config& experiment,
-    std::shared_ptr<const tpcw::ZipfSampler> popularity) {
-  return std::make_shared<const ModelImmutable>(topology, experiment,
-                                                std::move(popularity));
 }
 
 }  // namespace ah::core

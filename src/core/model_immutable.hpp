@@ -4,19 +4,19 @@
 // TPC-W interaction tables, think-time/mix distributions, the Zipf item
 // popularity CDF, the 23-entry parameter catalogue metadata, NodeHardware
 // profiles and the topology/experiment Configs themselves — is identical
-// for every replica of a topology and for every work line inside one model.
-// The mutable layer (event queues, pools, routers, RNG streams, histograms)
-// is small and strictly per-replica / per-line.
+// for every model built from one topology and for every work line inside
+// one model.  The mutable layer (event queues, pools, routers, RNG streams,
+// histograms) is small and strictly per-model / per-line.
 //
 // This class captures the immutable layer once and hands it out by
-// std::shared_ptr<const ModelImmutable>: k replicas built from the same
-// options share one copy instead of duplicating it k times (the popularity
-// table alone is ~120 KB per work line at the TPC-W 10k item scale), and a
-// const object is safely readable from any number of work-line threads
-// without synchronisation.  Enforcement is structural (everything here is
-// reached through const accessors) and lint-backed: files marked
-// AH_IMMUTABLE_STATE_FILE must not define non-const statics or mutable
-// members (ah_lint rule `shared_state`).
+// std::shared_ptr<const ModelImmutable>: models built from the same options
+// share one copy instead of duplicating it (the popularity table alone is
+// ~120 KB at the TPC-W 10k item scale), and a const object is safely
+// readable from any number of work-line threads without synchronisation.
+// Enforcement is structural (everything here is reached through const
+// accessors) and lint-backed: files marked AH_IMMUTABLE_STATE_FILE must not
+// define non-const statics or mutable members (ah_lint rule
+// `shared_state`).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ class ModelImmutable {
   ModelImmutable(const ModelImmutable&) = delete;
   ModelImmutable& operator=(const ModelImmutable&) = delete;
 
-  /// The topology every replica is built from.  Its `shared` field is
+  /// The topology every sharing model is built from.  Its `shared` field is
   /// cleared (the immutable layer does not point at itself).
   [[nodiscard]] const SystemModel::Config& topology() const {
     return topology_;
@@ -62,8 +62,8 @@ class ModelImmutable {
   /// Total nodes a SystemModel built from topology() will create.
   [[nodiscard]] std::size_t node_count() const;
 
-  /// Zipf item-popularity table shared by every line of every replica
-  /// (tpcw::ZipfSampler sampling is const and thread-safe).
+  /// Zipf item-popularity table shared by every line of every sharing
+  /// model (tpcw::ZipfSampler sampling is const and thread-safe).
   [[nodiscard]] const tpcw::ZipfSampler& popularity() const {
     return *popularity_;
   }
@@ -97,12 +97,5 @@ class ModelImmutable {
 /// TPC-W Zipf exponent.
 [[nodiscard]] std::shared_ptr<const ModelImmutable> make_model_immutable(
     const SystemModel::Config& topology, const Experiment::Config& experiment);
-
-/// As above but adopting an existing popularity table — lets callers that
-/// build many immutables over the same item scale (e.g. the per-line
-/// evaluators of partitioned tuning) share one CDF across all of them.
-[[nodiscard]] std::shared_ptr<const ModelImmutable> make_model_immutable(
-    const SystemModel::Config& topology, const Experiment::Config& experiment,
-    std::shared_ptr<const tpcw::ZipfSampler> popularity);
 
 }  // namespace ah::core

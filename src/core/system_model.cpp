@@ -16,6 +16,14 @@ using cluster::TierKind;
 namespace {
 /// Poll period while waiting for a draining node to empty.
 constexpr auto kDrainPoll = common::SimTime::seconds(1.0);
+/// Utilization sampling period for the reconfiguration monitor.
+constexpr auto kMonitorPeriod = common::SimTime::seconds(5.0);
+/// Client -> proxy spreading: the testbed's DNS/IPVS style rotation.
+constexpr auto kFrontendPolicy = cluster::BalancePolicy::kRoundRobin;
+/// Proxy -> app and app -> db: busyness-based, like mod_jk's balancer and
+/// DB connection pools.  Round-robin here would let one slow backend
+/// accumulate an unbounded queue (no back-pressure).
+constexpr auto kBackendPolicy = cluster::BalancePolicy::kLeastLoaded;
 /// Role-dependent Eq.-1 inputs: average per-job remaining processing time
 /// (A_k) and per-job migration cost (M_km).  Derived from the simulated
 /// service demands: proxy jobs are short, app jobs span DB round trips.
@@ -58,7 +66,6 @@ void SystemModel::build(sim::Simulator* borrowed) {
   // Sized once: the routers point into each Line's histograms, so lines_
   // must never reallocate.
   lines_.resize(config_.lines.size());
-  const std::uint64_t seed = config_.seed;
   for (std::size_t li = 0; li < lines_.size(); ++li) {
     Line& line = lines_[li];
     if (borrowed != nullptr) {
@@ -69,16 +76,13 @@ void SystemModel::build(sim::Simulator* borrowed) {
     }
     line.network = std::make_unique<cluster::Network>(*line.sim);
     line.monitor = std::make_unique<sim::UtilizationMonitor>(
-        *line.sim, config_.monitor_period, /*ewma_alpha=*/0.3);
+        *line.sim, kMonitorPeriod, /*ewma_alpha=*/0.3);
     line.frontend = std::make_unique<webstack::FrontendRouter>(
-        *line.sim, config_.frontend_policy, common::SimTime::micros(300),
-        common::mix_seed(seed, li * 3 + 0));
+        *line.sim, kFrontendPolicy, common::SimTime::micros(300));
     line.app_router = std::make_unique<webstack::AppTierRouter>(
-        *line.network, config_.backend_policy,
-        common::mix_seed(seed, li * 3 + 1));
+        *line.network, kBackendPolicy);
     line.db_router = std::make_unique<webstack::DbTierRouter>(
-        *line.network, config_.backend_policy,
-        common::mix_seed(seed, li * 3 + 2));
+        *line.network, kBackendPolicy);
     line.frontend->set_hop_histogram(&line.frontend_latency);
     line.app_router->set_hop_histogram(&line.app_hop_latency);
     line.db_router->set_hop_histogram(&line.db_hop_latency);

@@ -9,9 +9,10 @@
 // The model splits into two layers.  Immutable state — interaction tables,
 // mix distributions, the Zipf popularity CDF, catalogue metadata, hardware
 // profiles, the Configs — lives in core::ModelImmutable and is shared by
-// std::shared_ptr<const> across every replica and line (Config::shared).
-// Everything owned here is the mutable layer: event queues, networks,
-// routers, pools, RNG streams, histograms — small and strictly per-replica.
+// std::shared_ptr<const> across every line and every model built from the
+// same options (Config::shared).  Everything owned here is the mutable
+// layer: event queues, networks, routers, pools, RNG streams, histograms —
+// small and strictly per-model.
 //
 // Each node owns one server object per role it has ever played; only the
 // one matching the node's current tier is active and registered in the
@@ -77,21 +78,11 @@ class SystemModel {
     /// positive through the list's compiler-generated backing array.
     std::vector<LineSpec> lines = std::vector<LineSpec>(1);
     cluster::NodeHardware hardware{};
-    /// Client -> proxy spreading (the testbed's DNS/IPVS style rotation).
-    cluster::BalancePolicy frontend_policy =
-        cluster::BalancePolicy::kRoundRobin;
-    /// Proxy -> app and app -> db: busyness-based, like mod_jk's balancer
-    /// and DB connection pools.  Round-robin here would let one slow
-    /// backend accumulate an unbounded queue (no back-pressure).
-    cluster::BalancePolicy backend_policy =
-        cluster::BalancePolicy::kLeastLoaded;
-    /// Utilization sampling period for the reconfiguration monitor.
-    common::SimTime monitor_period = common::SimTime::seconds(5.0);
     std::uint64_t seed = 1;
-    /// Shared immutable layer.  Replicas built from the same options point
-    /// at one copy (core::ParallelEvaluator fills this in when unset);
-    /// null means the model derives everything privately — behaviour is
-    /// identical either way, only the memory footprint differs.
+    /// Shared immutable layer (make_model_immutable).  Models built from
+    /// the same options may point at one copy; null means the model derives
+    /// everything privately — behaviour is identical either way, only the
+    /// memory footprint differs.
     std::shared_ptr<const ModelImmutable> shared;
   };
 
@@ -107,9 +98,6 @@ class SystemModel {
   SystemModel& operator=(const SystemModel&) = delete;
 
   [[nodiscard]] std::size_t line_count() const { return lines_.size(); }
-  /// The configuration this model was built from — lets replica engines
-  /// (core::ParallelEvaluator) construct identical independent systems.
-  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] webstack::FrontendRouter& frontend(std::size_t line);
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
 

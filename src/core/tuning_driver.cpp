@@ -1,15 +1,10 @@
 #include "core/tuning_driver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "common/fmt.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
-#include "core/model_immutable.hpp"
-#include "core/parallel_evaluator.hpp"
 
 namespace ah::core {
 
@@ -23,52 +18,66 @@ std::string_view tuning_method_name(TuningMethod method) {
   return "?";
 }
 
+namespace {
+
+/// Throws std::invalid_argument unless `size` values make one candidate in
+/// `method` layout for `system`: one 23-value catalogue vector
+/// (kNone/kDuplication), every node's tier slice (kDefault), or one
+/// catalogue vector per work line (kPartitioning).
+void check_layout(SystemModel& system, TuningMethod method,
+                  std::size_t size) {
+  std::size_t expected = webstack::parameter_catalogue().size();
+  if (method == TuningMethod::kDefault) {
+    expected = 0;
+    for (const cluster::NodeId node : system.all_nodes()) {
+      expected +=
+          webstack::catalogue_indices_for(system.cluster().tier_of(node))
+              .size();
+    }
+  } else if (method == TuningMethod::kPartitioning) {
+    expected *= system.line_count();
+  }
+  if (size != expected) {
+    throw std::invalid_argument(common::format(
+        "{}: expected {} values, got {}", tuning_method_name(method),
+        expected, size));
+  }
+}
+
+}  // namespace
+
 void apply_method_values(SystemModel& system, TuningMethod method,
                          std::span<const std::int64_t> values) {
+  check_layout(system, method, values.size());
   const std::size_t catalogue_size = webstack::parameter_catalogue().size();
   switch (method) {
     case TuningMethod::kNone:
-    case TuningMethod::kDuplication: {
-      if (values.size() != catalogue_size) {
-        throw std::invalid_argument("apply_method_values: expected 23 values");
-      }
+    case TuningMethod::kDuplication:
       system.apply_values_all(values);
       return;
-    }
     case TuningMethod::kDefault: {
       // Per-node tier slices, nodes in creation order — the same order
-      // build_sessions registered them, and identical on every replica
-      // built from the same topology.
+      // build_sessions registered them.
       std::size_t offset = 0;
       for (const cluster::NodeId node : system.all_nodes()) {
         const auto tier = system.cluster().tier_of(node);
         const auto indices = webstack::catalogue_indices_for(tier);
         harmony::PointI full = webstack::default_values();
-        if (offset + indices.size() > values.size()) {
-          throw std::invalid_argument("apply_method_values: layout mismatch");
-        }
         for (std::size_t i = 0; i < indices.size(); ++i) {
           full[indices[i]] = values[offset + i];
         }
         system.apply_values_to_node(node, full);
         offset += indices.size();
       }
-      if (offset != values.size()) {
-        throw std::invalid_argument("apply_method_values: layout mismatch");
-      }
       return;
     }
-    case TuningMethod::kPartitioning: {
-      if (values.size() != catalogue_size * system.line_count()) {
-        throw std::invalid_argument("apply_method_values: layout mismatch");
-      }
+    case TuningMethod::kPartitioning:
       for (std::size_t line = 0; line < system.line_count(); ++line) {
         system.apply_values_line(line,
                                  values.subspan(line * catalogue_size,
                                                 catalogue_size));
       }
       return;
-    }
   }
 }
 
@@ -160,6 +169,7 @@ void TuningDriver::build_sessions(const harmony::PointI* seed) {
 
 void TuningDriver::restart_sessions(const harmony::PointI& seed) {
   if (options_.method == TuningMethod::kNone) return;
+  check_layout(system_, options_.method, seed.size());
   server_ = harmony::HarmonyServer{};
   sessions_.clear();
   build_sessions(&seed);  // clamps each value into its parameter's bounds
@@ -212,17 +222,7 @@ harmony::PointI TuningDriver::concatenated_best() const {
   return best;
 }
 
-std::size_t TuningDriver::replica_count_for(std::size_t dimensions) const {
-  if (options_.replicas != 0) return options_.replicas;
-  // Enough replicas for a full initial simplex (n+1 points), bounded so a
-  // 46-dimension default-method session does not build 47 systems.  NEVER
-  // derived from `threads`: the replica count decides which timeline
-  // measures which candidate, and that must not drift with the machine.
-  return std::min<std::size_t>(dimensions + 1, 16);
-}
-
-void TuningDriver::explore_sequential(TuningResult& result,
-                                      std::size_t iterations) {
+void TuningDriver::explore(TuningResult& result, std::size_t iterations) {
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     apply_pending();
     IterationResult measured = experiment_.run_iteration();
@@ -237,99 +237,6 @@ void TuningDriver::explore_sequential(TuningResult& result,
     result.wips_series.push_back(measured.wips);
     report(measured);
   }
-}
-
-void TuningDriver::explore_parallel(TuningResult& result,
-                                    std::size_t iterations) {
-  common::ThreadPool pool(options_.threads);  // 0 => hardware concurrency
-  const std::size_t catalogue_size = webstack::parameter_catalogue().size();
-
-  if (options_.method == TuningMethod::kPartitioning) {
-    // Work lines are independent by construction, so each line tunes on
-    // its own single-line replica set fed by line-local WIPS.  Lines run
-    // until each has `iterations` evaluations; the recorded whole-system
-    // series is the per-evaluation-index sum across lines.
-    const SystemModel::Config& topology = system_.config();
-    const Experiment::Config& experiment = experiment_.config();
-    const std::size_t lines = system_.line_count();
-    const int browsers_per_line =
-        std::max(1, experiment.browsers / static_cast<int>(lines));
-    // Every line's replica set samples the same item scale, so one
-    // popularity CDF serves all lines × replicas of the whole exploration.
-    const tpcw::Workload::Config workload_defaults{};
-    const auto popularity = std::make_shared<const tpcw::ZipfSampler>(
-        experiment.item_count, workload_defaults.zipf_alpha);
-    std::vector<std::vector<double>> line_series(lines);
-    for (std::size_t line = 0; line < lines; ++line) {
-      ParallelEvaluator::Options options;
-      options.topology = topology;
-      options.topology.lines = {topology.lines[line]};
-      options.topology.seed = common::mix_seed(topology.seed, line);
-      options.experiment = experiment;
-      options.experiment.browsers = browsers_per_line;
-      options.experiment.seed = common::mix_seed(experiment.seed, line);
-      options.topology.shared = make_model_immutable(
-          options.topology, options.experiment, popularity);
-      options.replicas = replica_count_for(catalogue_size);
-      ParallelEvaluator evaluator(pool, options);
-      std::vector<double>& series = line_series[line];
-      while (series.size() < iterations) {
-        const auto pending = server_.get_pending(sessions_[line]);
-        const auto evaluated = evaluator.evaluate(
-            pending, [](SystemModel& system, const harmony::PointI& values) {
-              system.apply_values_all(values);
-            });
-        std::vector<double> performances;
-        performances.reserve(evaluated.size());
-        for (const auto& measured : evaluated) {
-          performances.push_back(measured.wips);
-          series.push_back(measured.wips);
-        }
-        server_.report_performance_batch(sessions_[line], performances);
-      }
-      series.resize(iterations);
-      result.discarded_windows += evaluator.discarded_windows();
-    }
-    result.wips_series.assign(iterations, 0.0);
-    for (const auto& series : line_series) {
-      for (std::size_t i = 0; i < iterations; ++i) {
-        result.wips_series[i] += series[i];
-      }
-    }
-    return;
-  }
-
-  // kDefault / kDuplication: one session; its pending batch (the whole
-  // initial simplex, shrink replacements, or a single probe point) fans
-  // out across the replica set.
-  const std::size_t dimensions =
-      server_.session(sessions_[0]).space().dimensions();
-  ParallelEvaluator::Options options;
-  options.topology = system_.config();
-  options.experiment = experiment_.config();
-  options.replicas = replica_count_for(dimensions);
-  ParallelEvaluator evaluator(pool, options);
-  const TuningMethod method = options_.method;
-  const ParallelEvaluator::ApplyFn apply =
-      [method](SystemModel& system, const harmony::PointI& values) {
-        apply_method_values(system, method, values);
-      };
-  while (result.wips_series.size() < iterations) {
-    const auto pending = server_.get_pending(sessions_[0]);
-    const auto evaluated = evaluator.evaluate(pending, apply);
-    std::vector<double> performances;
-    performances.reserve(evaluated.size());
-    for (const auto& measured : evaluated) {
-      performances.push_back(measured.wips);
-      result.wips_series.push_back(measured.wips);
-    }
-    server_.report_performance_batch(sessions_[0], performances);
-  }
-  // The tuner consumes whole batches, so the loop can overshoot by up to
-  // batch-1 evaluations; the recorded series is trimmed to the budget
-  // (every evaluation was still reported to the session).
-  result.wips_series.resize(iterations);
-  result.discarded_windows += evaluator.discarded_windows();
 }
 
 void TuningDriver::finalize(TuningResult& result,
@@ -415,8 +322,8 @@ TuningResult TuningDriver::run(std::size_t iterations,
   TuningResult result;
   result.wips_series.reserve(iterations);
 
+  explore(result, iterations);
   if (options_.method == TuningMethod::kNone) {
-    explore_sequential(result, iterations);
     result.best_configuration = webstack::default_values();
     result.best_wips = result.mean_wips(0, iterations);
     result.validated_wips = result.best_wips;
@@ -424,11 +331,6 @@ TuningResult TuningDriver::run(std::size_t iterations,
     return result;
   }
 
-  if (options_.threads == 1) {
-    explore_sequential(result, iterations);
-  } else {
-    explore_parallel(result, iterations);
-  }
   finalize(result, validation_iterations);
   return result;
 }

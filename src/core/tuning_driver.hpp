@@ -18,19 +18,10 @@
 // The driver records the WIPS series, the best configuration, and the
 // convergence iteration for Table 4.
 //
-// Candidate evaluation runs in one of two modes, selected by
-// Options::threads:
-//
-//   threads == 1  sequential (default): every candidate is measured
-//                 back-to-back on the ONE live system — the paper's exact
-//                 protocol, state carry-over included.
-//   threads != 1  parallel: batches from the tuner's batch protocol
-//                 (get_pending / report_performance_batch) are evaluated on
-//                 a core::ParallelEvaluator replica set; `threads` sizes
-//                 the worker pool (0 = hardware concurrency).  Results are
-//                 bit-identical across all thread counts >= 2 because the
-//                 replica count — not the thread count — fixes which
-//                 timeline measures which candidate.
+// Candidates are measured the paper's way (§III.A): one at a time,
+// back-to-back on the ONE live system, state carry-over included.  To
+// advance a multi-line model's work lines concurrently, attach a pool with
+// SystemModel::set_thread_pool(); results stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +45,7 @@ enum class TuningMethod { kNone, kDefault, kDuplication, kPartitioning };
 /// kDefault takes concatenated per-node tier slices (nodes in
 /// `system.all_nodes()` creation order), kPartitioning takes per-line
 /// 23-value vectors concatenated in line order.  Throws
-/// std::invalid_argument on a layout mismatch.  Thread-safe across
-/// *different* SystemModel instances (used by the replica evaluator).
+/// std::invalid_argument on a layout mismatch, before any node changes.
 void apply_method_values(SystemModel& system, TuningMethod method,
                          std::span<const std::int64_t> values);
 
@@ -90,18 +80,6 @@ class TuningDriver {
   struct Options {
     TuningMethod method = TuningMethod::kDuplication;
     harmony::SessionOptions session{};
-    /// Evaluation workers: 1 = sequential on the live system (the paper's
-    /// measurement semantics; the default), 0 = one worker per hardware
-    /// thread, N >= 2 = N workers.  Any value != 1 switches to replica-set
-    /// evaluation (see header comment).  To advance a live model's work
-    /// lines concurrently instead, attach a pool with
-    /// SystemModel::set_thread_pool().
-    std::size_t threads = 1;
-    /// Replica timelines for parallel evaluation; 0 = auto
-    /// (min(dimensions + 1, 16), i.e. enough for a full initial simplex).
-    /// Deliberately independent of `threads` so the tuning trajectory
-    /// never depends on how many workers happened to be available.
-    std::size_t replicas = 0;
   };
 
   TuningDriver(SystemModel& system, Experiment& experiment, Options options);
@@ -118,13 +96,17 @@ class TuningDriver {
 
   /// Applies a best-configuration vector (in the layout `run` produced for
   /// this method) to the system — used to re-measure tuned configurations,
-  /// e.g. for the Fig 4 cross-workload study.
+  /// e.g. for the Fig 4 cross-workload study.  Throws
+  /// std::invalid_argument on a layout mismatch, leaving every node as it
+  /// was.
   void apply_configuration(const harmony::PointI& configuration);
 
   /// Rebuilds the Harmony sessions so the search starts from `seed`
   /// (same layout as apply_configuration) instead of the catalogue
   /// defaults — the prediction/warm-start path driven by
-  /// harmony::ConfigurationMemory when a known workload returns.
+  /// harmony::ConfigurationMemory when a known workload returns.  Throws
+  /// std::invalid_argument on a layout mismatch (e.g. a vector remembered
+  /// under another method or topology), leaving the sessions untouched.
   void restart_sessions(const harmony::PointI& seed);
 
   [[nodiscard]] harmony::HarmonyServer& server() { return server_; }
@@ -142,13 +124,9 @@ class TuningDriver {
   /// Concatenation of each session's best configuration.
   [[nodiscard]] harmony::PointI concatenated_best() const;
 
-  /// Sequential protocol: one candidate at a time on the live system.
-  void explore_sequential(TuningResult& result, std::size_t iterations);
-  /// Batch protocol on a ParallelEvaluator replica set.
-  void explore_parallel(TuningResult& result, std::size_t iterations);
-  /// Replica count for a session of `dimensions` parameters.
-  [[nodiscard]] std::size_t replica_count_for(std::size_t dimensions) const;
-  /// Convergence bookkeeping + validation pass (shared by both modes).
+  /// Measures one candidate per iteration on the live system.
+  void explore(TuningResult& result, std::size_t iterations);
+  /// Convergence bookkeeping + validation pass.
   void finalize(TuningResult& result, std::size_t validation_iterations);
 
   SystemModel& system_;

@@ -33,10 +33,6 @@ void RandomSearchTuner::tell(double cost) {
   draw_next();
 }
 
-void RandomSearchTuner::report(std::span<const double> costs) {
-  for (const double cost : costs) tell(cost);
-}
-
 void RandomSearchTuner::draw_next() { current_ = space_.random_point(rng_); }
 
 // -- CoordinateDescentTuner --------------------------------------------------
@@ -112,10 +108,6 @@ void CoordinateDescentTuner::tell(double cost) {
   ++evaluations_;
   ++probe_cursor_;
   if (probe_cursor_ == probes_.size()) finish_sweep();
-}
-
-void CoordinateDescentTuner::report(std::span<const double> costs) {
-  for (const double cost : costs) tell(cost);
 }
 
 void CoordinateDescentTuner::finish_sweep() {

@@ -31,7 +31,6 @@ class RandomSearchTuner final : public Tuner {
   [[nodiscard]] std::vector<PointI> pending() const override;
   [[nodiscard]] PointI ask() const override;
   void tell(double cost) override;
-  void report(std::span<const double> costs) override;
   [[nodiscard]] const PointI& best() const override { return best_point_; }
   [[nodiscard]] double best_cost() const override { return best_cost_; }
   [[nodiscard]] std::size_t evaluations() const override {
@@ -73,7 +72,6 @@ class CoordinateDescentTuner final : public Tuner {
   [[nodiscard]] std::vector<PointI> pending() const override;
   [[nodiscard]] PointI ask() const override;
   void tell(double cost) override;
-  void report(std::span<const double> costs) override;
   [[nodiscard]] const PointI& best() const override { return best_point_; }
   [[nodiscard]] double best_cost() const override { return best_cost_; }
   [[nodiscard]] std::size_t evaluations() const override {

@@ -74,20 +74,8 @@ PointI HarmonyServer::get_configuration(SessionId id) const {
   return started_session(id).ask();
 }
 
-std::vector<PointI> HarmonyServer::get_pending(SessionId id) const {
-  return started_session(id).pending();
-}
-
 void HarmonyServer::report_performance(SessionId id, double performance) {
   started_session(id).tell(-performance);
-}
-
-void HarmonyServer::report_performance_batch(
-    SessionId id, std::span<const double> performances) {
-  std::vector<double> costs;
-  costs.reserve(performances.size());
-  for (const double p : performances) costs.push_back(-p);
-  started_session(id).report(costs);
 }
 
 PointI HarmonyServer::best_configuration(SessionId id) const {

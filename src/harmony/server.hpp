@@ -45,16 +45,9 @@ class HarmonyServer {
   /// The configuration the client should apply next.
   [[nodiscard]] PointI get_configuration(SessionId id) const;
 
-  /// All configurations awaiting evaluation (batch/parallel clients).
-  [[nodiscard]] std::vector<PointI> get_pending(SessionId id) const;
-
   /// Reports the performance observed under the configuration from
   /// get_configuration() (higher is better).
   void report_performance(SessionId id, double performance);
-
-  /// Batch variant matching get_pending() order.
-  void report_performance_batch(SessionId id,
-                                std::span<const double> performances);
 
   /// Best configuration seen and its performance (higher-is-better).
   [[nodiscard]] PointI best_configuration(SessionId id) const;

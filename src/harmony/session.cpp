@@ -33,10 +33,6 @@ void TuningSession::tell(double cost) {
   tuner_->tell(cost);
 }
 
-void TuningSession::report(std::span<const double> costs) {
-  for (const double cost : costs) tell(cost);
-}
-
 void TuningSession::observe(const PointI& configuration, double cost) {
   history_.push_back(HistoryEntry{configuration, cost});
   const std::size_t index = history_.size() - 1;

@@ -56,17 +56,9 @@ class TuningSession {
   }
   [[nodiscard]] Tuner& tuner() { return *tuner_; }
 
-  /// Points awaiting evaluation (>= 1; the whole batch during init/shrink).
-  [[nodiscard]] std::vector<PointI> pending() const {
-    return tuner_->pending();
-  }
-
-  /// Sequential protocol (see Tuner).
+  /// Ask/tell protocol (see Tuner).
   [[nodiscard]] PointI ask() const { return tuner_->ask(); }
   void tell(double cost);
-
-  /// Batch protocol.
-  void report(std::span<const double> costs);
 
   [[nodiscard]] const PointI& best() const { return tuner_->best(); }
   [[nodiscard]] double best_cost() const { return tuner_->best_cost(); }

@@ -72,13 +72,6 @@ void SimplexTuner::tell(double cost) {
   if (ask_cursor_ == pending_points_.size()) advance();
 }
 
-void SimplexTuner::report(std::span<const double> costs) {
-  if (costs.size() != pending_points_.size() - ask_cursor_) {
-    throw std::invalid_argument("report: cost count != pending count");
-  }
-  for (const double cost : costs) tell(cost);
-}
-
 double SimplexTuner::diameter() const {
   if (vertices_.size() < 2) return 0.0;
   double diameter = 0.0;

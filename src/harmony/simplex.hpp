@@ -9,10 +9,9 @@
 //      ("simply using the resulting values from the nearest integer point").
 //   2. Evaluation is external and asynchronous — one evaluation is one
 //      measured iteration of the running system — so the tuner exposes an
-//      ask/tell protocol rather than taking a callback.  Batch variants
-//      expose all points awaiting evaluation at once (the whole initial
-//      simplex, or all shrink replacements), which is what the parallel
-//      evaluation in the cluster-tuning experiments exploits.
+//      ask/tell protocol rather than taking a callback.  pending() shows
+//      every point of the current step (the whole initial simplex, or all
+//      shrink replacements); ask() hands them out one at a time.
 //
 // Costs are minimized; callers maximizing a metric (WIPS) report its
 // negation.  The optional extreme-value damping implements the improvement
@@ -23,7 +22,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "harmony/parameter.hpp"
@@ -68,14 +66,8 @@ class SimplexTuner final : public Tuner {
   }
   [[nodiscard]] Phase phase() const { return phase_; }
 
-  // -- Batch protocol ---------------------------------------------------
   /// All lattice points currently awaiting evaluation (never empty).
   [[nodiscard]] std::vector<PointI> pending() const override;
-  /// Reports costs for *all* pending points, in the order `pending()`
-  /// returned them, then advances the search.
-  void report(std::span<const double> costs) override;
-
-  // -- Sequential protocol ------------------------------------------------
   /// Next single point to evaluate.
   [[nodiscard]] PointI ask() const override;
   /// Cost for the point returned by the previous ask().

@@ -8,12 +8,11 @@
 // against the simplex in `bench_ablation_kernels`.
 //
 // Protocol (identical to SimplexTuner's):
-//   * pending() lists >= 1 lattice points awaiting evaluation;
-//   * ask() returns the next one; tell(cost) reports it (lower is better);
-//   * report(costs) answers the whole pending batch at once.
+//   * pending() lists >= 1 lattice points awaiting evaluation (the kernel's
+//     current step, for inspection);
+//   * ask() returns the next one; tell(cost) reports it (lower is better).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "harmony/parameter.hpp"
@@ -29,7 +28,6 @@ class Tuner {
   [[nodiscard]] virtual std::vector<PointI> pending() const = 0;
   [[nodiscard]] virtual PointI ask() const = 0;
   virtual void tell(double cost) = 0;
-  virtual void report(std::span<const double> costs) = 0;
 
   [[nodiscard]] virtual const PointI& best() const = 0;
   [[nodiscard]] virtual double best_cost() const = 0;

@@ -54,7 +54,7 @@ class Workload {
     std::uint64_t seed = 2004;
     /// Optional pre-built item-popularity table.  When it matches
     /// (item_count, zipf_alpha) the workload samples from it instead of
-    /// building a private copy — many lines/replicas then share one CDF
+    /// building a private copy — many lines and models then share one CDF
     /// (~120 KB at the TPC-W 10k scale).  Sampling draws from the caller's
     /// RNG, so a shared table is bit-identical to a private one.
     std::shared_ptr<const ZipfSampler> shared_popularity;

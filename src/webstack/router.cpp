@@ -30,8 +30,8 @@ std::size_t marked_up_count(const std::vector<T*>& backends) {
 // -- AppTierRouter -----------------------------------------------------------
 
 AppTierRouter::AppTierRouter(cluster::Network& network,
-                             cluster::BalancePolicy policy, std::uint64_t seed)
-    : network_(network), balancer_(policy, seed) {
+                             cluster::BalancePolicy policy)
+    : network_(network), balancer_(policy) {
   AH_ASSERT_POOLED_CALL(Call);
 }
 
@@ -124,8 +124,8 @@ void AppTierRouter::finish(Call* call, const Response& response) {
 // -- DbTierRouter ------------------------------------------------------------
 
 DbTierRouter::DbTierRouter(cluster::Network& network,
-                           cluster::BalancePolicy policy, std::uint64_t seed)
-    : network_(network), balancer_(policy, seed) {
+                           cluster::BalancePolicy policy)
+    : network_(network), balancer_(policy) {
   AH_ASSERT_POOLED_CALL(Call);
 }
 
@@ -215,9 +215,8 @@ void DbTierRouter::finish(Call* call, const DbResult& result) {
 
 FrontendRouter::FrontendRouter(sim::Simulator& sim,
                                cluster::BalancePolicy policy,
-                               common::SimTime client_latency,
-                               std::uint64_t seed)
-    : sim_(sim), balancer_(policy, seed), client_latency_(client_latency) {
+                               common::SimTime client_latency)
+    : sim_(sim), balancer_(policy), client_latency_(client_latency) {
   AH_ASSERT_POOLED_CALL(Call);
 }
 

@@ -53,8 +53,7 @@ struct RouterStats {
 /// Routes requests from the proxy tier to the application tier.
 class AppTierRouter {
  public:
-  AppTierRouter(cluster::Network& network, cluster::BalancePolicy policy,
-                std::uint64_t seed = 7);
+  AppTierRouter(cluster::Network& network, cluster::BalancePolicy policy);
 
   void add_backend(AppServer* server);
   bool remove_backend(AppServer* server);
@@ -115,8 +114,7 @@ class AppTierRouter {
 /// Routes database queries from the application tier to the database tier.
 class DbTierRouter {
  public:
-  DbTierRouter(cluster::Network& network, cluster::BalancePolicy policy,
-               std::uint64_t seed = 11);
+  DbTierRouter(cluster::Network& network, cluster::BalancePolicy policy);
 
   void add_backend(DbServer* server);
   bool remove_backend(DbServer* server);
@@ -169,8 +167,7 @@ class DbTierRouter {
 class FrontendRouter {
  public:
   FrontendRouter(sim::Simulator& sim, cluster::BalancePolicy policy,
-                 common::SimTime client_latency = common::SimTime::micros(300),
-                 std::uint64_t seed = 13);
+                 common::SimTime client_latency = common::SimTime::micros(300));
 
   void add_backend(ProxyServer* server);
   bool remove_backend(ProxyServer* server);

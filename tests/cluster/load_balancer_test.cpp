@@ -52,25 +52,6 @@ TEST(LoadBalancerTest, LeastLoadedWithoutLoadFnDefaultsToFirst) {
   EXPECT_EQ(lb.pick(4), 0u);
 }
 
-TEST(LoadBalancerTest, RandomStaysInRange) {
-  LoadBalancer lb(BalancePolicy::kRandom, 99);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(lb.pick(7), 7u);
-}
-
-TEST(LoadBalancerTest, RandomCoversAllBackends) {
-  LoadBalancer lb(BalancePolicy::kRandom, 7);
-  std::map<std::size_t, int> counts;
-  for (int i = 0; i < 3000; ++i) ++counts[lb.pick(3)];
-  EXPECT_EQ(counts.size(), 3u);
-  for (const auto& [_, count] : counts) EXPECT_GT(count, 800);
-}
-
-TEST(LoadBalancerTest, RandomDeterministicPerSeed) {
-  LoadBalancer a(BalancePolicy::kRandom, 5);
-  LoadBalancer b(BalancePolicy::kRandom, 5);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(a.pick(10), b.pick(10));
-}
-
 // -- Availability mask -------------------------------------------------------
 
 TEST(LoadBalancerTest, MaskedRoundRobinSkipsUnavailable) {
@@ -115,15 +96,6 @@ TEST(LoadBalancerTest, MaskedLeastLoadedSkipsUnavailable) {
                 3, [&](std::size_t i) { return loads[i]; },
                 [](std::size_t i) { return i != 1; }),
             2u);
-}
-
-TEST(LoadBalancerTest, MaskedRandomPicksOnlyAvailable) {
-  LoadBalancer lb(BalancePolicy::kRandom, 11);
-  const auto avail = [](std::size_t i) { return i % 2 == 0; };
-  for (int i = 0; i < 500; ++i) {
-    const auto pick = lb.pick(6, {}, avail);
-    EXPECT_EQ(pick % 2, 0u);
-  }
 }
 
 TEST(LoadBalancerTest, FullyMaskedFallsBackToAll) {

@@ -10,11 +10,9 @@
 
 #include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_evaluator.hpp"
 #include "core/system_model.hpp"
 #include "core/tuning_driver.hpp"
 #include "sim/fault_injector.hpp"
-#include "webstack/params.hpp"
 
 namespace ah::core {
 namespace {
@@ -122,7 +120,6 @@ TEST(FaultRecoveryTest, SequentialDriverDiscardsDisturbedWindows) {
 
   TuningDriver::Options options;
   options.method = TuningMethod::kDuplication;
-  options.threads = 1;  // sequential path
   TuningDriver driver(system, experiment, options);
   const auto result = driver.run(6, /*validation_iterations=*/0);
   ASSERT_EQ(result.wips_series.size(), 6u);
@@ -132,81 +129,71 @@ TEST(FaultRecoveryTest, SequentialDriverDiscardsDisturbedWindows) {
   for (const double w : result.wips_series) EXPECT_GT(w, 0.0);
 }
 
-// Fault scenario on a replica set: the recovery trajectory must be
-// bit-identical at any worker thread count (TSAN job runs this too — the
-// discard counter is the only cross-thread state).
-std::vector<double> faulted_series(std::size_t threads) {
+// Six iterations on a two-line model whose lines a `threads`-wide pool
+// advances together: the total and per-line WIPS of every window, then
+// (with `faults`) the number of disturbed windows.  With `faults`, one app
+// node of each line crashes at t = 30 s and restarts at t = 90 s.
+std::vector<double> two_line_series(std::size_t threads, bool faults) {
   common::ThreadPool pool(threads);
-  ParallelEvaluator::Options options;
-  options.topology.lines = {SystemModel::LineSpec{1, 2, 1}};
-  options.experiment = small_config(60);
-  options.replicas = 2;
-  ParallelEvaluator evaluator(pool, options);
-  for (std::size_t r = 0; r < evaluator.replica_count(); ++r) {
-    SystemModel& replica = evaluator.replica_system(r);
-    replica.enable_fault_tolerance(fast_fault_tolerance());
-    const auto victim =
-        replica.cluster().tier(TierKind::kApp).members()[1];
-    const std::string plan_text = "crash:" + std::to_string(victim) +
-                                  "@30; restart:" + std::to_string(victim) +
-                                  "@90";
-    replica.install_fault_plan(*sim::FaultPlan::parse(plan_text));
+  SystemModel::Config topology;
+  topology.lines = {SystemModel::LineSpec{1, 2, 1},
+                    SystemModel::LineSpec{1, 2, 1}};
+  SystemModel system(topology);
+  system.set_thread_pool(&pool);
+  if (faults) {
+    system.enable_fault_tolerance(fast_fault_tolerance());
+    // Line nodes are created proxy, app, app, db; plan entries are
+    // time-sorted.
+    const std::string a = std::to_string(system.line_nodes(0).at(2));
+    const std::string b = std::to_string(system.line_nodes(1).at(2));
+    const auto plan = sim::FaultPlan::parse("crash:" + a + "@30; crash:" + b +
+                                            "@30; restart:" + a +
+                                            "@90; restart:" + b + "@90");
+    EXPECT_TRUE(plan.has_value());
+    if (plan.has_value()) system.install_fault_plan(*plan);
   }
-  const std::vector<harmony::PointI> batch(6, webstack::default_values());
-  std::vector<double> wips;
-  const auto apply = [](SystemModel& system, const harmony::PointI& values) {
-    system.apply_values_all(values);
-  };
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& result : evaluator.evaluate(batch, apply)) {
-      wips.push_back(result.wips);
-    }
+  Experiment experiment(system, small_config(120));
+  std::vector<double> series;
+  double disturbed = 0.0;
+  for (int i = 0; i < 6; ++i) {
+    const IterationResult result = experiment.run_iteration();
+    series.push_back(result.wips);
+    series.insert(series.end(), result.line_wips.begin(),
+                  result.line_wips.end());
+    if (result.disturbed) disturbed += 1.0;
   }
-  wips.push_back(static_cast<double>(evaluator.discarded_windows()));
-  return wips;
+  if (faults) series.push_back(disturbed);
+  system.set_thread_pool(nullptr);
+  return series;
 }
 
-// Healthy (no-fault) counterpart: the calendar-queue scheduler drives
-// every replica timeline, and its pop order must not depend on how
-// replicas are spread over worker threads.  Catches any wheel/cascade
-// state that would leak across timelines.
-std::vector<double> healthy_series(std::size_t threads) {
-  common::ThreadPool pool(threads);
-  ParallelEvaluator::Options options;
-  options.topology.lines = {SystemModel::LineSpec{1, 2, 1}};
-  options.experiment = small_config(60);
-  options.replicas = 2;
-  ParallelEvaluator evaluator(pool, options);
-  const std::vector<harmony::PointI> batch(6, webstack::default_values());
-  std::vector<double> wips;
-  const auto apply = [](SystemModel& system, const harmony::PointI& values) {
-    system.apply_values_all(values);
-  };
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& result : evaluator.evaluate(batch, apply)) {
-      wips.push_back(result.wips);
-    }
-  }
-  return wips;
-}
-
+// Healthy run: the calendar-queue scheduler drives every line's timeline,
+// and its pop order must not depend on how lines are spread over worker
+// threads.  Catches any wheel/cascade state that would leak across
+// timelines.
 TEST(FaultDeterminismTest, SchedulerTrajectoryIdenticalAcrossThreadCounts) {
-  const auto one = healthy_series(1);
-  const auto two = healthy_series(2);
-  const auto eight = healthy_series(8);
-  ASSERT_EQ(one.size(), 12u);
+  const auto one = two_line_series(1, false);
+  const auto two = two_line_series(2, false);
+  const auto eight = two_line_series(8, false);
+  ASSERT_EQ(one.size(), 18u);  // 6 windows x (total + 2 lines)
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
   for (const double w : one) EXPECT_GT(w, 0.0);
 }
 
+// Faulted run: the recovery trajectory must be bit-identical at any
+// worker thread count (the TSAN job runs this too — the disturbance
+// counter is the only state the lines' threads share).
 TEST(FaultDeterminismTest, RecoveryTrajectoryIdenticalAcrossThreadCounts) {
-  const auto one = faulted_series(1);
-  const auto two = faulted_series(2);
-  const auto eight = faulted_series(8);
-  ASSERT_EQ(one.size(), 13u);  // 12 measurements + discard count
+  const auto one = two_line_series(1, true);
+  const auto two = two_line_series(2, true);
+  const auto eight = two_line_series(8, true);
+  ASSERT_EQ(one.size(), 19u);  // 18 readings + disturbed-window count
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
+  // Both fault events (and the paired health transitions) land inside
+  // measurement windows.
+  EXPECT_GE(one.back(), 2.0);
   for (std::size_t i = 0; i + 1 < one.size(); ++i) EXPECT_GT(one[i], 0.0);
 }
 

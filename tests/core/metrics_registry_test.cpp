@@ -8,8 +8,8 @@
 
 #include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_evaluator.hpp"
 #include "core/system_model.hpp"
+#include "harmony/parameter.hpp"
 #include "obs/trace.hpp"
 #include "webstack/params.hpp"
 
@@ -112,31 +112,31 @@ harmony::PointI nudged_candidate(std::size_t i) {
   return point;
 }
 
-std::string metrics_across_replicas(std::size_t threads) {
+// A two-line model advanced by a `threads`-wide pool; candidate i goes to
+// line i % 2 before window i.
+std::string metrics_on_two_lines(std::size_t threads) {
   common::ThreadPool pool(threads);
-  ParallelEvaluator::Options options;
-  options.experiment = small_experiment();
-  options.replicas = 2;
-  ParallelEvaluator evaluator(pool, options);
-  std::vector<harmony::PointI> batch;
-  for (std::size_t i = 0; i < 4; ++i) batch.push_back(nudged_candidate(i));
-  evaluator.evaluate(batch,
-                     [](SystemModel& system, const harmony::PointI& values) {
-                       system.apply_values_all(values);
-                     });
-  std::string all;
-  for (std::size_t r = 0; r < evaluator.replica_count(); ++r) {
-    all += evaluator.replica_system(r).metrics().json_string();
+  SystemModel::Config topology;
+  topology.lines = {SystemModel::LineSpec{}, SystemModel::LineSpec{}};
+  SystemModel system(topology);
+  system.set_thread_pool(&pool);
+  Experiment::Config config = small_experiment();
+  config.browsers = 120;  // 60 per line
+  Experiment experiment(system, config);
+  for (std::size_t i = 0; i < 4; ++i) {
+    system.apply_values_line(i % 2, nudged_candidate(i));
+    experiment.run_iteration();
   }
-  return all;
+  system.set_thread_pool(nullptr);
+  return system.metrics().json_string();
 }
 
 TEST(MetricsRegistryTest, SnapshotsByteIdenticalAcrossThreadCounts) {
-  // The tentpole's determinism claim: metrics.json depends only on the
+  // The registry's determinism claim: metrics.json depends only on the
   // simulated history, never on how many pool threads advanced it.
-  const std::string one = metrics_across_replicas(1);
-  const std::string two = metrics_across_replicas(2);
-  const std::string eight = metrics_across_replicas(8);
+  const std::string one = metrics_on_two_lines(1);
+  const std::string two = metrics_on_two_lines(2);
+  const std::string eight = metrics_on_two_lines(8);
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);

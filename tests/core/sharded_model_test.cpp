@@ -10,7 +10,6 @@
 #include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
 #include "core/model_immutable.hpp"
-#include "core/parallel_evaluator.hpp"
 #include "core/system_model.hpp"
 
 namespace ah::core {
@@ -187,24 +186,25 @@ TEST(ShardedModelTest, AllNodesIsCachedAndStable) {
 }
 
 TEST(ShardedModelTest, ReplicasShareOneImmutableLayer) {
-  common::ThreadPool pool(2);
-  ParallelEvaluator::Options options;
-  options.topology = lines_config({{1, 1, 1}});
-  options.experiment = fast_experiment(60);
-  options.replicas = 3;
-  ParallelEvaluator evaluator(pool, options);
-  const ModelImmutable* layer = evaluator.replica_system(0).immutable();
+  // Two models built from one Config::shared point at one immutable layer
+  // and one popularity table, and run identical histories.
+  SystemModel::Config topology = lines_config({{1, 1, 1}});
+  const Experiment::Config experiment = fast_experiment(60);
+  topology.shared = make_model_immutable(topology, experiment);
+  SystemModel a(topology);
+  SystemModel b(topology);
+  const ModelImmutable* layer = a.immutable();
   ASSERT_NE(layer, nullptr);
-  const auto popularity = evaluator.replica_system(0).shared_popularity();
-  ASSERT_NE(popularity, nullptr);
-  for (std::size_t r = 1; r < 3; ++r) {
-    EXPECT_EQ(evaluator.replica_system(r).immutable(), layer);
-    EXPECT_EQ(evaluator.replica_system(r).shared_popularity(), popularity);
-  }
+  EXPECT_EQ(b.immutable(), layer);
+  ASSERT_NE(a.shared_popularity(), nullptr);
+  EXPECT_EQ(b.shared_popularity(), a.shared_popularity());
   EXPECT_EQ(layer->line_count(), 1u);
   EXPECT_EQ(layer->node_count(), 3u);
   // The layer's topology copy must not point at itself.
   EXPECT_EQ(layer->topology().shared, nullptr);
+  Experiment on_a(a, experiment);
+  Experiment on_b(b, experiment);
+  EXPECT_EQ(on_a.run_iteration().wips, on_b.run_iteration().wips);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/tuning_driver.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,90 @@ TEST(TuningDriverTest, RestartSessionsClampsOutOfRangeSeed) {
   driver.restart_sessions(seed);
   const auto& spec = webstack::parameter_catalogue()[0];
   EXPECT_EQ(driver.server().get_configuration(0)[0], spec.max_value);
+}
+
+/// Every node's active-role parameters, as catalogue vectors.
+std::vector<harmony::PointI> node_values(SystemModel& system) {
+  std::vector<harmony::PointI> values;
+  for (const cluster::NodeId node : system.all_nodes()) {
+    webstack::ProxyParams proxy;
+    webstack::AppParams app;
+    webstack::DbParams db;
+    switch (system.cluster().tier_of(node)) {
+      case cluster::TierKind::kProxy:
+        proxy = system.proxy_on(node).params();
+        break;
+      case cluster::TierKind::kApp:
+        app = system.app_on(node).params();
+        break;
+      case cluster::TierKind::kDb:
+        db = system.db_on(node).params();
+        break;
+    }
+    values.push_back(webstack::to_values(proxy, app, db));
+  }
+  return values;
+}
+
+TEST(TuningDriverTest, RejectedConfigurationLeavesEveryNodeAsItWas) {
+  sim::Simulator sim;
+  SystemModel system(sim, {});
+  Experiment experiment(system, fast_config());
+  TuningDriver driver(system, experiment, {.method = TuningMethod::kDefault});
+  // A valid kDefault vector for the 1/1/1 line (7 + 7 + 9 values) with a
+  // bigger proxy cache, then one value too many.
+  harmony::PointI values;
+  const auto defaults = webstack::default_values();
+  for (const cluster::NodeId node : system.all_nodes()) {
+    for (const std::size_t ci :
+         webstack::catalogue_indices_for(system.cluster().tier_of(node))) {
+      values.push_back(defaults[ci]);
+    }
+  }
+  ASSERT_EQ(values.size(), 23u);
+  values[webstack::catalogue_index("cache_mem")] = 48;
+  values.push_back(1);
+  const auto before = node_values(system);
+  EXPECT_THROW(driver.apply_configuration(values), std::invalid_argument);
+  EXPECT_EQ(node_values(system), before);
+  values.pop_back();
+  driver.apply_configuration(values);
+  const auto proxy_id =
+      system.cluster().tier(cluster::TierKind::kProxy).members()[0];
+  EXPECT_EQ(system.proxy_on(proxy_id).params().cache_mem, 48LL * 1024 * 1024);
+}
+
+TEST(TuningDriverTest, RejectedRestartKeepsDriverRunning) {
+  sim::Simulator sim;
+  SystemModel system(sim, {});
+  Experiment experiment(system, fast_config());
+  TuningDriver driver(system, experiment,
+                      {.method = TuningMethod::kDuplication});
+  // A partitioned two-line vector and a truncated one, as a configuration
+  // memory could hold them for another method or topology.
+  EXPECT_THROW(driver.restart_sessions(harmony::PointI(46, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(driver.restart_sessions(harmony::PointI(5, 1)),
+               std::invalid_argument);
+  ASSERT_EQ(driver.server().session_count(), 1u);
+  EXPECT_EQ(driver.server().get_configuration(0), webstack::default_values());
+  const auto result = driver.run(2, /*validation_iterations=*/0);
+  EXPECT_EQ(result.wips_series.size(), 2u);
+  EXPECT_EQ(driver.server().evaluations(0), 2u);
+}
+
+TEST(ApplyMethodValuesTest, RejectsLayoutMismatch) {
+  sim::Simulator sim;
+  SystemModel system(sim, {});
+  EXPECT_THROW(apply_method_values(system, TuningMethod::kDuplication,
+                                   harmony::PointI(5, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(apply_method_values(system, TuningMethod::kDefault,
+                                   harmony::PointI(7, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(apply_method_values(system, TuningMethod::kPartitioning,
+                                   harmony::PointI(5, 1)),
+               std::invalid_argument);
 }
 
 TEST(TuningResultTest, MeanAndStddevWindows) {

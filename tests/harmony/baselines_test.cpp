@@ -63,14 +63,6 @@ TEST(RandomSearchTest, PendingMatchesAsk) {
   EXPECT_EQ(tuner.pending()[0], tuner.ask());
 }
 
-TEST(RandomSearchTest, BatchReport) {
-  RandomSearchTuner tuner(box(0, 10, 5, 2));
-  const std::vector<double> costs{3.0};
-  tuner.report(costs);
-  EXPECT_EQ(tuner.evaluations(), 1u);
-  EXPECT_EQ(tuner.best_cost(), 3.0);
-}
-
 // -- CoordinateDescentTuner --------------------------------------------------
 
 TEST(CoordinateDescentTest, RejectsBadOptions) {

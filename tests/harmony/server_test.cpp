@@ -124,19 +124,6 @@ TEST(HarmonyServerTest, MultipleIndependentSessions) {
   EXPECT_EQ(server.evaluations(b), 0u);
 }
 
-TEST(HarmonyServerTest, BatchProtocol) {
-  HarmonyServer server;
-  const auto id = server.create_session("s");
-  server.register_parameter(id, {"x", 0, 100, 50});
-  server.register_parameter(id, {"y", 0, 100, 50});
-  server.start(id);
-  const auto pending = server.get_pending(id);
-  EXPECT_EQ(pending.size(), 3u);  // init simplex of a 2-d space
-  std::vector<double> performances(pending.size(), 1.0);
-  server.report_performance_batch(id, performances);
-  EXPECT_EQ(server.evaluations(id), 3u);
-}
-
 TEST(HarmonyServerTest, ConvergenceExposed) {
   SessionOptions options;
   options.patience = 4;

@@ -105,12 +105,5 @@ TEST(TuningSessionTest, NamePreserved) {
   EXPECT_EQ(session.name(), "my-session");
 }
 
-TEST(TuningSessionTest, ReportBatchAppendsHistory) {
-  TuningSession session("s", simple_space());
-  const std::vector<double> costs{5.0, 4.0, 3.0};
-  session.report(costs);
-  EXPECT_EQ(session.history().size(), 3u);
-}
-
 }  // namespace
 }  // namespace ah::harmony

@@ -152,33 +152,6 @@ TEST(SimplexTunerTest, EvaluationCountTracksTells) {
   EXPECT_EQ(tuner.evaluations(), 2u);
 }
 
-TEST(SimplexTunerTest, BatchReportEquivalentToSequential) {
-  SimplexTuner a(box(0, 100, 50, 3));
-  SimplexTuner b(box(0, 100, 50, 3));
-  auto objective = [](const PointI& p) {
-    double sum = 0;
-    for (const auto v : p) sum += static_cast<double>(v * v);
-    return sum;
-  };
-  // a: batch over the full init simplex.
-  {
-    const auto pending = a.pending();
-    std::vector<double> costs;
-    costs.reserve(pending.size());
-    for (const auto& p : pending) costs.push_back(objective(p));
-    a.report(costs);
-  }
-  // b: one at a time.
-  for (std::size_t i = 0; i < 4; ++i) b.tell(objective(b.ask()));
-  EXPECT_EQ(a.ask(), b.ask());  // same reflection point afterwards
-}
-
-TEST(SimplexTunerTest, ReportWrongCountThrows) {
-  SimplexTuner tuner(box(0, 100, 50, 2));
-  const std::vector<double> too_many{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_THROW(tuner.report(too_many), std::invalid_argument);
-}
-
 TEST(SimplexTunerTest, ShrinkProducesBatch) {
   // Force repeated contraction failures with an adversarial objective that
   // punishes every non-vertex point, eventually triggering a shrink whose
