@@ -1,5 +1,5 @@
 // Cluster-scale benchmark: how the per-line timelines and the shared
-// immutable model layer change what one process can hold.
+// popularity table change what one process can hold.
 //
 // Two questions, two sections:
 //
@@ -10,8 +10,8 @@
 //                     independent, so every cell computes identical
 //                     virtual histories; only the wall clock moves.
 //   * sharing       — resident bytes per system when 8 independent
-//                     single-line systems share one ModelImmutable +
-//                     popularity CDF (Config::shared).
+//                     single-line systems share one popularity CDF
+//                     (Config::shared).
 //
 // Resident bytes are tracked with a global operator-new/delete hook that
 // adds/subtracts malloc_usable_size() of every live allocation — exact
@@ -205,7 +205,7 @@ ScalePoint run_scale_point(std::size_t lines,
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: bytes/system with the shared immutable layer.
+// Section 2: bytes/system with the shared popularity table.
 // ---------------------------------------------------------------------------
 
 struct SharingSample {
@@ -216,7 +216,7 @@ struct SharingSample {
 constexpr std::size_t kSharingSystems = 8;
 
 /// Builds `kSharingSystems` single-line systems (SystemModel + Experiment)
-/// on one ModelImmutable and returns the live-heap cost.  The layer is
+/// on one popularity table and returns the live-heap cost.  The table is
 /// built inside the measured region, amortised over the systems — that is
 /// the honest marginal cost.
 SharingSample build_shared_systems() {
@@ -224,13 +224,13 @@ SharingSample build_shared_systems() {
   const core::Experiment::Config experiment = experiment_for(1);
 
   const std::int64_t before = live_bytes();
-  const std::shared_ptr<const core::ModelImmutable> layer =
+  const std::shared_ptr<const tpcw::ZipfSampler> popularity =
       core::make_model_immutable(topology, experiment);
   std::vector<std::unique_ptr<core::SystemModel>> systems;
   std::vector<std::unique_ptr<core::Experiment>> experiments;
   for (std::size_t r = 0; r < kSharingSystems; ++r) {
     core::SystemModel::Config config = topology;
-    config.shared = layer;
+    config.shared = popularity;
     systems.push_back(std::make_unique<core::SystemModel>(config));
     experiments.push_back(
         std::make_unique<core::Experiment>(*systems.back(), experiment));
@@ -298,7 +298,7 @@ void write_json(const std::vector<ScalePoint>& points,
   std::fprintf(out, "    \"topology\": \"1 line x (1 proxy + 1 app + 1 db)\",\n");
   std::fprintf(out,
                "    \"shared\": {\"layout\": \"lazy roles, one "
-               "ModelImmutable + popularity CDF\", \"total_bytes\": %lld, "
+               "popularity CDF\", \"total_bytes\": %lld, "
                "\"bytes_per_system\": %.0f}\n",
                static_cast<long long>(shared.total_bytes),
                shared.bytes_per_system);
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  std::printf("== sharing: %zu systems on one immutable layer ==\n",
+  std::printf("== sharing: %zu systems on one popularity table ==\n",
               kSharingSystems);
   const SharingSample shared = build_shared_systems();
   std::printf("  shared %10.1f KiB/system\n",

@@ -43,7 +43,8 @@ if(failed)
   message(FATAL_ERROR
     "differs from the committed golden in ${GOLDEN_DIR}: ${failed}\n"
     "If the model intentionally changed, regenerate the CSVs by running "
-    "the bench from the repository root.")
+    "the bench from ${GOLDEN_DIR} (bench binaries write into the current "
+    "directory).")
 endif()
 list(LENGTH expected count)
 message(STATUS "${count} golden CSV(s) byte-identical")

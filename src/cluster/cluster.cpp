@@ -1,5 +1,6 @@
 #include "cluster/cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/analysis.hpp"
@@ -26,10 +27,11 @@ const Node& Cluster::node(NodeId id) const { return *nodes_.at(id); }
 
 TierKind Cluster::tier_of(NodeId id) const { return node_tier_.at(id); }
 
-std::vector<Node*> Cluster::nodes_in(TierKind kind) {
-  std::vector<Node*> result;
-  for (NodeId id : tier(kind).members()) result.push_back(&node(id));
-  return result;
+std::size_t Cluster::healthy_count(TierKind kind) const {
+  const std::vector<NodeId>& members = tier(kind).members();
+  return static_cast<std::size_t>(
+      std::count_if(members.begin(), members.end(),
+                    [this](NodeId id) { return node(id).marked_up(); }));
 }
 
 void Cluster::move_node(NodeId id, TierKind to) {
@@ -42,7 +44,6 @@ void Cluster::move_node(NodeId id, TierKind to) {
   tier(from).remove(id);
   tier(to).add(id);
   node_tier_.at(id) = to;
-  if (move_observer_) move_observer_(id, from, to);
 }
 
 }  // namespace ah::cluster

@@ -1,17 +1,15 @@
 // Cluster topology: owns nodes and their tier assignment.
 //
 // Reconfiguration (paper Section IV) moves a node between tiers; the Cluster
-// records membership and raises an observer callback so that the web-stack
-// layer can stop/start the right server processes.  The Cluster itself is
-// policy-free — deciding *which* node to move is the Harmony reconfiguration
-// algorithm's job.
+// records membership only, and core::SystemModel stops and starts the
+// node's server roles around the move.  The Cluster itself is policy-free —
+// deciding *which* node to move is the Harmony reconfiguration algorithm's
+// job.
 #pragma once
 
 #include <array>
-#include <functional>
+#include <cstddef>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "cluster/node.hpp"
@@ -47,27 +45,21 @@ class Cluster {
   /// Tier a node currently belongs to.
   [[nodiscard]] TierKind tier_of(NodeId id) const;
 
-  /// Nodes of a tier in membership order.
-  [[nodiscard]] std::vector<Node*> nodes_in(TierKind kind);
+  /// Members of a tier whose node is marked up (cluster::HealthChecker's
+  /// view).  The reconfiguration controller treats this — not
+  /// Tier::size() — as the tier's usable capacity.
+  [[nodiscard]] std::size_t healthy_count(TierKind kind) const;
 
   /// Moves `id` to `to`.  Precondition: the source tier keeps >= 1 member
   /// (the paper's step-4(b) safety rule); violating it throws
-  /// std::logic_error.  Fires the move observer after membership changes.
+  /// std::logic_error.
   void move_node(NodeId id, TierKind to);
-
-  /// Observer invoked as (node, from, to) after each move.
-  AH_LINT_ALLOW(hot_path_alloc, "reconfiguration observer: node moves are rare control-plane events");
-  using MoveObserver = std::function<void(NodeId, TierKind, TierKind)>;
-  void set_move_observer(MoveObserver observer) {
-    move_observer_ = std::move(observer);
-  }
 
  private:
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<TierKind> node_tier_;
   std::array<Tier, kTierCount> tiers_{
       Tier{TierKind::kProxy}, Tier{TierKind::kApp}, Tier{TierKind::kDb}};
-  MoveObserver move_observer_;
 };
 
 }  // namespace ah::cluster

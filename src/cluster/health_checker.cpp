@@ -86,7 +86,6 @@ void HealthChecker::publish(NodeId id, bool up) {
     state.down_since = sim_.now();
   }
   cluster_.node(id).set_marked_up(up);
-  cluster_.tier(cluster_.tier_of(id)).set_member_health(id, up);
   if (observer_) observer_(id, up);
 }
 

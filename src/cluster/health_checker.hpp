@@ -5,10 +5,10 @@
 // consecutive failures (resp. `mark_up_after` successes), flips the node's
 // routing mark.  The two-threshold hysteresis is what keeps a *flapping*
 // node from whipsawing the load balancer — a single missed heartbeat never
-// changes routing.  Marks are published in two places consumed on different
-// paths: Node::marked_up() (read by routers building the availability mask
-// per request) and Tier::set_member_health (read by the reconfiguration
-// controller's capacity accounting).
+// changes routing.  Marks are published in one place, Node::marked_up():
+// routers read it to build the availability mask per request, and
+// Cluster::healthy_count() counts it for the reconfiguration controller's
+// capacity accounting.
 //
 // Probes are simulated-time events on the checker's timeline, so runs
 // remain bit-identical across thread counts; the probe itself reads

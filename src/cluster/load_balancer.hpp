@@ -2,9 +2,11 @@
 //
 // The paper assumes "workload evenly distributed among all the servers in
 // the same tier" for parameter duplication, and strict work-line isolation
-// for parameter partitioning.  Both are expressible here: kRoundRobin gives
-// even spread; the partitioned topology simply gives each work line a
-// single-backend balancer.
+// for parameter partitioning.  core::SystemModel gives every work line its
+// own routers, each balancing over that line's nodes only: the line's
+// frontend uses kRoundRobin (the testbed's DNS/IPVS-style rotation), its
+// proxy -> app and app -> db routers use kLeastLoaded (mod_jk's balancer
+// and DB connection pools).
 #pragma once
 
 #include <cstddef>

@@ -17,33 +17,13 @@ bool Tier::contains(NodeId id) const {
 void Tier::add(NodeId id) {
   assert(!contains(id));
   members_.push_back(id);
-  healthy_.push_back(1);
 }
 
 bool Tier::remove(NodeId id) {
   const auto it = std::find(members_.begin(), members_.end(), id);
   if (it == members_.end()) return false;
-  healthy_.erase(healthy_.begin() + (it - members_.begin()));
   members_.erase(it);
   return true;
-}
-
-void Tier::set_member_health(NodeId id, bool healthy) {
-  const auto it = std::find(members_.begin(), members_.end(), id);
-  if (it == members_.end()) return;
-  healthy_[static_cast<std::size_t>(it - members_.begin())] =
-      healthy ? std::uint8_t{1} : std::uint8_t{0};
-}
-
-bool Tier::member_healthy(NodeId id) const {
-  const auto it = std::find(members_.begin(), members_.end(), id);
-  if (it == members_.end()) return false;
-  return healthy_[static_cast<std::size_t>(it - members_.begin())] != 0;
-}
-
-std::size_t Tier::healthy_count() const {
-  return static_cast<std::size_t>(
-      std::count(healthy_.begin(), healthy_.end(), std::uint8_t{1}));
 }
 
 }  // namespace ah::cluster

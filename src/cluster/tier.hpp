@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -47,30 +46,15 @@ class Tier {
 
   [[nodiscard]] bool contains(NodeId id) const;
 
-  /// Appends a node (healthy by default).  Precondition: not already a
-  /// member.
+  /// Appends a node.  Precondition: not already a member.
   void add(NodeId id);
 
   /// Removes a node.  Returns false when it was not a member.
   bool remove(NodeId id);
 
-  // -- Health view (maintained by cluster::HealthChecker) -------------------
-  /// Marks member `id` up/down for capacity accounting.  No-op for
-  /// non-members (a node may be marked down while mid-move).
-  void set_member_health(NodeId id, bool healthy);
-  [[nodiscard]] bool member_healthy(NodeId id) const;
-  /// Number of members currently marked up.  The reconfiguration
-  /// controller treats this — not size() — as the tier's usable capacity.
-  [[nodiscard]] std::size_t healthy_count() const;
-
  private:
   TierKind kind_;
   std::vector<NodeId> members_;
-  /// Parallel to members_: non-zero when the node is marked up.  Byte
-  /// elements, not vector<bool>: per-line health checkers on different
-  /// work-line threads may write distinct entries concurrently, which a
-  /// packed bitfield would turn into a data race on the shared word.
-  std::vector<std::uint8_t> healthy_;
 };
 
 }  // namespace ah::cluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/analysis.hpp"
 
@@ -65,47 +66,6 @@ double percentile(std::span<const double> samples, double q) {
       std::ceil(q * static_cast<double>(sorted.size())));
   const std::size_t idx = rank == 0 ? 0 : rank - 1;
   return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-double mean_of(std::span<const double> samples) {
-  RunningStats s;
-  for (double x : samples) s.add(x);
-  return s.mean();
-}
-
-double stddev_of(std::span<const double> samples) {
-  RunningStats s;
-  for (double x : samples) s.add(x);
-  return s.sample_stddev();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > target) return bucket_low(i) + width_ / 2.0;
-  }
-  return bucket_low(counts_.size() - 1) + width_;
 }
 
 }  // namespace ah::common

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/analysis.hpp"
 
@@ -42,34 +40,6 @@ class RunningStats {
 /// Batch percentile over a copy of the samples (nearest-rank method).
 /// q in [0, 1].  Returns 0 for empty input.
 [[nodiscard]] double percentile(std::span<const double> samples, double q);
-
-/// Mean of a sample span (0 for empty input).
-[[nodiscard]] double mean_of(std::span<const double> samples);
-
-/// Sample standard deviation of a span (0 for n < 2).
-[[nodiscard]] double stddev_of(std::span<const double> samples);
-
-/// Fixed-bucket histogram for latency/utilization distributions.
-class Histogram {
- public:
-  /// Buckets are [lo + i*width, lo + (i+1)*width); values outside the range
-  /// are counted in saturating edge buckets.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_low(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  /// Approximate quantile from bucket boundaries.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Exponentially-weighted moving average, used for smoothed utilization
 /// readings in the reconfiguration monitor.

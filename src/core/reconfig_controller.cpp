@@ -29,7 +29,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::check() {
   // toward Tier::size(), so move_node's >=1-member check alone would let a
   // move drain the last *healthy* node out of the donor tier.
   const auto donor_tier = system_.cluster().tier_of(decision->donor_node);
-  if (system_.cluster().tier(donor_tier).healthy_count() <= 1) {
+  if (system_.cluster().healthy_count(donor_tier) <= 1) {
     return std::nullopt;
   }
 
@@ -80,7 +80,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::observe_p95(
 void ReconfigController::on_health_transition(cluster::NodeId id, bool up) {
   if (!reactive_enabled_ || up) return;
   const auto tier = system_.cluster().tier_of(id);
-  if (system_.cluster().tier(tier).healthy_count() >= reactive_.min_healthy) {
+  if (system_.cluster().healthy_count(tier) >= reactive_.min_healthy) {
     return;
   }
   borrow_into(tier);
@@ -96,7 +96,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::borrow_into(
   for (const auto& reading : readings) {
     const auto tier = system_.cluster().tier_of(reading.node_id);
     if (tier == needy) continue;
-    if (system_.cluster().tier(tier).healthy_count() <= 1) continue;
+    if (system_.cluster().healthy_count(tier) <= 1) continue;
     if (system_.move_in_progress(reading.node_id)) continue;
     if (donor == nullptr ||
         peak_utilization(reading) < peak_utilization(*donor)) {

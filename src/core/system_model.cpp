@@ -6,7 +6,6 @@
 #include "common/analysis.hpp"
 #include "common/fmt.hpp"
 #include "common/log.hpp"
-#include "core/model_immutable.hpp"
 
 namespace ah::core {
 
@@ -78,7 +77,7 @@ void SystemModel::build(sim::Simulator* borrowed) {
     line.monitor = std::make_unique<sim::UtilizationMonitor>(
         *line.sim, kMonitorPeriod, /*ewma_alpha=*/0.3);
     line.frontend = std::make_unique<webstack::FrontendRouter>(
-        *line.sim, kFrontendPolicy, common::SimTime::micros(300));
+        *line.sim, kFrontendPolicy);
     line.app_router = std::make_unique<webstack::AppTierRouter>(
         *line.network, kBackendPolicy);
     line.db_router = std::make_unique<webstack::DbTierRouter>(
@@ -250,12 +249,6 @@ void SystemModel::run_all_until(common::SimTime until) {
   }
 }
 
-std::shared_ptr<const tpcw::ZipfSampler> SystemModel::shared_popularity()
-    const {
-  return config_.shared != nullptr ? config_.shared->popularity_ptr()
-                                   : nullptr;
-}
-
 const std::vector<NodeId>& SystemModel::line_nodes(std::size_t line) const {
   return lines_.at(line).nodes;
 }
@@ -369,18 +362,11 @@ void SystemModel::finish_move(NodeId id, TierKind to,
       case TierKind::kApp:   ensure_app(state); break;
       case TierKind::kDb:    ensure_db(state); break;
     }
-    const TierKind from = cluster_.tier_of(id);
-    switch (from) {
-      case TierKind::kProxy: state.proxy->set_active(false); break;
-      case TierKind::kApp:   state.app->set_active(false); break;
-      case TierKind::kDb:    state.db->set_active(false); break;
-    }
+    set_role_active(state, false);  // the role of the tier it leaves
     cluster_.move_node(id, to);
-    switch (to) {
-      case TierKind::kProxy: state.proxy->set_active(true); break;
-      case TierKind::kApp:   state.app->set_active(true); break;
-      case TierKind::kDb:    state.db->set_active(true); break;
-    }
+    // A node that crashed mid-move joins its new tier dead; restart_node
+    // activates the role.
+    if (cluster_.node(id).alive()) set_role_active(state, true);
     register_active(state);
     state.moving = false;
   });
@@ -873,7 +859,7 @@ std::vector<harmony::NodeReading> SystemModel::readings() {
     const cluster::Node& node = cluster_.node(state.id);
     // Dead or marked-down nodes carry no usable load signal and must not
     // be chosen as reconfiguration donors; the controller sees the tier's
-    // capacity shrink instead (Tier::healthy_count).
+    // capacity shrink instead (Cluster::healthy_count).
     if (!node.alive() || !node.marked_up()) continue;
     const TierKind tier = cluster_.tier_of(state.id);
     const sim::UtilizationMonitor& monitor = *lines_[state.line].monitor;

@@ -6,13 +6,13 @@
 // own routers, so requests entering line g never touch another line.  The
 // common single-line topology is just lines = {1 spec}.
 //
-// The model splits into two layers.  Immutable state — interaction tables,
-// mix distributions, the Zipf popularity CDF, catalogue metadata, hardware
-// profiles, the Configs — lives in core::ModelImmutable and is shared by
-// std::shared_ptr<const> across every line and every model built from the
-// same options (Config::shared).  Everything owned here is the mutable
-// layer: event queues, networks, routers, pools, RNG streams, histograms —
-// small and strictly per-model.
+// Immutable state shared between models is one table: the Zipf item
+// popularity CDF, which make_model_immutable builds once and Config::shared
+// hands by std::shared_ptr<const> to every line and every model built from
+// the same options.  The other read-only tables (interaction profiles,
+// mixes, the parameter catalogue) are process-wide constants.  Everything
+// owned here is per-model: event queues, networks, routers, pools, RNG
+// streams, histograms.
 //
 // Each node owns one server object per role it has ever played; only the
 // one matching the node's current tier is active and registered in the
@@ -62,8 +62,6 @@
 
 namespace ah::core {
 
-class ModelImmutable;
-
 class SystemModel {
  public:
   struct LineSpec {
@@ -79,11 +77,11 @@ class SystemModel {
     std::vector<LineSpec> lines = std::vector<LineSpec>(1);
     cluster::NodeHardware hardware{};
     std::uint64_t seed = 1;
-    /// Shared immutable layer (make_model_immutable).  Models built from
-    /// the same options may point at one copy; null means the model derives
-    /// everything privately — behaviour is identical either way, only the
-    /// memory footprint differs.
-    std::shared_ptr<const ModelImmutable> shared;
+    /// Shared popularity table (make_model_immutable).  Models built from
+    /// the same options may point at one copy; null means each experiment
+    /// builds its own — behaviour is identical either way, only the memory
+    /// footprint differs.
+    std::shared_ptr<const tpcw::ZipfSampler> shared;
   };
 
   /// One owned Simulator per work line; set_thread_pool() lets
@@ -117,13 +115,11 @@ class SystemModel {
   /// Borrows a pool for run_all_until() fan-out (nullptr: run serially).
   /// The pool must outlive this model or be detached before destruction.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-  /// Shared immutable layer, or null when this model owns its tables.
-  [[nodiscard]] const ModelImmutable* immutable() const {
-    return config_.shared.get();
-  }
-  /// Popularity table from the immutable layer (null without one).
+  /// The shared popularity table, Config::shared (null without one).
   [[nodiscard]] std::shared_ptr<const tpcw::ZipfSampler> shared_popularity()
-      const;
+      const {
+    return config_.shared;
+  }
 
   /// Node ids belonging to a line, in creation order.
   [[nodiscard]] const std::vector<cluster::NodeId>& line_nodes(
@@ -193,19 +189,9 @@ class SystemModel {
   [[nodiscard]] bool fault_tolerance_enabled() const {
     return fault_tolerance_enabled_;
   }
-  /// Line 0's checker; null until enable_fault_tolerance().
-  [[nodiscard]] cluster::HealthChecker* health_checker() {
-    return line_health_checker(0);
-  }
   /// Line `line`'s checker; null until enable_fault_tolerance().
   [[nodiscard]] cluster::HealthChecker* line_health_checker(std::size_t line) {
     return lines_.at(line).health.get();
-  }
-  /// Line 0's network fabric.
-  [[nodiscard]] cluster::Network& network() { return line_network(0); }
-  /// The fabric carrying line `line`'s intra-line messages.
-  [[nodiscard]] cluster::Network& line_network(std::size_t line) {
-    return *lines_.at(line).network;
   }
 
   /// Schedules `plan` on the lines' timelines; events are applied through
@@ -316,10 +302,6 @@ class SystemModel {
   }
 
   // -- Monitoring ---------------------------------------------------------
-  /// Line 0's utilization monitor.
-  [[nodiscard]] sim::UtilizationMonitor& monitor() {
-    return *lines_.at(0).monitor;
-  }
   /// Snapshot of per-node readings for harmony::Reconfigurer, using the
   /// monitor's smoothed utilizations: [cpu, disk, nic, memory].
   [[nodiscard]] std::vector<harmony::NodeReading> readings();

@@ -43,7 +43,7 @@ using DbQueryFn = common::InlineFunction<
     void(const DbQuery&, cluster::Node& from, DbResultFn done), 48,
     common::SboPolicy::kRequired>;
 
-class AppServer : public Service {
+class AppServer {
  public:
   struct Stats {
     std::uint64_t served = 0;
@@ -59,7 +59,7 @@ class AppServer : public Service {
 
   AppServer(sim::Simulator& sim, cluster::Node& node, DbQueryFn db_query,
             const AppParams& params);
-  ~AppServer() override;
+  ~AppServer();
 
   /// Applies a new configuration (restart semantics; see file comment).
   void reconfigure(const AppParams& params);
@@ -68,7 +68,9 @@ class AppServer : public Service {
   void set_active(bool active);
   [[nodiscard]] bool active() const { return active_; }
 
-  void handle(const Request& request, ResponseFn done) override;
+  /// Serves `request`; `done` fires exactly once, when the response is
+  /// ready (or the request was rejected — indicated by !ok).
+  void handle(const Request& request, ResponseFn done);
 
   /// Opt-in span tracing (null disables, the default).  Queue wait is the
   /// gap between arrival and the HTTP connector thread grant.

@@ -43,7 +43,7 @@ AH_HOT_PATH_FILE;
 
 namespace ah::webstack {
 
-class DbServer : public DbService {
+class DbServer {
  public:
   struct Stats {
     std::uint64_t queries = 0;
@@ -57,7 +57,7 @@ class DbServer : public DbService {
 
   DbServer(sim::Simulator& sim, cluster::Node& node, const DbParams& params,
            std::uint64_t seed = 42);
-  ~DbServer() override;
+  ~DbServer();
 
   /// Applies a new configuration (restart semantics; see file comment).
   void reconfigure(const DbParams& params);
@@ -65,7 +65,9 @@ class DbServer : public DbService {
   void set_active(bool active);
   [[nodiscard]] bool active() const { return active_; }
 
-  void execute(const DbQuery& query, DbResultFn done) override;
+  /// Executes `query`; `done` fires exactly once, with !ok when the query
+  /// was rejected.
+  void execute(const DbQuery& query, DbResultFn done);
 
   /// Opt-in span tracing (null disables, the default).  Queue wait is the
   /// gap between arrival and the connection-slot grant.

@@ -46,7 +46,7 @@ using ForwardFn = common::InlineFunction<
     void(const Request&, cluster::Node& from, ResponseFn done), 48,
     common::SboPolicy::kRequired>;
 
-class ProxyServer : public Service {
+class ProxyServer {
  public:
   struct Stats {
     std::uint64_t served = 0;
@@ -80,7 +80,7 @@ class ProxyServer : public Service {
 
   ProxyServer(sim::Simulator& sim, cluster::Node& node, ForwardFn forward,
               const ProxyParams& params);
-  ~ProxyServer() override;
+  ~ProxyServer();
 
   /// Applies a new configuration: restart semantics (see file comment).
   void reconfigure(const ProxyParams& params);
@@ -110,7 +110,9 @@ class ProxyServer : public Service {
   }
   [[nodiscard]] ctrl::AdmissionController* admission() { return admission_; }
 
-  void handle(const Request& request, ResponseFn done) override;
+  /// Serves `request`; `done` fires exactly once, when the response is
+  /// ready (or the request was rejected — indicated by !ok).
+  void handle(const Request& request, ResponseFn done);
 
   [[nodiscard]] cluster::Node& node() { return node_; }
   [[nodiscard]] const ProxyParams& params() const { return params_; }

@@ -92,15 +92,6 @@ struct Response {
 using ResponseFn = common::InlineFunction<void(const Response&), 80,
                                           common::SboPolicy::kRequired>;
 
-/// Anything that can serve a Request asynchronously.
-class Service {
- public:
-  virtual ~Service() = default;
-  /// Serves `request`; `done` fires exactly once, when the response is
-  /// ready (or the request was rejected — indicated by !ok).
-  virtual void handle(const Request& request, ResponseFn done) = 0;
-};
-
 /// One database query as issued by an application server.
 struct DbQuery {
   QueryClass cls = QueryClass::kSelectSimple;
@@ -120,12 +111,5 @@ struct DbResult {
 /// Query-result continuation (see ResponseFn for the callable choice).
 using DbResultFn = common::InlineFunction<void(const DbResult&), 48,
                                           common::SboPolicy::kRequired>;
-
-/// Anything that can execute a DbQuery asynchronously.
-class DbService {
- public:
-  virtual ~DbService() = default;
-  virtual void execute(const DbQuery& query, DbResultFn done) = 0;
-};
 
 }  // namespace ah::webstack

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ah::cluster {
 namespace {
 
@@ -28,15 +30,6 @@ TEST_F(ClusterTest, TierMembershipRecorded) {
   EXPECT_TRUE(cluster_.tier(TierKind::kProxy).contains(p));
 }
 
-TEST_F(ClusterTest, NodesInTierOrdered) {
-  const auto a = cluster_.add_node(sim_, hw_, TierKind::kApp);
-  const auto b = cluster_.add_node(sim_, hw_, TierKind::kApp);
-  auto nodes = cluster_.nodes_in(TierKind::kApp);
-  ASSERT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(nodes[0]->id(), a);
-  EXPECT_EQ(nodes[1]->id(), b);
-}
-
 TEST_F(ClusterTest, MoveNodeUpdatesMembership) {
   const auto p1 = cluster_.add_node(sim_, hw_, TierKind::kProxy);
   cluster_.add_node(sim_, hw_, TierKind::kProxy);
@@ -54,29 +47,14 @@ TEST_F(ClusterTest, MoveLastNodeThrows) {
 }
 
 TEST_F(ClusterTest, MoveToSameTierIsNoop) {
+  // A one-member tier: a real move out of it would throw.
   const auto p = cluster_.add_node(sim_, hw_, TierKind::kProxy);
-  bool observed = false;
-  cluster_.set_move_observer(
-      [&](NodeId, TierKind, TierKind) { observed = true; });
+  const auto a = cluster_.add_node(sim_, hw_, TierKind::kApp);
   cluster_.move_node(p, TierKind::kProxy);
-  EXPECT_FALSE(observed);
-}
-
-TEST_F(ClusterTest, MoveObserverFires) {
-  const auto p1 = cluster_.add_node(sim_, hw_, TierKind::kProxy);
-  cluster_.add_node(sim_, hw_, TierKind::kProxy);
-  NodeId moved = 999;
-  TierKind from{};
-  TierKind to{};
-  cluster_.set_move_observer([&](NodeId id, TierKind f, TierKind t) {
-    moved = id;
-    from = f;
-    to = t;
-  });
-  cluster_.move_node(p1, TierKind::kDb);
-  EXPECT_EQ(moved, p1);
-  EXPECT_EQ(from, TierKind::kProxy);
-  EXPECT_EQ(to, TierKind::kDb);
+  EXPECT_EQ(cluster_.tier_of(p), TierKind::kProxy);
+  EXPECT_EQ(cluster_.tier(TierKind::kProxy).members(),
+            std::vector<NodeId>{p});
+  EXPECT_EQ(cluster_.tier(TierKind::kApp).members(), std::vector<NodeId>{a});
 }
 
 TEST_F(ClusterTest, NodeAccessOutOfRangeThrows) {

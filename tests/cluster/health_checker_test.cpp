@@ -53,8 +53,7 @@ TEST_F(HealthCheckerTest, CrashMarksDownWithinProbeBudget) {
   sim_.run_until(crashed_at + HealthChecker::probe_budget(config));
   EXPECT_FALSE(checker.node_up(1));
   EXPECT_FALSE(cluster_.node(1).marked_up());
-  EXPECT_FALSE(cluster_.tier(TierKind::kApp).member_healthy(1));
-  EXPECT_EQ(cluster_.tier(TierKind::kApp).healthy_count(), 2u);
+  EXPECT_EQ(cluster_.healthy_count(TierKind::kApp), 2u);
   // Untouched nodes keep their mark.
   EXPECT_TRUE(checker.node_up(0));
   EXPECT_TRUE(checker.node_up(2));
@@ -88,7 +87,7 @@ TEST_F(HealthCheckerTest, RecoveryMarksUpAfterHysteresis) {
   sim_.run_until(SimTime::seconds(2.0));
   EXPECT_TRUE(checker.node_up(2));
   EXPECT_TRUE(cluster_.node(2).marked_up());
-  EXPECT_EQ(cluster_.tier(TierKind::kApp).healthy_count(), 3u);
+  EXPECT_EQ(cluster_.healthy_count(TierKind::kApp), 3u);
 
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], (std::pair<NodeId, bool>{2, false}));

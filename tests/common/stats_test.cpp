@@ -111,45 +111,6 @@ TEST(PercentileTest, ClampsQuantile) {
   EXPECT_EQ(percentile(v, 1.5), 2.0);
 }
 
-TEST(MeanStddevOfTest, MatchRunningStats) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(v), 2.5);
-  EXPECT_NEAR(stddev_of(v), std::sqrt(5.0 / 3.0), 1e-12);
-}
-
-TEST(HistogramTest, CountsFallIntoBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(9.9);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(1000.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(HistogramTest, QuantileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
-TEST(HistogramTest, BucketLowBoundaries) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(4), 18.0);
-}
-
 TEST(EwmaTest, FirstSampleSeeds) {
   Ewma e(0.5);
   EXPECT_FALSE(e.seeded());

@@ -183,5 +183,40 @@ TEST(FailureInjectionTest, FaultPlanNamingUnknownNodesIsRejected) {
   EXPECT_NO_THROW(two_lines.install_fault_plan(*plan));
 }
 
+TEST(FailureInjectionTest, NodeCrashedDuringMoveStaysDownInItsNewTier) {
+  // An app node crashes one second into a ten-second move to the proxy
+  // tier.  When the move completes, the node joins the proxy tier dead: its
+  // new role stays inactive until a restart, and the tier's healthy count
+  // does not include it.
+  for (const bool fault_tolerance : {false, true}) {
+    SCOPED_TRACE(fault_tolerance ? "health checks on" : "health checks off");
+    sim::Simulator sim;
+    SystemModel::Config config;
+    config.lines = {SystemModel::LineSpec{2, 2, 1}};
+    SystemModel system(sim, config);
+    if (fault_tolerance) system.enable_fault_tolerance({});
+    const auto mover = system.cluster().tier(TierKind::kApp).members()[0];
+    system.move_node(mover, TierKind::kProxy, /*immediate=*/true,
+                     SimTime::seconds(10.0));
+    sim.run_until(SimTime::seconds(1.0));
+    system.crash_node(mover);
+    sim.run_until(SimTime::seconds(15.0));
+
+    ASSERT_FALSE(system.move_in_progress(mover));
+    EXPECT_EQ(system.cluster().tier_of(mover), TierKind::kProxy);
+    EXPECT_EQ(system.frontend(0).backend_count(), 3u);
+    EXPECT_FALSE(system.proxy_on(mover).active());
+    if (fault_tolerance) {
+      EXPECT_FALSE(system.cluster().node(mover).marked_up());
+      EXPECT_EQ(system.cluster().healthy_count(TierKind::kProxy), 2u);
+    }
+
+    // A restart brings the role up in the tier the node now belongs to.
+    system.restart_node(mover);
+    EXPECT_TRUE(system.proxy_on(mover).active());
+    EXPECT_FALSE(system.app_on(mover).active());
+  }
+}
+
 }  // namespace
 }  // namespace ah::core

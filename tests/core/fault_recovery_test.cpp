@@ -70,8 +70,8 @@ TEST(FaultRecoveryTest, CrashMarkDownRerouteGoodputAndRecovery) {
   // the end of that iteration.
   EXPECT_FALSE(system.cluster().node(victim).alive());
   EXPECT_FALSE(system.cluster().node(victim).marked_up());
-  EXPECT_EQ(system.cluster().tier(TierKind::kApp).healthy_count(), 1u);
-  EXPECT_GE(system.health_checker()->transitions(), 1u);
+  EXPECT_EQ(system.cluster().healthy_count(TierKind::kApp), 1u);
+  EXPECT_GE(system.line_health_checker(0)->transitions(), 1u);
   const SimTime budget = cluster::HealthChecker::probe_budget(ft.health);
   EXPECT_LE(budget, SimTime::seconds(1.0));  // fast config sanity
 
@@ -91,7 +91,7 @@ TEST(FaultRecoveryTest, CrashMarkDownRerouteGoodputAndRecovery) {
   EXPECT_TRUE(transition_up.disturbed);
   EXPECT_TRUE(system.cluster().node(victim).alive());
   EXPECT_TRUE(system.cluster().node(victim).marked_up());
-  EXPECT_EQ(system.cluster().tier(TierKind::kApp).healthy_count(), 2u);
+  EXPECT_EQ(system.cluster().healthy_count(TierKind::kApp), 2u);
 
   // 130..156 s: recovered steady state.
   const auto recovered = experiment.run_iteration();

@@ -127,7 +127,7 @@ TEST(OverloadControlTest, ReactiveBorrowsOnMarkDown) {
   EXPECT_EQ(controller.reactive_moves(), 1u);
   ASSERT_EQ(controller.moves().size(), 1u);
   EXPECT_EQ(controller.moves()[0].to_tier, static_cast<int>(TierKind::kDb));
-  EXPECT_GE(system.cluster().tier(TierKind::kDb).healthy_count(), 2u);
+  EXPECT_GE(system.cluster().healthy_count(TierKind::kDb), 2u);
 }
 
 TEST(OverloadControlTest, ReactiveBorrowsOnSustainedP95Breach) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <vector>
+
+#include "obs/histogram.hpp"
 
 namespace ah::webstack {
 namespace {
@@ -197,6 +200,143 @@ TEST_F(RouterTest, BackendCountsTrackAddRemove) {
   EXPECT_EQ(frontend_.backend_count(), 1u);
   EXPECT_TRUE(frontend_.remove_backend(&proxy));
   EXPECT_EQ(frontend_.backend_count(), 0u);
+}
+
+// -- One hop at a time ---------------------------------------------------
+// Fast-fail, the hop timeout and the hop histogram must behave the same on
+// all three routers, so each property is a typed test over the three.
+
+/// What `done` saw for one routed message.
+struct Outcome {
+  int calls = 0;
+  bool ok = true;
+  SimTime at;
+};
+
+template <typename Router>
+class HopTest : public RouterTest {
+ protected:
+  static constexpr bool kFrontend = std::is_same_v<Router, FrontendRouter>;
+  static constexpr bool kApp = std::is_same_v<Router, AppTierRouter>;
+
+  /// Builds the smallest stack behind the router under test and returns
+  /// the node of its one backend.  The app and db hops are routed from a
+  /// separate client node.
+  cluster::Node& build() {
+    client_ = &add_node("c0");
+    if constexpr (kFrontend) {
+      cluster::Node& node = add_node("p0");
+      add_proxy(node);
+      add_app(add_node("a0"));
+      return node;
+    } else if constexpr (kApp) {
+      cluster::Node& node = add_node("a0");
+      add_app(node);
+      return node;
+    } else {
+      cluster::Node& node = add_node("d0");
+      add_db(node);
+      return node;
+    }
+  }
+
+  Router& router() {
+    if constexpr (kFrontend) {
+      return frontend_;
+    } else if constexpr (kApp) {
+      return app_router_;
+    } else {
+      return db_router_;
+    }
+  }
+
+  /// Routes one message through the router under test alone.
+  void route(Outcome& out) {
+    auto record = [this, &out](bool ok) {
+      ++out.calls;
+      out.ok = ok;
+      out.at = sim_.now();
+    };
+    if constexpr (kFrontend) {
+      frontend_.route(make_request(false),
+                      [record](const Response& r) mutable { record(r.ok); });
+    } else if constexpr (kApp) {
+      app_router_.route(make_request(false), *client_,
+                        [record](const Response& r) mutable { record(r.ok); });
+    } else {
+      db_router_.route(DbQuery{}, *client_,
+                       [record](const DbResult& r) mutable { record(r.ok); });
+    }
+  }
+
+  cluster::Node* client_ = nullptr;
+};
+
+using HopRouters =
+    ::testing::Types<FrontendRouter, AppTierRouter, DbTierRouter>;
+TYPED_TEST_SUITE(HopTest, HopRouters);
+
+/// Shorter than any healthy hop here is long, far shorter than a hop on a
+/// backend slowed by kSlowdown.
+constexpr SimTime kHopTimeout = SimTime::millis(100);
+constexpr double kSlowdown = 1000.0;
+
+TYPED_TEST(HopTest, AllBackendsMarkedDownFailsBeforeReturning) {
+  this->build().set_marked_up(false);
+  const std::size_t pending = this->sim_.pending_events();
+  Outcome out;
+  this->route(out);
+  EXPECT_EQ(out.calls, 1);  // answered inside route()
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(this->router().stats().fast_fails, 1u);
+  EXPECT_EQ(this->sim_.pending_events(), pending);  // nothing scheduled
+}
+
+TYPED_TEST(HopTest, TimeoutShorterThanServiceFailsOnceThenCallIsReused) {
+  cluster::Node& backend = this->build();
+  this->router().set_hop_timeout(kHopTimeout);
+  backend.set_fault_slowdown(kSlowdown);
+  const SimTime routed_at = this->sim_.now();
+  Outcome slow;
+  this->route(slow);
+  this->sim_.run();  // the timeout fires, then the late reply comes back
+  EXPECT_EQ(slow.calls, 1);
+  EXPECT_FALSE(slow.ok);
+  EXPECT_EQ(slow.at, routed_at + kHopTimeout);
+  EXPECT_EQ(this->router().stats().timeouts, 1u);
+
+  // The next request reuses the released Call and is not touched by the
+  // first one's late reply.
+  backend.set_fault_slowdown(1.0);
+  Outcome next;
+  this->route(next);
+  this->sim_.run();
+  EXPECT_EQ(next.calls, 1);
+  EXPECT_TRUE(next.ok);
+  EXPECT_EQ(slow.calls, 1);
+  EXPECT_EQ(this->router().stats().timeouts, 1u);
+}
+
+TYPED_TEST(HopTest, HistogramRecordsEveryFinishedHop) {
+  cluster::Node& backend = this->build();
+  obs::Histogram hops;
+  this->router().set_hop_histogram(&hops);
+  this->router().set_hop_timeout(kHopTimeout);
+  backend.set_fault_slowdown(kSlowdown);
+  Outcome slow;
+  this->route(slow);
+  this->sim_.run();
+  EXPECT_EQ(hops.count(), 1u);  // the timed-out hop, once
+  EXPECT_EQ(hops.max_us(),
+            static_cast<std::uint64_t>(kHopTimeout.as_micros()));
+
+  backend.set_fault_slowdown(1.0);
+  Outcome fast;
+  this->route(fast);
+  this->sim_.run();
+  ASSERT_TRUE(fast.ok);
+  EXPECT_EQ(hops.count(), 2u);
+  EXPECT_LT(hops.min_us(), hops.max_us());
 }
 
 }  // namespace

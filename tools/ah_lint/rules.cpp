@@ -65,14 +65,15 @@ const std::vector<RuleDoc>& docs() {
        "  good: AH_OBS_RECORD_US(hop_histogram_, wait);"},
       {"shared_state",
        "AH_IMMUTABLE_STATE_FILE files hold model state shared read-only "
-       "across replica and work-line threads: no non-const statics (hidden "
+       "across models and work-line threads: no non-const statics (hidden "
        "writable globals race across threads) and no `mutable` members "
        "(writes through const references defeat the shared-const safety "
        "argument). Use static const/constexpr tables, or move the state to "
        "the mutable layer.",
-       "core::ModelImmutable is shared by std::shared_ptr<const> across "
-       "every replica and work line with no synchronisation; the safety "
-       "argument is exactly `const after construction`.\n"
+       "The popularity table from core::make_model_immutable is shared by "
+       "std::shared_ptr<const> across every model and work line with no "
+       "synchronisation; the safety argument is exactly `const after "
+       "construction`.\n"
        "  bad:  static int call_count = 0;   // racy hidden global\n"
        "  good: static constexpr int kTableSize = 64;"},
       {"hot_path_reach",
@@ -248,7 +249,7 @@ const std::vector<Check>& shared_state_checks() {
     c.push_back({"shared_state",
                  std::regex(R"((^|[^_A-Za-z0-9])static\s+(?!const\b|constexpr\b))"),
                  "non-const static in an immutable-layer file: a hidden "
-                 "writable global shared by every replica and work-line "
+                 "writable global shared by every model and work-line "
                  "thread; make it static const/constexpr or move it to the "
                  "mutable layer"});
     c.push_back({"shared_state",
