@@ -92,10 +92,10 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: this bench built from the commit before eager event
-// cancellation (calendar-queue EventQueue whose cancelled events stayed
-// stored until their tick) and run on the recording host.  Median of five
-// full runs, alternated with runs of the current build.  Re-measured
+// Baseline: this bench built from the commit before the cheaper-events
+// change (closures moved through by-value schedule/push, advance()
+// cascading one level at a time) and run on the recording host.  Median of
+// five full runs, alternated with runs of the current build.  Re-measured
 // numbers land in "after"; keeping the baseline in-source makes the JSON
 // self-contained and the speedup claims auditable.
 // ---------------------------------------------------------------------------
@@ -115,14 +115,14 @@ struct BaselineNumbers {
 };
 
 constexpr BaselineNumbers kBaseline = {
-    /*zipf_samples_per_sec=*/51.08e6,
-    /*lru_ops_per_sec=*/11.21e6,
-    /*event_queue_ops_per_sec=*/10.75e6,
+    /*zipf_samples_per_sec=*/51.13e6,
+    /*lru_ops_per_sec=*/10.85e6,
+    /*event_queue_ops_per_sec=*/11.02e6,
     /*allocs_per_request=*/0.0,
     {
-        /*Browsing=*/{5491999, 481179, 0.000267},
-        /*Shopping=*/{5279658, 338171, 0.000442},
-        /*Ordering=*/{4988748, 188757, 0.000681},
+        /*Browsing=*/{5175289, 453430, 0.000284},
+        /*Shopping=*/{5047419, 323296, 0.000463},
+        /*Ordering=*/{5158573, 195182, 0.000658},
     },
 };
 
@@ -333,9 +333,9 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "  \"before\": {\n");
   std::fprintf(out,
                "    \"provenance\": \"median of five full runs of the "
-               "previous build on the same host: calendar-queue "
-               "EventQueue with lazy cancellation (cancelled events stay "
-               "stored until their tick)\",\n");
+               "previous build on the same host: closures moved through "
+               "by-value schedule/push, advance() cascading one wheel "
+               "level at a time\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n",
                kBaseline.zipf_samples_per_sec);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n",
@@ -357,8 +357,9 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "    ]\n  },\n");
   std::fprintf(out, "  \"after\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"calendar-queue EventQueue with "
-               "eager cancellation (cancel frees the slot at once)\",\n");
+               "    \"provenance\": \"cheaper simulator events: each "
+               "closure built once in its queue slot, advance() jumping "
+               "the cursor straight to the next event\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n", zipf_rate);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n", lru_rate);
   std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n", queue_rate);

@@ -81,10 +81,8 @@ const Network::LinkFault* Network::match_fault(NodeId from, NodeId to) const {
 }
 
 void Network::nic_done(Msg* msg) {
-  const common::SimTime latency = msg->latency;
-  sim::EventFn cb = std::move(msg->on_delivered);
+  sim_.schedule(msg->latency, std::move(msg->on_delivered));
   msgs_.release(msg);
-  sim_.schedule(latency, std::move(cb));
 }
 
 }  // namespace ah::cluster

@@ -9,6 +9,9 @@
 // throwing-move targets.  Move-only on purpose: event/task closures are
 // consumed exactly once, and dropping copyability lets the queue hold
 // move-only callables (e.g. std::packaged_task) without shared_ptr wrappers.
+//
+// Assigning a callable constructs it straight in the buffer, which lets a
+// container build a closure in its final slot instead of moving it there.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +54,18 @@ class InlineFunction<R(Args...), Capacity, Policy> {
       reset();
       move_from(other);
     }
+    return *this;
+  }
+
+  /// Replaces the target with `callable`, constructed in place.
+  template <typename F,
+            typename D = std::decay_t<F>,
+            typename = std::enable_if_t<
+                !std::is_same_v<D, InlineFunction> &&
+                std::is_invocable_r_v<R, D&, Args...>>>
+  InlineFunction& operator=(F&& callable) {
+    reset();
+    construct<D>(std::forward<F>(callable));
     return *this;
   }
 

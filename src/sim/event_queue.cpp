@@ -10,18 +10,19 @@ AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
-EventId EventQueue::push(common::SimTime time, EventFn fn) {
-  std::uint32_t n;
-  if (!free_slots_.empty()) {
-    n = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    n = static_cast<std::uint32_t>(nodes_.size());
+std::uint32_t EventQueue::claim_slot() {
+  if (free_slots_.empty()) {
     nodes_.push_back(Node{});
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
+  const std::uint32_t n = free_slots_.back();
+  free_slots_.pop_back();
+  return n;
+}
+
+EventId EventQueue::insert(std::uint32_t n, common::SimTime time) {
   Node& node = nodes_[n];
   node.time = time;
-  node.fn = std::move(fn);
   const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
   ++size_;
   place(n);
@@ -49,7 +50,7 @@ bool EventQueue::cancel(EventId id) {
       wheel.occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
   }
-  node.fn = EventFn{};
+  node.fn.reset();
   // Generation wrap after 2^32 reuses of one slot is accepted: a caller
   // would need to hold an id across four billion pushes into the same slot
   // to see a false match.
@@ -93,7 +94,7 @@ void EventQueue::place(std::uint32_t n) {
     return;
   }
   // All digits above the level match the cursor's, so the bucket is
-  // reached before any cascade could disturb it.
+  // reached before any jump could disturb it.
   const std::size_t level = level_of(tick);
   if (level >= kLevels) {
     append(overflow_, n);
@@ -150,79 +151,49 @@ EventQueue::Entry EventQueue::pop() {
 
 void EventQueue::advance() {
   assert(ready_.head == kNil && size_ > 0);
-  for (;;) {
-    // Level 0: the next populated one-tick bucket in the current 256-tick
-    // block.  Buckets at or below the cursor's digit are empty (drained or
-    // never fillable), so the scan starts one past it.
-    if (const int idx = next_occupied(0, (cursor_ & kIndexMask) + 1);
-        idx >= 0) {
-      const auto b = static_cast<std::size_t>(idx);
-      cursor_ = (cursor_ & ~kIndexMask) | static_cast<std::uint64_t>(idx);
-      Wheel& wheel = wheels_[0];
-      ready_ = wheel.buckets[b];  // whole-list splice: one tick's FIFO run
-      wheel.buckets[b] = List{};
-      wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      return;
-    }
-    // Block exhausted: cascade one bucket down from the lowest populated
-    // higher level.  Redistributing in stored order into provably-empty
-    // child buckets preserves FIFO ties end to end.
-    bool cascaded = false;
-    for (std::size_t level = 1; level < kLevels; ++level) {
-      const std::uint64_t cur =
-          (cursor_ >> (level * kBucketBits)) & kIndexMask;
-      const int idx = next_occupied(level, cur + 1);
-      if (idx < 0) continue;
-      const auto b = static_cast<std::size_t>(idx);
-      const std::uint64_t block_mask = ~std::uint64_t{0}
-                                       << ((level + 1) * kBucketBits);
-      cursor_ = (cursor_ & block_mask) |
-                (static_cast<std::uint64_t>(idx) << (level * kBucketBits));
-      Wheel& wheel = wheels_[level];
-      std::uint32_t n = wheel.buckets[b].head;
-      wheel.buckets[b] = List{};
-      wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      while (n != kNil) {
-        const std::uint32_t next = nodes_[n].next;
-        place(n);
-        n = next;
-      }
-      cascaded = true;
-      break;
-    }
-    if (cascaded) {
-      // Nodes whose tick equals the new cursor landed in the ready list
-      // and must pop before anything the level-0 scan would find.
-      if (ready_.head != kNil) return;
-      continue;
-    }
-    if (overflow_.head == kNil) return;  // nothing stored: precondition
-    drain_overflow_epoch();
-    if (ready_.head != kNil) return;
+  // Level 0: the next populated one-tick bucket in the current 256-tick
+  // block.  Buckets at or below the cursor's digit are empty (drained or
+  // never fillable), so the scan starts one past it.
+  if (const int idx = next_occupied(0, (cursor_ & kIndexMask) + 1);
+      idx >= 0) {
+    const auto b = static_cast<std::size_t>(idx);
+    cursor_ = (cursor_ & ~kIndexMask) | static_cast<std::uint64_t>(idx);
+    Wheel& wheel = wheels_[0];
+    ready_ = wheel.buckets[b];  // whole-list splice: one tick's FIFO run
+    wheel.buckets[b] = List{};
+    wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    return;
   }
-}
-
-void EventQueue::drain_overflow_epoch() {
-  constexpr std::size_t kEpochShift = kLevels * kBucketBits;  // 32
-  std::uint64_t min_tick = ~std::uint64_t{0};
-  for (std::uint32_t n = overflow_.head; n != kNil; n = nodes_[n].next) {
-    min_tick = std::min(min_tick, tick_of(nodes_[n].time));
+  // Block exhausted: the next events sit in the lowest populated higher
+  // bucket, or, with every wheel empty, in the overflow list.  Every level
+  // below that source is empty, so its earliest tick is the next one.
+  List* source = &overflow_;
+  for (std::size_t level = 1; level < kLevels; ++level) {
+    const std::uint64_t cur = (cursor_ >> (level * kBucketBits)) & kIndexMask;
+    const int idx = next_occupied(level, cur + 1);
+    if (idx < 0) continue;
+    const auto b = static_cast<std::size_t>(idx);
+    Wheel& wheel = wheels_[level];
+    source = &wheel.buckets[b];
+    wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    break;
   }
-  // Overflow nodes always live in epochs strictly beyond the cursor's, so
-  // jumping to the epoch base only moves the cursor forward.
-  const std::uint64_t epoch = min_tick >> kEpochShift;
-  cursor_ = epoch << kEpochShift;
-  // Stable split: the epoch's nodes re-place into the wheels in stored
-  // order; later epochs keep their order for the next drain.
-  std::uint32_t n = overflow_.head;
-  overflow_ = List{};
+  const std::uint32_t head = source->head;
+  *source = List{};
+  assert(head != kNil);
+  // Jump the cursor to the earliest tick and re-place the nodes in stored
+  // order: that tick's nodes form the ready list, the rest land in lower
+  // buckets that are provably empty (overflow nodes of later epochs go back
+  // to the overflow list), so FIFO ties survive.
+  std::uint64_t earliest = ~std::uint64_t{0};
+  for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) {
+    earliest = std::min(earliest, tick_of(nodes_[n].time));
+  }
+  cursor_ = earliest;
+  std::uint32_t n = head;
   while (n != kNil) {
     const std::uint32_t next = nodes_[n].next;
-    if (tick_of(nodes_[n].time) >> kEpochShift == epoch) {
-      place(n);
-    } else {
-      append(overflow_, n);
-    }
+    place(n);
     n = next;
   }
 }

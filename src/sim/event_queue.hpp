@@ -3,39 +3,47 @@
 // A hierarchical calendar queue (timer wheel): four levels of 256 buckets
 // whose widths grow by a factor of 256 per level, so one structure spans
 // 2^32 µs (~71 minutes) of future time at O(1) amortised push/pop; events
-// beyond that horizon wait in an overflow list that is folded back in one
-// 2^32 µs epoch at a time.  A cursor tracks the tick (µs) the queue has
-// drained up to; the ready list holds the events of the cursor's tick in
-// FIFO order.  When it empties, the level-0 occupancy bitmap yields the
-// next populated one-tick bucket directly, and when a 256-tick block is
-// exhausted a bucket from the lowest-populated higher level cascades down.
+// beyond that horizon wait in an overflow list.  A cursor tracks the tick
+// (µs) the queue has drained up to; the ready list holds the events of the
+// cursor's tick in FIFO order.  When it empties, the level-0 occupancy
+// bitmap yields the next populated one-tick bucket directly.  When the
+// cursor's 256-tick block is exhausted, advance() jumps: it takes the
+// lowest populated higher bucket (or, with every wheel empty, the overflow
+// list), moves the cursor straight to the earliest tick among its nodes
+// and re-places them, so that tick's nodes become the ready list at once
+// and the rest fall into lower levels.
 //
 // Storage is a single slab of nodes that doubles as the id slot table;
 // buckets, the ready run and the overflow are intrusive doubly-linked
-// lists threaded through the slab.  Moving an event between levels is a
-// pointer splice — the closure payload never moves — and once the slab has
-// grown to the peak pending population the queue performs no heap
+// lists threaded through the slab.  push() constructs the closure directly
+// in its node, and moving an event between levels is a pointer splice —
+// the closure payload never moves until pop() hands it out.  Once the slab
+// has grown to the peak pending population the queue performs no heap
 // allocation at all, no matter which buckets future times touch.
 //
 // Determinism: equal-time events pop in push order.  The wheel preserves
 // this without sequence numbers because every list involved only ever
 // gains nodes in push order — a bucket receives nodes either from `push`
-// (later pushes append later) or from a cascade, which distributes a
-// single parent bucket's nodes in their stored order into child buckets
-// that are provably empty at that moment.  Pop order is therefore
-// byte-identical to the previous (time, sequence) binary heap.
+// (later pushes append later) or from a jump, which re-places a single
+// bucket's (or the overflow list's) nodes in their stored order into
+// buckets that are provably empty at that moment: every level below the
+// source bucket's is empty when the jump happens.  The jump lands in the
+// same state as cascading the bucket one level at a time (same cursor,
+// same stored order in every bucket), so pop order is byte-identical to
+// the previous (time, sequence) binary heap.
 //
 // Cancellation is eager: cancel() unlinks the node, destroys its closure
 // and frees its slot at once, so a cancelled timer costs no memory and is
-// never cascaded.  The node's list needs no stored location; it follows
+// never re-placed.  The node's list needs no stored location; it follows
 // from the node's tick and the cursor exactly as in place(): at or behind
 // the cursor means the ready run, otherwise the highest base-256 digit in
 // which tick and cursor differ names the wheel level (overflow beyond the
 // last one).  The mapping holds for as long as the node is stored: the
-// cursor only ever moves into the next populated bucket, whose nodes are
-// re-placed (or become the ready run), and every node it leaves in place
-// still differs from it in the same highest digit.  Unlinking never
-// reorders the nodes that remain, so cancellation cannot change pop order.
+// cursor only ever jumps to the earliest tick of the next populated bucket,
+// whose nodes are re-placed (or become the ready run), and every node it
+// leaves in place still differs from it in the same highest digit.
+// Unlinking never reorders the nodes that remain, so cancellation cannot
+// change pop order.
 //
 // Event ids are generation-stamped slot handles: the low 32 bits index the
 // slab, the high 32 bits carry that slot's generation at push time.
@@ -49,6 +57,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/analysis.hpp"
@@ -74,9 +83,16 @@ class EventQueue {
     EventFn fn;
   };
 
-  /// Inserts an event; returns its id (usable with `cancel`).  Ids are
-  /// never zero, so 0 is safe as a caller-side "no event" sentinel.
-  EventId push(common::SimTime time, EventFn fn);
+  /// Inserts an event whose closure is built from `fn` directly in its
+  /// slab node (one move for an rvalue callable, none in transit); returns
+  /// its id (usable with `cancel`).  Ids are never zero, so 0 is safe as a
+  /// caller-side "no event" sentinel.
+  template <typename F>
+  EventId push(common::SimTime time, F&& fn) {
+    const std::uint32_t n = claim_slot();
+    nodes_[n].fn = std::forward<F>(fn);
+    return insert(n, time);
+  }
 
   /// Removes a pending event and frees its slot at once.  Returns false
   /// when the id is unknown, already fired or already cancelled (a no-op,
@@ -158,6 +174,10 @@ class EventQueue {
                                     kIndexMask);
   }
 
+  /// A free slab slot, growing the slab when none is left.
+  std::uint32_t claim_slot();
+  /// Files the claimed slot `n` (closure already in place) at `time`.
+  EventId insert(std::uint32_t n, common::SimTime time);
   void append(List& list, std::uint32_t n);
   void unlink(List& list, std::uint32_t n);
   /// Routes a node to the ready list, a wheel bucket, or the overflow list
@@ -169,9 +189,6 @@ class EventQueue {
   /// Advances the cursor to the next populated tick and loads it into the
   /// ready list.  Precondition: the ready list is empty and !empty().
   void advance();
-  /// Folds the earliest 2^32 µs epoch of overflow nodes back into the
-  /// wheels (in stored order, preserving FIFO ties).
-  void drain_overflow_epoch();
   /// Next set bucket index >= `from` at `level`, or -1.
   [[nodiscard]] int next_occupied(std::size_t level, std::uint64_t from) const;
 

@@ -29,7 +29,7 @@ void Resource::account_now() {
 bool Resource::submit(common::SimTime demand, Completion on_complete) {
   account_now();
   if (busy_ < config_.servers) {
-    start_service(Job{demand, std::move(on_complete)});
+    start_service(demand, std::move(on_complete));
     return true;
   }
   if (queue_.size() >= config_.queue_capacity) {
@@ -81,22 +81,24 @@ std::size_t Resource::clear_queue() {
 
 void Resource::start_pending() {
   while (busy_ < config_.servers && !queue_.empty()) {
-    start_service(queue_.take_front());
+    Job& job = queue_.front();
+    start_service(job.demand, std::move(job.on_complete));
+    queue_.pop_front();
   }
 }
 
-void Resource::start_service(Job job) {
+void Resource::start_service(common::SimTime demand,
+                             Completion&& on_complete) {
   ++busy_;
-  const common::SimTime service = job.demand * config_.slowdown;
-  auto finish = [this, on_complete = std::move(job.on_complete)]() mutable {
-    on_service_done(std::move(on_complete));
+  auto finish = [this, on_complete = std::move(on_complete)]() mutable {
+    on_service_done(on_complete);
   };
   static_assert(EventFn::stores_inline<decltype(finish)>(),
                 "service-completion closure must not allocate");
-  sim_.schedule(service, std::move(finish));
+  sim_.schedule(demand * config_.slowdown, std::move(finish));
 }
 
-void Resource::on_service_done(Completion on_complete) {
+void Resource::on_service_done(Completion& on_complete) {
   account_now();
   --busy_;
   ++completed_;

@@ -95,8 +95,9 @@ class Resource {
   void account_now();
   /// Starts queued jobs while servers are available.
   void start_pending();
-  void start_service(Job job);
-  void on_service_done(Completion on_complete);
+  /// Starts one job; the completion is moved once, into the event closure.
+  void start_service(common::SimTime demand, Completion&& on_complete);
+  void on_service_done(Completion& on_complete);
 
   Simulator& sim_;
   std::string name_;

@@ -2,20 +2,10 @@
 #include "common/analysis.hpp"
 
 #include <algorithm>
-#include <utility>
 
 AH_HOT_PATH_FILE;
 
 namespace ah::sim {
-
-EventId Simulator::schedule(common::SimTime delay, EventFn fn) {
-  return schedule_at(now_ + std::max(delay, common::SimTime::zero()),
-                     std::move(fn));
-}
-
-EventId Simulator::schedule_at(common::SimTime at, EventFn fn) {
-  return queue_.push(std::max(at, now_), std::move(fn));
-}
 
 std::uint64_t Simulator::run_until(common::SimTime until) {
   std::uint64_t count = 0;

@@ -6,7 +6,9 @@
 // line), never from sharing one timeline across threads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "common/analysis.hpp"
 #include "common/units.hpp"
@@ -26,11 +28,21 @@ class Simulator {
   [[nodiscard]] common::SimTime now() const { return now_; }
 
   /// Schedules `fn` to run `delay` after now.  Negative delays clamp to now
-  /// (an event can never fire in the past).
-  EventId schedule(common::SimTime delay, EventFn fn);
+  /// (an event can never fire in the past).  A forwarding template: the
+  /// callable travels by reference and is built once, as an EventFn in its
+  /// queue slot.  A capture too large for EventFn's inline buffer is still
+  /// a compile error.
+  template <typename F>
+  EventId schedule(common::SimTime delay, F&& fn) {
+    return schedule_at(now_ + std::max(delay, common::SimTime::zero()),
+                       std::forward<F>(fn));
+  }
 
   /// Schedules `fn` at the absolute time `at` (clamped to now).
-  EventId schedule_at(common::SimTime at, EventFn fn);
+  template <typename F>
+  EventId schedule_at(common::SimTime at, F&& fn) {
+    return queue_.push(std::max(at, now_), std::forward<F>(fn));
+  }
 
   /// Cancels a pending event; no-op for fired/unknown ids.
   bool cancel(EventId id) { return queue_.cancel(id); }

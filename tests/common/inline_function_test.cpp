@@ -6,6 +6,8 @@
 #include <memory>
 #include <utility>
 
+#include "../support/move_counter.hpp"
+
 namespace ah::common {
 namespace {
 
@@ -71,6 +73,30 @@ TEST(InlineFunctionTest, MoveAssignmentDestroysPreviousTarget) {
   EXPECT_EQ(counter.use_count(), 2);
   fn = VoidFn([] {});
   EXPECT_EQ(counter.use_count(), 1);  // old closure destroyed
+}
+
+TEST(InlineFunctionTest, AssigningACallableReplacesTheTargetInPlace) {
+  auto counter = std::make_shared<int>(0);
+  VoidFn fn([counter] { ++*counter; });
+  EXPECT_EQ(counter.use_count(), 2);
+  int hits = 0;
+  fn = [&hits] { ++hits; };  // no temporary InlineFunction in between
+  EXPECT_EQ(counter.use_count(), 1);  // old capture destroyed exactly once
+  ASSERT_TRUE(static_cast<bool>(fn));
+  fn();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(InlineFunctionTest, AssigningACallableMovesItOnce) {
+  test::MoveCounts counts;
+  {
+    VoidFn fn([] {});
+    fn = test::MoveCounter(&counts);  // straight into the buffer
+    EXPECT_EQ(counts.moves, 1);
+    fn();
+  }
+  EXPECT_EQ(counts.runs, 1);
+  EXPECT_EQ(counts.destroyed, counts.constructed);
 }
 
 TEST(InlineFunctionTest, DestructorReleasesCapture) {

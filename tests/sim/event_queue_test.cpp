@@ -167,12 +167,19 @@ TEST(EventQueueTest, CancelHeavyStressKeepsOrderAndCounts) {
 TEST(EventQueueTest, EqualTimeTiesAcrossBucketBoundaries) {
   // Tie groups pinned where the wheel changes gear: the last one-tick
   // bucket of a level-0 block, the first tick of the next block, level-2
-  // and level-3 territory, and both sides of the overflow horizon.  Every
-  // group must still pop in push order after the cascades that reach it.
+  // and level-3 territory, and both sides of the overflow horizon.  The
+  // last three pairs put a later tick first into a bucket whose earliest
+  // tick comes second: one level-1 bucket, one level-2 bucket whose
+  // earliest node sits in a different level-1 digit, and one overflow
+  // epoch beyond the others.  Every group must still pop in push order
+  // after the cursor jumps that reach it.
   EventQueue q;
   const std::int64_t times[] = {255,        256,           65'535,
                                 65'536,     16'777'216,    (1LL << 32) - 1,
-                                (1LL << 32), (1LL << 32) + 7};
+                                (1LL << 32), (1LL << 32) + 7,
+                                1'000,      800,
+                                140'000,    131'100,
+                                (1LL << 33) + 900,         (1LL << 33) + 5};
   std::vector<std::pair<std::int64_t, int>> order;
   std::vector<std::pair<std::int64_t, int>> expected;
   int seq = 0;

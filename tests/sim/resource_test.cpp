@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "../support/move_counter.hpp"
+
 namespace ah::sim {
 namespace {
 
@@ -158,6 +160,23 @@ TEST_F(ResourceTest, ZeroDemandJobCompletesImmediately) {
   sim_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim_.now(), SimTime::zero());
+}
+
+TEST_F(ResourceTest, CompletionMovesAtMostFourTimesOnAFreeServer) {
+  // Into submit's parameter, into the service-completion closure, and with
+  // that closure into its queue slot and out at pop.  The counter fits
+  // Completion's 16-byte buffer, so no heap fallback hides a move.
+  static_assert(Resource::Completion::stores_inline<test::MoveCounter>());
+  test::MoveCounts counts;
+  {
+    Resource r(sim_, "r", {.servers = 1});
+    EXPECT_TRUE(r.submit(SimTime::millis(1), test::MoveCounter(&counts)));
+    sim_.run();
+    EXPECT_EQ(r.completed(), 1u);
+  }
+  EXPECT_LE(counts.moves, 4);
+  EXPECT_EQ(counts.runs, 1);
+  EXPECT_EQ(counts.destroyed, counts.constructed);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "../support/move_counter.hpp"
+
 namespace ah::sim {
 namespace {
 
@@ -138,6 +140,20 @@ TEST(SimulatorTest, LongChainTerminates) {
   sim.run();
   EXPECT_EQ(hops, 10000);
   EXPECT_EQ(sim.now(), SimTime::micros(10000));
+}
+
+TEST(SimulatorTest, ScheduledClosureMovesOnlyIntoItsSlotAndOut) {
+  // schedule() forwards the callable to the queue, which builds the EventFn
+  // in its slot: one move in, one move out at pop, nothing in transit.
+  test::MoveCounts counts;
+  {
+    Simulator sim;
+    sim.schedule(SimTime::millis(1), test::MoveCounter(&counts));
+    sim.run();
+  }
+  EXPECT_LE(counts.moves, 2);
+  EXPECT_EQ(counts.runs, 1);
+  EXPECT_EQ(counts.destroyed, counts.constructed);
 }
 
 }  // namespace
