@@ -30,6 +30,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -117,7 +118,7 @@ struct BaselineNumbers {
 constexpr BaselineNumbers kBaseline = {
     /*zipf_samples_per_sec=*/51.13e6,
     /*lru_ops_per_sec=*/10.85e6,
-    /*event_queue_ops_per_sec=*/11.02e6,
+    /*event_queue_ops_per_sec=*/18.88e6,
     /*allocs_per_request=*/0.0,
     {
         /*Browsing=*/{5175289, 453430, 0.000284},
@@ -163,63 +164,110 @@ double bench_lru(std::uint64_t ops) {
 // Section 3: BM_EventQueueMixed — scheduler push/pop/cancel throughput.
 //
 // Drives sim::EventQueue directly with the operation blend the cluster
-// simulation produces: a steady population of pending events (think timers,
-// service completions, propagation latencies), every pop followed by a
-// replacement push at a simulation-realistic delta, and the router's
-// timeout pattern (a timeout armed per request, ~90 % cancelled before it
-// fires).  Deltas are drawn from a fixed-seed mixture so consecutive runs
-// exercise identical schedules; the reported rate counts individual queue
-// operations (push + pop + cancel).  This isolates scheduler regressions
-// from the end-to-end number, which also moves with workload-model changes.
+// simulation produces: a steady population of 530 pending events (think
+// timers, service completions, propagation latencies), every pop of one
+// followed by a replacement push at a simulation-realistic delta, and the
+// router's timeout pattern: every third request hop arms a 500 ms timeout,
+// which the hop's reply cancels 90 % of the time; the rest fire and are not
+// replaced.  Each closure records its tag when run, so the loop knows which
+// hop a popped event completes.  Deltas are drawn from a fixed-seed mixture
+// so consecutive runs exercise identical schedules; the reported rate counts
+// individual queue operations (push + pop + cancel).  This isolates
+// scheduler regressions from the end-to-end number, which also moves with
+// workload-model changes.
 // ---------------------------------------------------------------------------
 
-double bench_event_queue(std::uint64_t iterations) {
+struct EventQueueRun {
+  double ops_per_sec = 0.0;
+  std::size_t final_size = 0;  // pending events when the loop ends
+  std::uint64_t cancels = 0;
+  std::uint64_t missed_cancels = 0;  // the timeout had fired already
+
+  [[nodiscard]] double missed_share() const {
+    return cancels > 0 ? static_cast<double>(missed_cancels) /
+                             static_cast<double>(cancels)
+                       : 0.0;
+  }
+};
+
+EventQueueRun bench_event_queue(std::uint64_t iterations) {
+  constexpr std::size_t kPopulation = 530;
+  constexpr std::uint32_t kPlain = 0;    // think timer or untimed hop
+  constexpr std::uint32_t kTimeout = 1;  // a hop timeout firing
+  constexpr std::uint32_t kFirstHop = 2;  // kFirstHop + timeout slot
+
   sim::EventQueue q;
   common::Rng rng(11);
   common::SimTime now = common::SimTime::zero();
+  std::uint32_t popped = kPlain;
 
-  const auto draw_delta = [&rng]() -> common::SimTime {
+  // Returns the delta and whether it is a request hop (service completion
+  // or propagation) rather than a think time.
+  const auto draw_delta = [&rng]() -> std::pair<common::SimTime, bool> {
     const double u = rng.uniform();
     if (u < 0.45) {  // CPU/disk/NIC service completion
-      return common::SimTime::micros(10 + rng.uniform_int(0, 1990));
+      return {common::SimTime::micros(10 + rng.uniform_int(0, 1990)), true};
     }
     if (u < 0.70) {  // propagation latency + queueing
-      return common::SimTime::micros(200 + rng.uniform_int(0, 4800));
+      return {common::SimTime::micros(200 + rng.uniform_int(0, 4800)), true};
     }
     // Think time: exponential, mean 7 s (TPC-W).
-    return common::SimTime::seconds(-7.0 * std::log(1.0 - rng.uniform()));
+    return {common::SimTime::seconds(-7.0 * std::log(1.0 - rng.uniform())),
+            false};
+  };
+  const auto push_tagged = [&q, &popped](common::SimTime at,
+                                         std::uint32_t tag) {
+    return q.push(at, [&popped, tag] { popped = tag; });
   };
 
-  // Steady-state population: one pending event per emulated browser.
-  for (int i = 0; i < 530; ++i) q.push(draw_delta(), [] {});
+  // Armed timeouts by slot; a hop event carries its slot in its tag.
+  std::vector<sim::EventId> timeouts(kPopulation);
+  std::vector<std::uint32_t> free_slots;
+  free_slots.reserve(kPopulation);
+  for (std::uint32_t k = 0; k < kPopulation; ++k) {
+    free_slots.push_back(static_cast<std::uint32_t>(kPopulation) - 1 - k);
+  }
 
-  std::vector<sim::EventId> timeouts;
-  std::size_t timeout_head = 0;
+  // Steady-state population: one pending event per emulated browser.
+  for (std::size_t i = 0; i < kPopulation; ++i) {
+    push_tagged(draw_delta().first, kPlain);
+  }
+
+  EventQueueRun run;
   std::uint64_t ops = 0;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
     now = q.next_time();
-    q.pop();
-    q.push(now + draw_delta(), [] {});
-    ops += 2;
-    if (i % 3 == 0) {
-      timeouts.push_back(q.push(now + common::SimTime::millis(500), [] {}));
-      ++ops;
-      if (timeout_head < timeouts.size() && rng.uniform() < 0.9) {
-        q.cancel(timeouts[timeout_head++]);
+    q.pop().fn();
+    ++ops;
+    if (popped == kTimeout) continue;  // a fired timeout is not replaced
+    if (popped >= kFirstHop) {
+      const std::uint32_t slot = popped - kFirstHop;
+      if (rng.uniform() < 0.9) {  // the reply arrived: cancel its timeout
+        ++run.cancels;
+        if (!q.cancel(timeouts[slot])) ++run.missed_cancels;
         ++ops;
       }
-      if (timeout_head > 4096) {  // compact the cancelled prefix
-        timeouts.erase(timeouts.begin(),
-                       timeouts.begin() +
-                           static_cast<std::ptrdiff_t>(timeout_head));
-        timeout_head = 0;
-      }
+      free_slots.push_back(slot);
     }
+    const auto [delta, hop] = draw_delta();
+    std::uint32_t tag = kPlain;
+    // At most kPopulation hops are pending, so a slot is always free.
+    if (hop && i % 3 == 0) {
+      const std::uint32_t slot = free_slots.back();
+      free_slots.pop_back();
+      timeouts[slot] =
+          push_tagged(now + common::SimTime::millis(500), kTimeout);
+      tag = kFirstHop + slot;
+      ++ops;
+    }
+    push_tagged(now + delta, tag);
+    ++ops;
   }
   const double elapsed = seconds_since(start);
-  if (q.size() == 0xdeadbeef) std::printf("!");
-  return static_cast<double>(ops) / elapsed;
+  run.ops_per_sec = static_cast<double>(ops) / elapsed;
+  run.final_size = q.size();
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,7 +360,7 @@ void print_end_to_end(const char* name, const ClusterRun& run) {
       run.wall_seconds);
 }
 
-void write_json(double zipf_rate, double lru_rate, double queue_rate,
+void write_json(double zipf_rate, double lru_rate, const EventQueueRun& queue,
                 const ClusterRun (&runs)[3], bool smoke) {
   std::FILE* out = std::fopen("BENCH_throughput.json", "w");
   if (out == nullptr) {
@@ -333,9 +381,12 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "  \"before\": {\n");
   std::fprintf(out,
                "    \"provenance\": \"median of five full runs of the "
-               "previous build on the same host: closures moved through "
-               "by-value schedule/push, advance() cascading one wheel "
-               "level at a time\",\n");
+               "build before cheaper simulator events on the same host: "
+               "closures moved through by-value schedule/push, advance() "
+               "cascading one wheel level at a time; its "
+               "event_queue_ops_per_sec is that build running the "
+               "steady-queue BM_EventQueueMixed loop (median of five, "
+               "alternated with runs of the after build)\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n",
                kBaseline.zipf_samples_per_sec);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n",
@@ -357,12 +408,20 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
   std::fprintf(out, "    ]\n  },\n");
   std::fprintf(out, "  \"after\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"cheaper simulator events: each "
+               "    \"provenance\": \"cheaper simulator events (each "
                "closure built once in its queue slot, advance() jumping "
-               "the cursor straight to the next event\",\n");
+               "the cursor straight to the next event), then the options "
+               "audit (single-valued settings as constants, unbounded "
+               "Resource::submit); BM_EventQueueMixed holds a steady "
+               "~530-event queue\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n", zipf_rate);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n", lru_rate);
-  std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n", queue_rate);
+  std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n",
+               queue.ops_per_sec);
+  std::fprintf(out, "    \"event_queue_pending_at_end\": %zu,\n",
+               queue.final_size);
+  std::fprintf(out, "    \"event_queue_missed_cancel_share\": %.4f,\n",
+               queue.missed_share());
   std::fprintf(out, "    \"request_path_allocs_per_request\": %.2f,\n",
                runs[1].allocs_per_request);
   std::fprintf(out, "    \"end_to_end\": [\n");
@@ -397,7 +456,7 @@ void write_json(double zipf_rate, double lru_rate, double queue_rate,
                have_baseline ? lru_rate / kBaseline.lru_ops_per_sec : 0.0);
   std::fprintf(out, "    \"event_queue\": %.3f,\n",
                kBaseline.event_queue_ops_per_sec > 0.0
-                   ? queue_rate / kBaseline.event_queue_ops_per_sec
+                   ? queue.ops_per_sec / kBaseline.event_queue_ops_per_sec
                    : 0.0);
   std::fprintf(out, "    \"end_to_end_events_per_sec\": [");
   for (int i = 0; i < 3; ++i) {
@@ -440,8 +499,12 @@ int main(int argc, char** argv) {
 
   std::printf("== micro: BM_EventQueueMixed push/pop/cancel ==\n");
   const std::uint64_t queue_iters = smoke ? 200'000 : 10'000'000;
-  const double queue_rate = bench_event_queue(queue_iters);
-  std::printf("  %.1f M queue-ops/s\n", queue_rate / 1e6);
+  const EventQueueRun queue = bench_event_queue(queue_iters);
+  std::printf("  %.1f M queue-ops/s, %zu pending at the end, %.2f %% of "
+              "%llu cancels missed\n",
+              queue.ops_per_sec / 1e6, queue.final_size,
+              100.0 * queue.missed_share(),
+              static_cast<unsigned long long>(queue.cancels));
 
   std::printf(
       "== end-to-end: 3-tier cluster, 530 browsers, %.0f sim-s measured ==\n",
@@ -460,6 +523,6 @@ int main(int argc, char** argv) {
     print_end_to_end(kNames[i], runs[i]);
   }
 
-  write_json(zipf_rate, lru_rate, queue_rate, runs, smoke);
+  write_json(zipf_rate, lru_rate, queue, runs, smoke);
   return 0;
 }

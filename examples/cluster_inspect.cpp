@@ -49,8 +49,6 @@ int main(int argc, char** argv) {
   experiment_config.browsers = browsers;
   experiment_config.workload = workload;
   ah::core::Experiment experiment(system, experiment_config);
-  ah::tpcw::WirtTracker wirt;
-  experiment.set_wirt_tracker(&wirt);
 
   ah::core::IterationResult last;
   for (std::size_t i = 0; i < iterations; ++i) {
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n-- TPC-W WIRT compliance (90th percentile) --\n");
-  for (const auto& result : wirt.check_all()) {
+  for (const auto& result : experiment.wirt().check_all()) {
     if (result.samples == 0) continue;
     std::printf("  %-22s p90 %6.2fs  limit %5.1fs  %s (%zu samples)\n",
                 std::string(ah::tpcw::interaction_name(result.interaction))

@@ -44,10 +44,7 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
   auto done = [msg] { msg->net->nic_done(msg); };
   static_assert(sim::Resource::Completion::stores_inline<decltype(done)>(),
                 "NIC completion closure must not allocate");
-  // Waiting line full: the message is lost at the sender.
-  if (!from.nic().submit(from.nic_time(bytes), std::move(done))) {
-    msgs_.release(msg);
-  }
+  from.nic().submit(from.nic_time(bytes), std::move(done));
   return true;
 }
 

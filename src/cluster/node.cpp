@@ -32,8 +32,7 @@ Node::Node(sim::Simulator& sim, NodeId id, std::string name,
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
   cpu_ = std::make_unique<sim::Resource>(
       sim_, name_ + ".cpu",
-      sim::Resource::Config{hw_.cpu_cores, static_cast<std::size_t>(-1),
-                            1.0 / hw_.cpu_speed});
+      sim::Resource::Config{hw_.cpu_cores, 1.0 / hw_.cpu_speed});
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
   disk_ = std::make_unique<sim::Resource>(
       sim_, name_ + ".disk", sim::Resource::Config{1});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/analysis.hpp"
 
@@ -55,17 +54,6 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double RunningStats::sample_stddev() const {
   return std::sqrt(sample_variance());
-}
-
-double percentile(std::span<const double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 }  // namespace ah::common

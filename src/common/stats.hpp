@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "common/analysis.hpp"
 
@@ -36,10 +35,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Batch percentile over a copy of the samples (nearest-rank method).
-/// q in [0, 1].  Returns 0 for empty input.
-[[nodiscard]] double percentile(std::span<const double> samples, double q);
 
 /// Exponentially-weighted moving average, used for smoothed utilization
 /// readings in the reconfiguration monitor.

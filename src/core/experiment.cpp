@@ -20,9 +20,9 @@ Experiment::Experiment(SystemModel& system, const Config& config)
   wc.shared_popularity = system_.shared_popularity();
   if (wc.shared_popularity == nullptr ||
       wc.shared_popularity->size() != wc.item_count ||
-      wc.shared_popularity->alpha() != wc.zipf_alpha) {
-    wc.shared_popularity =
-        std::make_shared<const tpcw::ZipfSampler>(wc.item_count, wc.zipf_alpha);
+      wc.shared_popularity->alpha() != tpcw::Workload::kZipfAlpha) {
+    wc.shared_popularity = std::make_shared<const tpcw::ZipfSampler>(
+        wc.item_count, tpcw::Workload::kZipfAlpha);
   }
   for (std::size_t li = 0; li < lines; ++li) {
     meters_.push_back(std::make_unique<tpcw::WipsMeter>());
@@ -40,8 +40,10 @@ void Experiment::set_workload(tpcw::WorkloadKind kind) {
   }
 }
 
-void Experiment::set_wirt_tracker(tpcw::WirtTracker* tracker) {
-  for (auto& workload : workloads_) workload->set_wirt_tracker(tracker);
+tpcw::WirtTracker Experiment::wirt() const {
+  tpcw::WirtTracker merged;
+  for (const auto& workload : workloads_) merged.merge(workload->wirt());
+  return merged;
 }
 
 void Experiment::apply_scenario(const sim::ScenarioPlan& plan) {
@@ -80,7 +82,6 @@ IterationResult Experiment::run_iteration() {
   IterationResult result;
   result.disturbed = system_.disturbance_count() != disturbances_before;
   result.line_wips.reserve(meters_.size());
-  double latency_weight = 0.0;
   std::uint64_t ok_total = 0;
   std::uint64_t err_total = 0;
   for (const auto& meter : meters_) {
@@ -90,17 +91,13 @@ IterationResult Experiment::run_iteration() {
     result.line_wips.push_back(meter->wips());
     ok_total += meter->completed_ok();
     err_total += meter->errors();
-    result.mean_latency_ms +=
-        meter->latency_ms().mean() *
-        static_cast<double>(meter->completed_ok());
-    latency_weight += static_cast<double>(meter->completed_ok());
   }
-  if (latency_weight > 0.0) result.mean_latency_ms /= latency_weight;
-  // Percentiles need the full distribution, so merge the per-line window
+  // The mean and percentiles come from the merged per-line window
   // histograms (bucket-wise sums — cheap, cold path, once per iteration).
   obs::Histogram window;
   for (const auto& meter : meters_) window.merge(meter->latency_histogram());
   if (window.count() > 0) {
+    result.mean_latency_ms = window.mean_us() / 1e3;
     result.p50_ms = static_cast<double>(window.p50_us()) / 1e3;
     result.p95_ms = static_cast<double>(window.p95_us()) / 1e3;
     result.p99_ms = static_cast<double>(window.p99_us()) / 1e3;

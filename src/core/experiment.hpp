@@ -79,9 +79,10 @@ class Experiment {
   /// performance.  Browsers start on the first call and keep running.
   IterationResult run_iteration();
 
-  /// Attaches a WIRT tracker to every work line's browsers (TPC-W
-  /// clause 5.5 response-time compliance).  Not owned; nullptr detaches.
-  void set_wirt_tracker(tpcw::WirtTracker* tracker);
+  /// TPC-W clause 5.5 response-time compliance over every work line's
+  /// successful interactions since the browsers started (lines merged in
+  /// index order).
+  [[nodiscard]] tpcw::WirtTracker wirt() const;
 
   /// Installs a full scenario: faults via SystemModel::install_scenario,
   /// arrival modulation and mix drift on every work line's browsers.  The

@@ -12,9 +12,8 @@ std::shared_ptr<const tpcw::ZipfSampler> make_model_immutable(
     const Experiment::Config& experiment) {
   // The same inputs Workload would use to build its private copy, so
   // sharing the table is bit-identical.
-  const tpcw::Workload::Config workload_defaults{};
   return std::make_shared<const tpcw::ZipfSampler>(
-      experiment.item_count, workload_defaults.zipf_alpha);
+      experiment.item_count, tpcw::Workload::kZipfAlpha);
 }
 
 }  // namespace ah::core

@@ -62,7 +62,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::observe_p95(
     breach_streak_ = 0;
     return std::nullopt;
   }
-  if (++breach_streak_ < reactive_.breach_streak) return std::nullopt;
+  if (++breach_streak_ < kBreachStreak) return std::nullopt;
   breach_streak_ = 0;
   // The tier of the hottest node is where the latency is coming from.
   const auto readings = system_.readings();
@@ -80,9 +80,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::observe_p95(
 void ReconfigController::on_health_transition(cluster::NodeId id, bool up) {
   if (!reactive_enabled_ || up) return;
   const auto tier = system_.cluster().tier_of(id);
-  if (system_.cluster().healthy_count(tier) >= reactive_.min_healthy) {
-    return;
-  }
+  if (system_.cluster().healthy_count(tier) >= kMinHealthy) return;
   borrow_into(tier);
 }
 
@@ -109,8 +107,8 @@ std::optional<harmony::ReconfigDecision> ReconfigController::borrow_into(
   decision.donor_node = donor->node_id;
   decision.from_tier = static_cast<int>(system_.cluster().tier_of(donor->node_id));
   decision.to_tier = static_cast<int>(needy);
-  decision.cost_seconds = reactive_.config_cost_seconds;
-  decision.immediate = reactive_.immediate;
+  decision.cost_seconds = kConfigCostSeconds;
+  decision.immediate = kImmediate;
   // No single overloaded node for a tier-level trigger: attribute the
   // move to the needy tier's hottest healthy member when one exists.
   decision.overloaded_node = donor->node_id;
@@ -124,7 +122,7 @@ std::optional<harmony::ReconfigDecision> ReconfigController::borrow_into(
   system_.move_node(decision.donor_node, needy, decision.immediate,
                     common::SimTime::seconds(decision.cost_seconds));
   system_.note_disturbance();
-  cooldown_until_ = system_.now() + reactive_.cooldown;
+  cooldown_until_ = system_.now() + kCooldown;
   ++reactive_moves_;
   moves_.push_back(decision);
   return decision;

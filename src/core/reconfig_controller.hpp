@@ -6,6 +6,7 @@
 // SystemModel::move_node with the configuration cost F from the options.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -30,19 +31,19 @@ class ReconfigController {
   struct ReactiveOptions {
     /// p95 above this counts as a breach in observe_p95().
     common::SimTime p95_target = common::SimTime::millis(800);
-    /// Consecutive breached observations before a borrow.
-    int breach_streak = 3;
-    /// Minimum spacing between reactive moves.
-    common::SimTime cooldown = common::SimTime::seconds(60.0);
-    /// A mark-down that leaves its tier with fewer healthy nodes than this
-    /// triggers a borrow.  The default 1 reacts only to a fully-dead tier;
-    /// capacity-sensitive deployments raise it.
-    std::size_t min_healthy = 1;
-    /// Reactive borrows skip the drain wait: the needy tier is on fire.
-    bool immediate = true;
-    /// Configuration cost F charged for a reactive move (seconds).
-    double config_cost_seconds = 4.0;
   };
+
+  /// Consecutive breached observations before a borrow.
+  static constexpr int kBreachStreak = 3;
+  /// Minimum spacing between reactive moves.
+  static constexpr common::SimTime kCooldown = common::SimTime::seconds(60.0);
+  /// A mark-down that leaves its tier with fewer healthy nodes than this
+  /// triggers a borrow: only a fully dead tier does.
+  static constexpr std::size_t kMinHealthy = 1;
+  /// Reactive borrows skip the drain wait: the needy tier is on fire.
+  static constexpr bool kImmediate = true;
+  /// Configuration cost F charged for a reactive move (seconds).
+  static constexpr double kConfigCostSeconds = 4.0;
 
   ReconfigController(SystemModel& system, harmony::ReconfigOptions options =
                                               SystemModel::default_reconfig_options());
@@ -58,7 +59,7 @@ class ReconfigController {
   [[nodiscard]] bool reactive_enabled() const { return reactive_enabled_; }
 
   /// Feeds one measured p95 (typically once per measurement bucket).
-  /// After `breach_streak` consecutive breaches, borrows a node for the
+  /// After kBreachStreak consecutive breaches, borrows a node for the
   /// tier hosting the hottest node.  Returns the executed decision.
   std::optional<harmony::ReconfigDecision> observe_p95(common::SimTime p95);
 

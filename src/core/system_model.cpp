@@ -110,7 +110,8 @@ void SystemModel::build(sim::Simulator* borrowed) {
 
 NodeId SystemModel::create_node(std::size_t line_index, TierKind tier) {
   Line& line = lines_[line_index];
-  const NodeId id = cluster_.add_node(*line.sim, config_.hardware, tier);
+  const NodeId id =
+      cluster_.add_node(*line.sim, cluster::NodeHardware{}, tier);
   cluster::Node& node = cluster_.node(id);
 
   NodeState state;

@@ -75,7 +75,6 @@ class SystemModel {
     /// the initializer_list form trips a gcc-12 -Wmaybe-uninitialized false
     /// positive through the list's compiler-generated backing array.
     std::vector<LineSpec> lines = std::vector<LineSpec>(1);
-    cluster::NodeHardware hardware{};
     std::uint64_t seed = 1;
     /// Shared popularity table (make_model_immutable).  Models built from
     /// the same options may point at one copy; null means each experiment

@@ -10,10 +10,7 @@ namespace ah::ctrl {
 AdmissionController::AdmissionController(sim::Simulator& sim,
                                          const Config& config)
     : sim_(sim), config_(config) {
-  assert(config_.period > common::SimTime::zero());
   assert(config_.target_p95 > common::SimTime::zero());
-  assert(config_.min_admit > 0.0 && config_.min_admit <= 1.0);
-  assert(config_.max_step > 0.0);
 }
 
 AdmissionController::~AdmissionController() { stop(); }
@@ -21,7 +18,7 @@ AdmissionController::~AdmissionController() { stop(); }
 void AdmissionController::start() {
   if (running_) return;
   running_ = true;
-  tick_id_ = sim_.schedule(config_.period, [this] { tick(); });
+  tick_id_ = sim_.schedule(kPeriod, [this] { tick(); });
 }
 
 void AdmissionController::stop() {
@@ -32,42 +29,37 @@ void AdmissionController::stop() {
 }
 
 void AdmissionController::set_config(const Config& config) {
-  assert(config.period > common::SimTime::zero());
   assert(config.target_p95 > common::SimTime::zero());
   config_ = config;
-  // The admit fraction carries over, but the floor may have risen.
-  if (fraction_ < config_.min_admit) set_fraction(config_.min_admit);
 }
 
 void AdmissionController::tick() {
   AH_HOT_ENTRY;  // periodic control step driven by the event loop
   ++ticks_;
-  if (window_.count() >= config_.min_samples) {
+  if (window_.count() >= kMinSamples) {
     const double target_us =
         static_cast<double>(config_.target_p95.as_micros());
     const double p95_us = static_cast<double>(window_.p95_us());
     // Relative error: positive when the SLO is breached.
     const double err = (p95_us - target_us) / target_us;
-    double gain = config_.gain;
-    if (config_.fuzzy) {
-      const double mag = std::fabs(err);
-      if (mag <= config_.deadband) {
-        gain = 0.0;  // hold: don't actuate on noise
-      } else if (mag < config_.outer_band) {
-        gain *= 0.5;  // gentle correction inside the outer band
-      }
+    double gain = kGain;
+    const double mag = std::fabs(err);
+    if (mag <= kDeadband) {
+      gain = 0.0;  // hold: don't actuate on noise
+    } else if (mag < kOuterBand) {
+      gain *= 0.5;  // gentle correction inside the outer band
     }
     double step = -gain * err;
-    if (step > config_.max_step) step = config_.max_step;
-    if (step < -config_.max_step) step = -config_.max_step;
+    if (step > kMaxStep) step = kMaxStep;
+    if (step < -kMaxStep) step = -kMaxStep;
     if (step != 0.0) set_fraction(fraction_ + step);
   }
   window_.reset();  // keeps pages: no allocation on later windows
-  tick_id_ = sim_.schedule(config_.period, [this] { tick(); });
+  tick_id_ = sim_.schedule(kPeriod, [this] { tick(); });
 }
 
 void AdmissionController::set_fraction(double fraction) {
-  if (fraction < config_.min_admit) fraction = config_.min_admit;
+  if (fraction < kMinAdmit) fraction = kMinAdmit;
   if (fraction > 1.0) fraction = 1.0;
   if (fraction == fraction_) return;
   fraction_ = fraction;

@@ -1,10 +1,9 @@
 // Feedback-controlled admission: hold a latency SLO by shedding load.
 //
-// A proportional controller (optionally with a fuzzy deadband, after the
-// response-time regulators of Venkatarama & Sekaran's autonomic e-commerce
-// work) closes the loop between an observed p95 latency and an admit
-// fraction in [min_admit, 1].  Completed-request latencies accumulate in a
-// windowed obs::Histogram; every `period` the controller compares the
+// A proportional controller with a fuzzy deadband (after the response-time
+// regulators of Venkatarama & Sekaran's autonomic e-commerce work) closes the loop between an observed p95 latency and an admit
+// fraction in [kMinAdmit, 1].  Completed-request latencies accumulate in a
+// windowed obs::Histogram; every kPeriod the controller compares the
 // window's p95 against the target, nudges the admit fraction against the
 // relative error, and resets the window.  The servers consult admit() per
 // request and shed the remainder (fast-fail or serve-stale — the shed
@@ -17,7 +16,7 @@
 // fighting (see DESIGN.md "Control-loop layering").
 //
 // Determinism: admit() hashes the request id against the current threshold
-// — no RNG state, so the admitted subset is a pure function of (ids, salt,
+// — no RNG state, so the admitted subset is a pure function of (ids, kSalt,
 // fraction) and runs are byte-identical at any thread count.  Everything
 // here lives on one line's timeline; core::SystemModel gives each work
 // line its own controller.
@@ -44,28 +43,27 @@ class AdmissionController {
   struct Config {
     /// The SLO: window p95 at or below this holds the admit fraction.
     common::SimTime target_p95 = common::SimTime::millis(500);
-    /// Control period: how often the admit fraction is reconsidered.
-    common::SimTime period = common::SimTime::seconds(1.0);
-    /// Proportional gain on the relative p95 error.
-    double gain = 0.4;
-    /// Largest admit-fraction change per tick (slew limit).
-    double max_step = 0.15;
-    /// Floor of the admit fraction: some traffic always gets through, so
-    /// the controller keeps receiving latency samples to recover on.
-    double min_admit = 0.05;
-    /// Windows with fewer samples are ignored (an idle or fully shed
-    /// window carries no p95 signal).
-    std::uint64_t min_samples = 16;
-    /// Fuzzy band shaping: inside `deadband` relative error the controller
-    /// holds (no actuation on noise); between deadband and `outer_band` it
-    /// applies half gain; beyond, full gain.  `fuzzy = false` is a plain
-    /// proportional controller.
-    bool fuzzy = true;
-    double deadband = 0.10;
-    double outer_band = 0.50;
-    /// Hash salt for the admit decision (per-line variety).
-    std::uint64_t salt = 0x5ca1ab1e;
   };
+
+  /// Control period: how often the admit fraction is reconsidered.
+  static constexpr common::SimTime kPeriod = common::SimTime::seconds(1.0);
+  /// Proportional gain on the relative p95 error.
+  static constexpr double kGain = 0.4;
+  /// Largest admit-fraction change per tick (slew limit).
+  static constexpr double kMaxStep = 0.15;
+  /// Floor of the admit fraction: some traffic always gets through, so the
+  /// controller keeps receiving latency samples to recover on.
+  static constexpr double kMinAdmit = 0.05;
+  /// Windows with fewer samples are ignored (an idle or fully shed window
+  /// carries no p95 signal).
+  static constexpr std::uint64_t kMinSamples = 16;
+  /// Fuzzy band shaping: inside kDeadband relative error the controller
+  /// holds (no actuation on noise); between kDeadband and kOuterBand it
+  /// applies half gain; beyond, full gain.
+  static constexpr double kDeadband = 0.10;
+  static constexpr double kOuterBand = 0.50;
+  /// Hash salt for the admit decision.
+  static constexpr std::uint64_t kSalt = 0x5ca1ab1e;
 
   /// Observer fired when the admit fraction actually changes (controller
   /// actuation — the system model uses it to taint measurement windows).
@@ -78,14 +76,14 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
   ~AdmissionController();
 
-  /// Begins periodic control ticks (first one `period` from now).
+  /// Begins periodic control ticks (first one kPeriod from now).
   void start();
   /// Stops ticking; the current admit fraction stays in force.
   void stop();
   [[nodiscard]] bool running() const { return running_; }
 
-  /// Updates the knobs in place (target, gain, ...).  The admit fraction
-  /// carries over — reconfiguring the controller is not an amnesty.
+  /// Updates the target in place.  The admit fraction carries over —
+  /// reconfiguring the controller is not an amnesty.
   void set_config(const Config& config);
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -100,7 +98,7 @@ class AdmissionController {
       ++admitted_;
       return true;
     }
-    if (common::mix_seed(request_id, config_.salt) <= threshold_) {
+    if (common::mix_seed(request_id, kSalt) <= threshold_) {
       ++admitted_;
       return true;
     }

@@ -37,21 +37,11 @@ void RandomSearchTuner::draw_next() { current_ = space_.random_point(rng_); }
 
 // -- CoordinateDescentTuner --------------------------------------------------
 
-CoordinateDescentTuner::CoordinateDescentTuner(ParameterSpace space,
-                                               Options options)
-    : space_(std::move(space)),
-      options_(options),
-      radius_(options.initial_radius) {
+CoordinateDescentTuner::CoordinateDescentTuner(ParameterSpace space)
+    : space_(std::move(space)) {
   if (space_.empty()) {
     throw std::invalid_argument(
         "CoordinateDescentTuner: empty parameter space");
-  }
-  if (options_.probes < 2) {
-    throw std::invalid_argument("CoordinateDescentTuner: probes < 2");
-  }
-  if (options_.initial_radius <= 0.0 || options_.radius_decay <= 0.0 ||
-      options_.radius_decay >= 1.0) {
-    throw std::invalid_argument("CoordinateDescentTuner: invalid radii");
   }
   incumbent_ = space_.defaults();
   build_probes();
@@ -72,11 +62,10 @@ void CoordinateDescentTuner::build_probes() {
       static_cast<double>(incumbent_[dimension_]) + radius_ * range);
 
   probes_.push_back(incumbent_);  // the incumbent is always re-probed
-  for (int p = 0; p < options_.probes - 1; ++p) {
-    const double t = options_.probes == 2
-                         ? 0.5
-                         : static_cast<double>(p) /
-                               static_cast<double>(options_.probes - 2);
+  static_assert(kProbes > 2, "probes spread evenly from lo to hi");
+  for (int p = 0; p < kProbes - 1; ++p) {
+    const double t =
+        static_cast<double>(p) / static_cast<double>(kProbes - 2);
     PointI probe = incumbent_;
     probe[dimension_] = static_cast<std::int64_t>(std::llround(
         lo + t * (hi - lo)));
@@ -121,11 +110,11 @@ void CoordinateDescentTuner::finish_sweep() {
   ++dimension_;
   if (dimension_ == space_.dimensions()) {
     dimension_ = 0;
-    radius_ *= options_.radius_decay;
-    if (radius_ < options_.min_radius) {
+    radius_ *= kRadiusDecay;
+    if (radius_ < kMinRadius) {
       // Re-expand: the environment may have shifted (online tuning never
       // stops), so periodically widen the sweeps again.
-      radius_ = options_.initial_radius;
+      radius_ = kInitialRadius;
     }
   }
   build_probes();

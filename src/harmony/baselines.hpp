@@ -51,20 +51,16 @@ class RandomSearchTuner final : public Tuner {
 
 class CoordinateDescentTuner final : public Tuner {
  public:
-  struct Options {
-    /// Probe values per sweep of one dimension (including the incumbent).
-    int probes = 5;
-    /// Initial probe radius as a fraction of each parameter's range.
-    double initial_radius = 0.5;
-    /// Radius multiplier after every full pass over all dimensions.
-    double radius_decay = 0.5;
-    /// Smallest radius (fraction of range) before the search re-expands.
-    double min_radius = 0.01;
-  };
+  /// Probe values per sweep of one dimension (including the incumbent).
+  static constexpr int kProbes = 5;
+  /// Initial probe radius as a fraction of each parameter's range.
+  static constexpr double kInitialRadius = 0.5;
+  /// Radius multiplier after every full pass over all dimensions.
+  static constexpr double kRadiusDecay = 0.5;
+  /// Smallest radius (fraction of range) before the search re-expands.
+  static constexpr double kMinRadius = 0.01;
 
-  explicit CoordinateDescentTuner(ParameterSpace space)
-      : CoordinateDescentTuner(std::move(space), Options{}) {}
-  CoordinateDescentTuner(ParameterSpace space, Options options);
+  explicit CoordinateDescentTuner(ParameterSpace space);
 
   [[nodiscard]] const ParameterSpace& space() const override {
     return space_;
@@ -88,11 +84,10 @@ class CoordinateDescentTuner final : public Tuner {
   void finish_sweep();
 
   ParameterSpace space_;
-  Options options_;
 
   PointI incumbent_;
   std::size_t dimension_ = 0;
-  double radius_;
+  double radius_ = kInitialRadius;
 
   std::vector<PointI> probes_;
   std::vector<double> probe_costs_;

@@ -1,6 +1,9 @@
 #include "harmony/session.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "harmony/baselines.hpp"
 
 namespace ah::harmony {
 
@@ -12,11 +15,9 @@ std::unique_ptr<Tuner> make_tuner(ParameterSpace space,
       return std::make_unique<SimplexTuner>(std::move(space),
                                             options.simplex);
     case TuningKernel::kRandomSearch:
-      return std::make_unique<RandomSearchTuner>(std::move(space),
-                                                 options.seed);
+      return std::make_unique<RandomSearchTuner>(std::move(space));
     case TuningKernel::kCoordinateDescent:
-      return std::make_unique<CoordinateDescentTuner>(std::move(space),
-                                                      options.coordinate);
+      return std::make_unique<CoordinateDescentTuner>(std::move(space));
   }
   return nullptr;
 }
@@ -24,9 +25,7 @@ std::unique_ptr<Tuner> make_tuner(ParameterSpace space,
 
 TuningSession::TuningSession(std::string name, ParameterSpace space,
                              SessionOptions options)
-    : name_(std::move(name)),
-      options_(options),
-      tuner_(make_tuner(std::move(space), options)) {}
+    : name_(std::move(name)), tuner_(make_tuner(std::move(space), options)) {}
 
 void TuningSession::tell(double cost) {
   observe(tuner_->ask(), cost);
@@ -45,7 +44,7 @@ void TuningSession::observe(const PointI& configuration, double cost) {
   // Relative improvement against the best seen so far.  Costs may be
   // negative (negated WIPS), so normalize by magnitude.
   const double scale = std::max(1e-12, std::abs(best_seen_));
-  if ((best_seen_ - cost) / scale > options_.improvement_epsilon) {
+  if ((best_seen_ - cost) / scale > kImprovementEpsilon) {
     best_seen_ = cost;
     last_improvement_ = index;
   }
@@ -53,7 +52,7 @@ void TuningSession::observe(const PointI& configuration, double cost) {
 
 std::optional<std::size_t> TuningSession::converged_at() const {
   if (!has_best_) return std::nullopt;
-  if (history_.size() - 1 - last_improvement_ >= options_.patience) {
+  if (history_.size() - 1 - last_improvement_ >= kPatience) {
     return last_improvement_;
   }
   return std::nullopt;

@@ -3,20 +3,18 @@
 // "iterations to converge" figure reported in the paper's Table 4.
 //
 // Convergence is declared when the best cost has not improved by more than
-// `improvement_epsilon` (relative) for `patience` consecutive evaluations;
+// kImprovementEpsilon (relative) for kPatience consecutive evaluations;
 // the convergence iteration is the evaluation index of the last
 // improvement.  The session never stops proposing points (Active Harmony
 // tunes continuously); convergence is purely an observation.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include <memory>
-
-#include "harmony/baselines.hpp"
 #include "harmony/parameter.hpp"
 #include "harmony/simplex.hpp"
 #include "harmony/tuner.hpp"
@@ -30,14 +28,6 @@ enum class TuningKernel { kSimplex, kRandomSearch, kCoordinateDescent };
 struct SessionOptions {
   TuningKernel kernel = TuningKernel::kSimplex;
   SimplexOptions simplex;
-  CoordinateDescentTuner::Options coordinate;
-  std::uint64_t seed = 1;  // used by kRandomSearch
-  /// Relative improvement below which an evaluation does not reset the
-  /// convergence clock.
-  double improvement_epsilon = 0.01;
-  /// Evaluations without improvement after which the session counts as
-  /// converged.
-  std::size_t patience = 25;
 };
 
 class TuningSession {
@@ -46,6 +36,13 @@ class TuningSession {
     PointI configuration;
     double cost = 0.0;
   };
+
+  /// Relative improvement below which an evaluation does not reset the
+  /// convergence clock.
+  static constexpr double kImprovementEpsilon = 0.01;
+  /// Evaluations without improvement after which the session counts as
+  /// converged.
+  static constexpr std::size_t kPatience = 25;
 
   TuningSession(std::string name, ParameterSpace space,
                 SessionOptions options = {});
@@ -69,14 +66,13 @@ class TuningSession {
   [[nodiscard]] std::size_t evaluations() const { return history_.size(); }
 
   /// Evaluation index of the last significant improvement, once the session
-  /// has gone `patience` evaluations without one.
+  /// has gone kPatience evaluations without one.
   [[nodiscard]] std::optional<std::size_t> converged_at() const;
 
  private:
   void observe(const PointI& configuration, double cost);
 
   std::string name_;
-  SessionOptions options_;
   std::unique_ptr<Tuner> tuner_;
   std::vector<HistoryEntry> history_;
 

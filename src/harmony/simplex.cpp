@@ -9,6 +9,18 @@ namespace ah::harmony {
 
 namespace {
 
+// Nelder–Mead coefficients.
+constexpr double kReflection = 1.0;   // alpha
+constexpr double kExpansion = 2.0;    // gamma
+constexpr double kContraction = 0.5;  // beta
+constexpr double kShrink = 0.5;       // delta
+/// Initial vertex offset as a fraction of each parameter's range (at least
+/// one lattice step).
+constexpr double kInitScale = 0.25;
+/// Blend factor toward the centroid when damping extremes (0 = no move,
+/// 1 = full collapse onto the centroid).
+constexpr double kDampFactor = 0.5;
+
 PointD axpy(const PointD& base, double factor, const PointD& direction_from,
             const PointD& direction_to) {
   // base + factor * (direction_to - direction_from)
@@ -26,14 +38,9 @@ SimplexTuner::SimplexTuner(ParameterSpace space, SimplexOptions options)
   if (space_.empty()) {
     throw std::invalid_argument("SimplexTuner: empty parameter space");
   }
-  if (options_.reflection <= 0 || options_.expansion <= 1 ||
-      options_.contraction <= 0 || options_.contraction >= 1 ||
-      options_.shrink <= 0 || options_.shrink >= 1) {
-    throw std::invalid_argument("SimplexTuner: invalid coefficients");
-  }
 
   // Initial simplex: the default configuration plus one vertex per
-  // dimension, offset by init_scale x range (>= 1 lattice step), flipped
+  // dimension, offset by kInitScale x range (>= 1 lattice step), flipped
   // toward the side with room.
   const PointI defaults = space_.defaults();
   const PointD d0 = ParameterSpace::to_continuous(defaults);
@@ -41,7 +48,7 @@ SimplexTuner::SimplexTuner(ParameterSpace space, SimplexOptions options)
   for (std::size_t dim = 0; dim < space_.dimensions(); ++dim) {
     const auto& param = space_.parameter(dim);
     double delta = std::max(
-        1.0, options_.init_scale * static_cast<double>(param.range()));
+        1.0, kInitScale * static_cast<double>(param.range()));
     if (d0[dim] + delta > static_cast<double>(param.max_value)) {
       delta = -delta;
     }
@@ -101,7 +108,7 @@ PointD SimplexTuner::propose(const PointD& raw, const PointD& centroid) const {
     const auto hi = static_cast<double>(param.max_value);
     if (out[i] < lo || out[i] > hi) {
       const double clamped = std::clamp(out[i], lo, hi);
-      out[i] = centroid[i] + options_.damp_factor * (clamped - centroid[i]);
+      out[i] = centroid[i] + kDampFactor * (clamped - centroid[i]);
     }
   }
   return out;
@@ -141,7 +148,7 @@ void SimplexTuner::begin_reflection() {
   sort_vertices();
   centroid_ = centroid_excluding_worst();
   const PointD& worst = vertices_.back().x;
-  PointD xr = axpy(centroid_, options_.reflection, worst, centroid_);
+  PointD xr = axpy(centroid_, kReflection, worst, centroid_);
   phase_ = Phase::kReflect;
   pending_points_.clear();
   pending_costs_.clear();
@@ -168,7 +175,7 @@ void SimplexTuner::advance() {
       const double worst = vertices_.back().cost;
       if (reflected_cost_ < best) {
         // Try to expand further along the same direction.
-        PointD xe = axpy(centroid_, options_.expansion, vertices_.back().x,
+        PointD xe = axpy(centroid_, kExpansion, vertices_.back().x,
                          centroid_);
         phase_ = Phase::kExpand;
         pending_points_.clear();
@@ -186,7 +193,7 @@ void SimplexTuner::advance() {
       // the worst, inside toward the worst otherwise.
       const PointD& towards =
           reflected_cost_ < worst ? reflected_ : vertices_.back().x;
-      PointD xc = axpy(centroid_, options_.contraction, centroid_, towards);
+      PointD xc = axpy(centroid_, kContraction, centroid_, towards);
       phase_ = Phase::kContract;
       pending_points_.clear();
       pending_costs_.clear();
@@ -219,7 +226,7 @@ void SimplexTuner::advance() {
       ask_cursor_ = 0;
       const PointD& x0 = vertices_.front().x;
       for (std::size_t v = 1; v < vertices_.size(); ++v) {
-        PointD xs = axpy(x0, options_.shrink, x0, vertices_[v].x);
+        PointD xs = axpy(x0, kShrink, x0, vertices_[v].x);
         queue_point(std::move(xs));
       }
       return;

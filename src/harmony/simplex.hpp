@@ -30,20 +30,10 @@
 namespace ah::harmony {
 
 struct SimplexOptions {
-  double reflection = 1.0;   // alpha
-  double expansion = 2.0;    // gamma
-  double contraction = 0.5;  // beta
-  double shrink = 0.5;       // delta
-  /// Initial vertex offset as a fraction of each parameter's range
-  /// (at least one lattice step).
-  double init_scale = 0.25;
   /// Pull bound-clamped proposals toward the centroid (paper §III.A
   /// "slowly approach extreme values" future-work idea; see the ablation
   /// bench).
   bool damp_extremes = false;
-  /// Blend factor toward the centroid when damping (0 = no move,
-  /// 1 = full collapse onto the centroid).
-  double damp_factor = 0.5;
 };
 
 class SimplexTuner final : public Tuner {

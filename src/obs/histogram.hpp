@@ -149,6 +149,17 @@ class Histogram {
     return (static_cast<std::uint64_t>(kSubBuckets) + sub) << (igroup - 2);
   }
 
+  /// Highest value that maps to bucket `i`: the next bucket's lower bound
+  /// minus one (the top bucket ends at the largest 64-bit value).
+  [[nodiscard]] static std::uint64_t bucket_high_us(std::size_t i) {
+    const std::uint64_t igroup = i >> kSubBits;
+    const std::uint64_t sub = i & (kSubBuckets - 1);
+    if (igroup <= 1) return sub;  // one value per bucket below 32 us
+    // Unsigned wrap makes the top bucket's bound 2^64 - 1.
+    return ((static_cast<std::uint64_t>(kSubBuckets) + sub + 1)
+            << (igroup - 2)) - 1;
+  }
+
   [[nodiscard]] static std::size_t bucket_index(std::uint64_t us) {
     if (us < kSubBuckets) return static_cast<std::size_t>(us);
     const int width = 64 - std::countl_zero(us);  // >= kSubBits + 1

@@ -26,18 +26,13 @@ void Resource::account_now() {
   }
 }
 
-bool Resource::submit(common::SimTime demand, Completion on_complete) {
+void Resource::submit(common::SimTime demand, Completion on_complete) {
   account_now();
   if (busy_ < config_.servers) {
     start_service(demand, std::move(on_complete));
-    return true;
-  }
-  if (queue_.size() >= config_.queue_capacity) {
-    ++rejected_;
-    return false;
+    return;
   }
   queue_.push_back(Job{demand, std::move(on_complete)});
-  return true;
 }
 
 void Resource::set_servers(int servers) {

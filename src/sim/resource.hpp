@@ -34,9 +34,6 @@ class Resource {
 
   struct Config {
     int servers = 1;
-    /// Jobs admitted to the waiting line beyond the ones in service.
-    /// Arrivals past this are rejected.  Unlimited by default.
-    std::size_t queue_capacity = static_cast<std::size_t>(-1);
     /// Service-time multiplier (>1 = slower).  Lets node speed and software
     /// overheads scale demands without touching every call site.
     double slowdown = 1.0;
@@ -47,10 +44,10 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Submits a job with the given service demand.  Returns false (and drops
-  /// the job) when the waiting line is full.  `on_complete` fires when the
-  /// job finishes service.
-  bool submit(common::SimTime demand, Completion on_complete);
+  /// Submits a job with the given service demand; it waits in an
+  /// unbounded FIFO line while every server is busy.  `on_complete` fires
+  /// when the job finishes service.
+  void submit(common::SimTime demand, Completion on_complete);
 
   /// Changes the number of servers.  Growth starts queued jobs immediately;
   /// shrink lets in-service jobs finish (capacity drops as they complete).
@@ -65,6 +62,7 @@ class Resource {
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
 
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
+  /// Waiting jobs dropped by clear_queue().
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
 
   /// Integral of busy servers over time (server·µs).  Utilization over a

@@ -1,7 +1,8 @@
 #include "tpcw/constraints.hpp"
 
+#include <algorithm>
+
 #include "common/analysis.hpp"
-#include "common/stats.hpp"
 
 // WirtTracker::record runs once per successful interaction.
 AH_HOT_PATH_FILE;
@@ -30,26 +31,36 @@ double wirt_limit_seconds(Interaction interaction) {
 }
 
 void WirtTracker::record(Interaction interaction, common::SimTime latency) {
-  latencies_s_[static_cast<int>(interaction)].push_back(
-      latency.as_seconds());
+  AH_LINT_ALLOW(obs_hot_path, "tracker-owned histogram, always present");
+  latency_[static_cast<std::size_t>(interaction)].record(latency);
+}
+
+void WirtTracker::merge(const WirtTracker& other) {
+  for (std::size_t i = 0; i < latency_.size(); ++i) {
+    latency_[i].merge(other.latency_[i]);
+  }
 }
 
 void WirtTracker::reset() {
-  for (auto& samples : latencies_s_) samples.clear();
+  for (obs::Histogram& histogram : latency_) histogram.reset();
 }
 
 std::size_t WirtTracker::samples(Interaction interaction) const {
-  return latencies_s_[static_cast<int>(interaction)].size();
+  return latency(interaction).count();
 }
 
 WirtTracker::Result WirtTracker::check(Interaction interaction) const {
-  const auto& samples = latencies_s_[static_cast<int>(interaction)];
+  const obs::Histogram& histogram = latency(interaction);
   Result result;
   result.interaction = interaction;
-  result.samples = samples.size();
+  result.samples = histogram.count();
   result.limit_seconds = wirt_limit_seconds(interaction);
-  if (!samples.empty()) {
-    result.p90_seconds = common::percentile(samples, 0.90);
+  if (result.samples > 0) {
+    const std::size_t bucket =
+        obs::Histogram::bucket_index(histogram.percentile_us(0.90));
+    const std::uint64_t p90_us = std::min(
+        histogram.max_us(), obs::Histogram::bucket_high_us(bucket));
+    result.p90_seconds = static_cast<double>(p90_us) / 1e6;
     result.compliant = result.p90_seconds <= result.limit_seconds;
   }
   return result;

@@ -13,7 +13,6 @@ void WipsMeter::arm(common::SimTime start, common::SimTime end) {
   ok_ = 0;
   browse_ok_ = 0;
   errors_ = 0;
-  latency_ms_.reset();
   latency_hist_.reset();
 }
 
@@ -26,7 +25,6 @@ void WipsMeter::record(bool ok, bool browse, common::SimTime now,
   }
   ++ok_;
   if (browse) ++browse_ok_;
-  latency_ms_.add(latency.as_millis());
   AH_LINT_ALLOW(obs_hot_path, "meter-owned histogram, always present");
   latency_hist_.record(latency);
 }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/histogram.hpp"
 
@@ -41,13 +40,10 @@ class WipsMeter {
   /// Fraction of interactions that failed (rejections).
   [[nodiscard]] double error_ratio() const;
 
-  [[nodiscard]] const common::RunningStats& latency_ms() const {
-    return latency_ms_;
-  }
-
-  /// Full latency distribution of in-window successful completions.
-  /// Always on: recording is a counter increment (obs::Histogram), so the
-  /// meter stays passive and golden outputs are unaffected.
+  /// Latency distribution of in-window successful completions (its exact
+  /// count and sum give the mean).  Always on: recording is a counter
+  /// increment (obs::Histogram), so the meter stays passive and golden
+  /// outputs are unaffected.
   [[nodiscard]] const obs::Histogram& latency_histogram() const {
     return latency_hist_;
   }
@@ -58,7 +54,6 @@ class WipsMeter {
   std::uint64_t ok_ = 0;
   std::uint64_t browse_ok_ = 0;
   std::uint64_t errors_ = 0;
-  common::RunningStats latency_ms_;
   obs::Histogram latency_hist_;
 };
 

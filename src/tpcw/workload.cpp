@@ -23,13 +23,13 @@ Workload::Workload(sim::Simulator& sim, webstack::FrontendRouter& frontend,
   assert(config_.browsers > 0);
   if (config_.shared_popularity != nullptr &&
       config_.shared_popularity->size() == config_.item_count &&
-      config_.shared_popularity->alpha() == config_.zipf_alpha) {
+      config_.shared_popularity->alpha() == kZipfAlpha) {
     shared_popularity_ = config_.shared_popularity;
     popularity_ = shared_popularity_.get();
   } else {
     AH_LINT_ALLOW(hot_path_alloc, "one-time sampler construction at startup");
     owned_popularity_ = std::make_unique<ZipfSampler>(config_.item_count,
-                                                      config_.zipf_alpha);
+                                                      kZipfAlpha);
     popularity_ = owned_popularity_.get();
   }
   common::Rng seeder(config_.seed);
@@ -44,8 +44,8 @@ void Workload::start() {
   running_ = true;
   for (std::size_t i = 0; i < browser_rngs_.size(); ++i) {
     // Stagger initial arrivals uniformly over one mean think time.
-    const double offset = browser_rngs_[i].uniform() *
-                          config_.think_mean.as_seconds();
+    const double offset =
+        browser_rngs_[i].uniform() * kThinkMean.as_seconds();
     sim_.schedule(common::SimTime::seconds(offset),
                   [this, i] { browser_issue(i); });
   }
@@ -122,15 +122,9 @@ void Workload::dispatch(std::size_t browser_index,
     AH_LINT_ALLOW(obs_hot_path, "WipsMeter is the required measurement path");
     meter_.record(response.ok, browse, sim_.now(), sim_.now() - issued_at);
     if (response.ok) {
-      const auto interaction =
-          static_cast<Interaction>(request.object_id >> 48);
-      AH_LINT_ALLOW(obs_hot_path, "always-present interaction histogram");
-      interaction_latency_[static_cast<std::size_t>(interaction)].record(
-          sim_.now() - issued_at);
-      if (wirt_ != nullptr) {
-        AH_LINT_ALLOW(obs_hot_path, "explicitly null-checked WIRT recorder");
-        wirt_->record(interaction, sim_.now() - issued_at);
-      }
+      AH_LINT_ALLOW(obs_hot_path, "always-present interaction histograms");
+      wirt_.record(static_cast<Interaction>(request.object_id >> 48),
+                   sim_.now() - issued_at);
     }
     if (!response.ok && retries_left > 0 && running_) {
       // Re-request the same page after a back-off, like a user
@@ -172,10 +166,10 @@ void Workload::browser_think(std::size_t browser_index) {
   // the thinking, three times the offered load.  The division by exactly
   // 1.0 (identity or no modulation) reproduces the unmodulated draw bit
   // for bit.
-  double mean_s = config_.think_mean.as_seconds();
+  double mean_s = kThinkMean.as_seconds();
   if (arrival_ != nullptr) mean_s /= arrival_->factor(sim_.now());
   const double think =
-      std::min(rng.exponential(mean_s), config_.think_cap.as_seconds());
+      std::min(rng.exponential(mean_s), kThinkCap.as_seconds());
   sim_.schedule(common::SimTime::seconds(think),
                 [this, browser_index] { browser_issue(browser_index); });
 }

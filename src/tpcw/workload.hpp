@@ -11,7 +11,6 @@
 // every time it is fetched (a cache would otherwise see phantom updates).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "common/object_pool.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "obs/histogram.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tpcw/constraints.hpp"
@@ -34,16 +32,19 @@ namespace ah::tpcw {
 
 class Workload {
  public:
+  /// Zipf exponent of product popularity.
+  static constexpr double kZipfAlpha = 0.8;
+  /// TPC-W specifies a 7 s mean think time; we run 3.5 s with half the
+  /// browser population, which offers the same interaction rate while
+  /// making response-time changes visible in WIPS at practical browser
+  /// counts (documented substitution, see DESIGN.md).
+  static constexpr common::SimTime kThinkMean = common::SimTime::seconds(3.5);
+  /// Longest single think time (ten means).
+  static constexpr common::SimTime kThinkCap = common::SimTime::seconds(35.0);
+
   struct Config {
     int browsers = 530;
     std::uint64_t item_count = 10000;  // TPC-W scale factor
-    double zipf_alpha = 0.8;
-    /// TPC-W specifies a 7 s mean think time; we run 3.5 s with half the
-    /// browser population, which offers the same interaction rate while
-    /// making response-time changes visible in WIPS at practical browser
-    /// counts (documented substitution, see DESIGN.md).
-    common::SimTime think_mean = common::SimTime::seconds(3.5);
-    common::SimTime think_cap = common::SimTime::seconds(35.0);
     /// A browser whose interaction fails (connection refused at a full
     /// accept queue) retries the same page per this policy, then gives up
     /// and browses on — the TPC-W emulated-browser behaviour of
@@ -53,7 +54,7 @@ class Workload {
     webstack::RetryPolicy retry;
     std::uint64_t seed = 2004;
     /// Optional pre-built item-popularity table.  When it matches
-    /// (item_count, zipf_alpha) the workload samples from it instead of
+    /// (item_count, kZipfAlpha) the workload samples from it instead of
     /// building a private copy — many lines and models then share one CDF
     /// (~120 KB at the TPC-W 10k scale).  Sampling draws from the caller's
     /// RNG, so a shared table is bit-identical to a private one.
@@ -91,19 +92,13 @@ class Workload {
   /// Throws std::invalid_argument on an unknown mix name.
   void apply_mix_schedule(const std::vector<sim::MixChange>& changes);
 
-  /// Attaches a WIRT tracker: successful interactions report their
-  /// response time per interaction class (TPC-W clause 5.5 compliance).
-  /// Pass nullptr to detach.  Not owned.
-  void set_wirt_tracker(WirtTracker* tracker) { wirt_ = tracker; }
   [[nodiscard]] const Mix* mix() const { return mix_; }
 
   /// Latency distribution per TPC-W interaction class, over the whole run
-  /// (successful interactions only).  Always recording: a histogram record
-  /// is a counter increment, so observation stays passive.
-  [[nodiscard]] const obs::Histogram& interaction_latency(
-      Interaction interaction) const {
-    return interaction_latency_[static_cast<std::size_t>(interaction)];
-  }
+  /// (successful interactions only), with its clause 5.5 compliance check.
+  /// Always recording: a histogram record is a counter increment, so
+  /// observation stays passive.
+  [[nodiscard]] const WirtTracker& wirt() const { return wirt_; }
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::uint64_t interactions_issued() const { return issued_; }
@@ -151,8 +146,7 @@ class Workload {
   const ZipfSampler* popularity_ = nullptr;
   common::ObjectPool<Retry> retries_;
   std::vector<common::Rng> browser_rngs_;
-  std::array<obs::Histogram, kInteractionCount> interaction_latency_;
-  WirtTracker* wirt_ = nullptr;
+  WirtTracker wirt_;
   bool running_ = false;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t issued_ = 0;

@@ -104,9 +104,8 @@ common::SimTime AppServer::io_cpu(common::Bytes bytes) const {
 }
 
 common::SimTime AppServer::charge_thread_growth(sim::SlotPool& pool,
-                                                int& spawned, int min_threads,
+                                                int& spawned,
                                                 common::Bytes per_thread_mem) {
-  (void)min_threads;
   common::SimTime penalty = common::SimTime::zero();
   const int in_use = pool.in_use();
   while (spawned < in_use) {
@@ -151,9 +150,8 @@ void AppServer::on_http_granted(AppCall* call) {
   // Connector thread granted: service starts; the gap back to t_enqueue is
   // the accept-queue wait.
   call->t_start = sim_.now();
-  const common::SimTime spawn_penalty = charge_thread_growth(
-      *http_pool_, http_spawned_, params_.min_processors,
-      http_thread_memory());
+  const common::SimTime spawn_penalty =
+      charge_thread_growth(*http_pool_, http_spawned_, http_thread_memory());
   // Read the request off the socket, then run the servlet.
   node_.cpu().submit(spawn_penalty + io_cpu(512),
                      [call] { call->self->run_servlet(call); });
@@ -169,9 +167,8 @@ void AppServer::run_servlet(AppCall* call) {
 }
 
 void AppServer::on_ajp_granted(AppCall* call) {
-  const common::SimTime spawn_penalty = charge_thread_growth(
-      *ajp_pool_, ajp_spawned_, params_.ajp_min_processors,
-      ajp_thread_memory());
+  const common::SimTime spawn_penalty =
+      charge_thread_growth(*ajp_pool_, ajp_spawned_, ajp_thread_memory());
   call->remaining = call->request.profile->total_queries();
   node_.cpu().submit(spawn_penalty + call->request.profile->app_cpu,
                      [call] { call->self->issue_queries(call); });

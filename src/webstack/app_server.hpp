@@ -105,7 +105,6 @@ class AppServer {
   /// Charges spawn cost and memory when the pool grows past what has been
   /// spawned so far.  Returns the CPU penalty to add to this request.
   common::SimTime charge_thread_growth(sim::SlotPool& pool, int& spawned,
-                                       int min_threads,
                                        common::Bytes per_thread_mem);
   [[nodiscard]] common::Bytes http_thread_memory() const;
   [[nodiscard]] common::Bytes ajp_thread_memory() const;

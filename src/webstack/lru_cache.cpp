@@ -25,7 +25,7 @@ LruCache::LruCache(common::Bytes capacity, int swap_low_percent,
       swap_high_(swap_high_percent) {
   assert(capacity_ >= 0);
   assert(swap_low_ > 0 && swap_low_ <= 100);
-  assert(swap_high_ >= swap_low_ && swap_high_ <= 100);
+  assert(swap_high_ > 0 && swap_high_ <= 100);
   rehash(64);
 }
 
@@ -259,8 +259,8 @@ void LruCache::set_capacity(common::Bytes capacity) {
 }
 
 void LruCache::set_watermarks(int low_percent, int high_percent) {
-  assert(low_percent > 0 && low_percent <= high_percent &&
-         high_percent <= 100);
+  assert(low_percent > 0 && low_percent <= 100);
+  assert(high_percent > 0 && high_percent <= 100);
   swap_low_ = low_percent;
   swap_high_ = high_percent;
   if (used_ > high_bytes()) evict_to(low_bytes());

@@ -29,7 +29,12 @@ namespace ah::webstack {
 
 class LruCache {
  public:
-  /// Watermarks are percentages of capacity (0-100], low <= high.
+  /// Watermarks are percentages of capacity, each in (0, 100].  An
+  /// object larger than the high watermark is refused; filling past the
+  /// high watermark evicts down to the low one.  The tuner varies the two
+  /// independently, so low > high is valid: eviction then fires above
+  /// `high` but trims only to `low`, so the cache fills to `low` and trims
+  /// back to it, while `high` still caps an admitted object's size.
   LruCache(common::Bytes capacity, int swap_low_percent = 90,
            int swap_high_percent = 95);
 

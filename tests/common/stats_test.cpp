@@ -90,27 +90,6 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(PercentileTest, EmptyReturnsZero) {
-  EXPECT_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(PercentileTest, MedianOfOddCount) {
-  const std::vector<double> v{5.0, 1.0, 3.0};
-  EXPECT_EQ(percentile(v, 0.5), 3.0);
-}
-
-TEST(PercentileTest, ExtremeQuantiles) {
-  const std::vector<double> v{4.0, 2.0, 8.0, 6.0};
-  EXPECT_EQ(percentile(v, 0.0), 2.0);
-  EXPECT_EQ(percentile(v, 1.0), 8.0);
-}
-
-TEST(PercentileTest, ClampsQuantile) {
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_EQ(percentile(v, -0.5), 1.0);
-  EXPECT_EQ(percentile(v, 1.5), 2.0);
-}
-
 TEST(EwmaTest, FirstSampleSeeds) {
   Ewma e(0.5);
   EXPECT_FALSE(e.seeded());

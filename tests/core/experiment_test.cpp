@@ -103,22 +103,29 @@ TEST(ExperimentTest, PerLineMetersForMultiLine) {
 }
 
 TEST(ExperimentTest, WirtTrackerReceivesPerInteractionLatencies) {
-  sim::Simulator sim;
-  SystemModel system(sim, {});
+  SystemModel::Config system_config;
+  system_config.lines = {SystemModel::LineSpec{1, 1, 1},
+                         SystemModel::LineSpec{1, 1, 1}};
+  SystemModel system(system_config);
   Experiment experiment(system, fast_config(200));
-  tpcw::WirtTracker wirt;
-  experiment.set_wirt_tracker(&wirt);
   experiment.run_iteration();
   // A healthy lightly-loaded system is WIRT-compliant and the tracker saw
   // the bulk of the mix.
+  const tpcw::WirtTracker wirt = experiment.wirt();
   EXPECT_TRUE(wirt.compliant());
   EXPECT_GT(wirt.samples(tpcw::Interaction::kHome), 0u);
   EXPECT_GT(wirt.samples(tpcw::Interaction::kSearchRequest), 0u);
-  // Detaching stops recording.
-  wirt.reset();
-  experiment.set_wirt_tracker(nullptr);
+  // Both lines merge in: the tracker holds at least every successful
+  // interaction the two meters counted inside the measurement window.
+  std::size_t samples = 0;
+  for (const auto& check : wirt.check_all()) samples += check.samples;
+  ASSERT_GT(experiment.meter(1).completed_ok(), 0u);
+  EXPECT_GE(samples, experiment.meter(0).completed_ok() +
+                         experiment.meter(1).completed_ok());
+  // Recording is cumulative over the run.
   experiment.run_iteration();
-  EXPECT_EQ(wirt.samples(tpcw::Interaction::kHome), 0u);
+  EXPECT_GT(experiment.wirt().samples(tpcw::Interaction::kHome),
+            wirt.samples(tpcw::Interaction::kHome));
 }
 
 TEST(ExperimentTest, DeterministicGivenSeed) {

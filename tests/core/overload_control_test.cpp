@@ -106,28 +106,31 @@ TEST(OverloadControlTest, ReactiveBorrowsOnMarkDown) {
   experiment.run_iteration();  // traffic + monitor samples for readings()
 
   ReconfigController controller(system);
-  ReconfigController::ReactiveOptions options;
-  options.min_healthy = 2;  // capacity-sensitive: react to 2 -> 1 healthy
-  controller.enable_reactive(options);
+  controller.enable_reactive({});
   ASSERT_TRUE(controller.reactive_enabled());
 
-  const auto victim = system.cluster().tier(TierKind::kDb).members()[1];
+  // A whole-tier outage: both db nodes crash, staggered so the first
+  // mark-down still leaves one healthy member (no borrow) and the second
+  // leaves none (borrow).
   const double crash_at = system.now().as_seconds() + 5.0;
   sim::FaultPlan plan;
-  sim::FaultEvent crash;
-  crash.kind = sim::FaultEvent::Kind::kCrash;
-  crash.at = SimTime::seconds(crash_at);
-  crash.node = victim;
-  plan.events.push_back(crash);
+  for (std::size_t k = 0; k < 2; ++k) {
+    sim::FaultEvent crash;
+    crash.kind = sim::FaultEvent::Kind::kCrash;
+    crash.at = SimTime::seconds(crash_at + 5.0 * static_cast<double>(k));
+    crash.node = system.cluster().tier(TierKind::kDb).members()[k];
+    plan.events.push_back(crash);
+  }
   system.install_fault_plan(plan);
 
   for (int i = 0; i < 2; ++i) experiment.run_iteration();
-  // The mark-down left the db tier below min_healthy; the controller
-  // borrowed a healthy node from another tier to backfill it.
+  // The second mark-down left the db tier below kMinHealthy; the
+  // controller borrowed a healthy node from another tier to backfill it.
   EXPECT_EQ(controller.reactive_moves(), 1u);
   ASSERT_EQ(controller.moves().size(), 1u);
   EXPECT_EQ(controller.moves()[0].to_tier, static_cast<int>(TierKind::kDb));
-  EXPECT_GE(system.cluster().healthy_count(TierKind::kDb), 2u);
+  EXPECT_GE(system.cluster().healthy_count(TierKind::kDb),
+            ReconfigController::kMinHealthy);
 }
 
 TEST(OverloadControlTest, ReactiveBorrowsOnSustainedP95Breach) {
@@ -139,8 +142,8 @@ TEST(OverloadControlTest, ReactiveBorrowsOnSustainedP95Breach) {
   ReconfigController controller(system);
   ReconfigController::ReactiveOptions options;
   options.p95_target = SimTime::millis(100);
-  options.breach_streak = 3;
   controller.enable_reactive(options);
+  static_assert(ReconfigController::kBreachStreak == 3);
 
   // Two breaches: still inside the hysteresis streak.
   EXPECT_FALSE(controller.observe_p95(SimTime::millis(400)).has_value());

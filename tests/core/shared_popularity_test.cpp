@@ -72,7 +72,7 @@ Experiment::Config experiment_config() {
 std::int64_t table_bytes() {
   const std::int64_t before = live_bytes();
   const auto table = std::make_shared<const tpcw::ZipfSampler>(
-      experiment_config().item_count, tpcw::Workload::Config{}.zipf_alpha);
+      experiment_config().item_count, tpcw::Workload::kZipfAlpha);
   return live_bytes() - before;
 }
 

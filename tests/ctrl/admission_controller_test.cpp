@@ -1,6 +1,6 @@
 // Feedback-controlled admission: convergence of the proportional loop,
 // fuzzy deadband, the deterministic hash-based admit decision, and the
-// controller's safety rails (min_admit floor, min_samples gate).
+// controller's safety rails (kMinAdmit floor, kMinSamples gate).
 #include "ctrl/admission_controller.hpp"
 
 #include <gtest/gtest.h>
@@ -18,9 +18,11 @@ using common::SimTime;
 AdmissionController::Config test_config() {
   AdmissionController::Config config;
   config.target_p95 = SimTime::millis(500);
-  config.period = SimTime::seconds(1.0);
   return config;
 }
+
+static_assert(AdmissionController::kPeriod == SimTime::seconds(1.0),
+              "feed_window places tick k at k seconds");
 
 /// Feeds `samples` observations of `latency` and advances past tick `k`.
 void feed_window(sim::Simulator& sim, AdmissionController& controller,
@@ -35,7 +37,7 @@ TEST(AdmissionControllerTest, ShedsUnderSustainedBreachAndRecovers) {
   controller.start();
   EXPECT_DOUBLE_EQ(controller.admit_fraction(), 1.0);
 
-  // p95 at 4x the target: every tick cuts by the full max_step.
+  // p95 at 4x the target: every tick cuts by the full kMaxStep.
   for (std::uint64_t k = 1; k <= 8; ++k) {
     feed_window(sim, controller, k, SimTime::millis(2000));
   }
@@ -59,7 +61,7 @@ TEST(AdmissionControllerTest, FractionNeverDropsBelowFloor) {
     feed_window(sim, controller, k, SimTime::seconds(30.0));
   }
   EXPECT_DOUBLE_EQ(controller.admit_fraction(),
-                   controller.config().min_admit);
+                   AdmissionController::kMinAdmit);
   // Even at the floor, a sliver of traffic still reaches the backend (the
   // controller must keep measuring it to ever recover).
   int admitted = 0;
@@ -86,7 +88,7 @@ TEST(AdmissionControllerTest, ThinWindowsAreIgnored) {
   sim::Simulator sim;
   AdmissionController controller(sim, test_config());
   controller.start();
-  // Fewer than min_samples observations: the p95 is noise, don't act.
+  // Fewer than kMinSamples observations: the p95 is noise, don't act.
   for (std::uint64_t k = 1; k <= 5; ++k) {
     feed_window(sim, controller, k, SimTime::seconds(10.0), /*samples=*/4);
   }
@@ -150,18 +152,25 @@ TEST(AdmissionControllerTest, ChangeObserverSeesEveryActuation) {
   EXPECT_DOUBLE_EQ(fractions.back(), controller.admit_fraction());
 }
 
-TEST(AdmissionControllerTest, SetConfigKeepsFractionButRefloors) {
+TEST(AdmissionControllerTest, SetConfigKeepsFraction) {
   sim::Simulator sim;
   AdmissionController controller(sim, test_config());
   controller.start();
   for (std::uint64_t k = 1; k <= 30; ++k) {
     feed_window(sim, controller, k, SimTime::seconds(30.0));
   }
-  ASSERT_DOUBLE_EQ(controller.admit_fraction(), 0.05);  // default floor
-  AdmissionController::Config raised = test_config();
-  raised.min_admit = 0.25;
-  controller.set_config(raised);
-  EXPECT_DOUBLE_EQ(controller.admit_fraction(), 0.25);
+  ASSERT_DOUBLE_EQ(controller.admit_fraction(),
+                   AdmissionController::kMinAdmit);
+  AdmissionController::Config relaxed;
+  relaxed.target_p95 = SimTime::seconds(60.0);
+  controller.set_config(relaxed);
+  EXPECT_EQ(controller.config().target_p95, SimTime::seconds(60.0));
+  EXPECT_DOUBLE_EQ(controller.admit_fraction(),
+                   AdmissionController::kMinAdmit);
+  // The next window is judged against the new target: 30 s is now half of
+  // it, so the loop opens up again.
+  feed_window(sim, controller, 31, SimTime::seconds(30.0));
+  EXPECT_GT(controller.admit_fraction(), AdmissionController::kMinAdmit);
 }
 
 }  // namespace

@@ -65,17 +65,6 @@ TEST(RandomSearchTest, PendingMatchesAsk) {
 
 // -- CoordinateDescentTuner --------------------------------------------------
 
-TEST(CoordinateDescentTest, RejectsBadOptions) {
-  CoordinateDescentTuner::Options bad;
-  bad.probes = 1;
-  EXPECT_THROW(CoordinateDescentTuner(box(0, 10, 5, 1), bad),
-               std::invalid_argument);
-  bad = {};
-  bad.radius_decay = 1.5;
-  EXPECT_THROW(CoordinateDescentTuner(box(0, 10, 5, 1), bad),
-               std::invalid_argument);
-}
-
 TEST(CoordinateDescentTest, FirstProbeIsIncumbentDefault) {
   CoordinateDescentTuner tuner(box(0, 100, 42, 3));
   EXPECT_EQ(tuner.ask(), (PointI{42, 42, 42}));
@@ -131,17 +120,18 @@ TEST(CoordinateDescentTest, RadiusDecaysPerPass) {
 }
 
 TEST(CoordinateDescentTest, RadiusReexpandsAtFloor) {
-  CoordinateDescentTuner::Options options;
-  options.initial_radius = 0.5;
-  options.radius_decay = 0.1;
-  options.min_radius = 0.05;
-  CoordinateDescentTuner tuner(box(0, 1000, 500, 1), options);
-  // Two passes shrink 0.5 -> 0.05 -> 0.005 < floor -> re-expand.
-  for (int pass = 0; pass < 2; ++pass) {
+  using Tuner = CoordinateDescentTuner;
+  Tuner tuner(box(0, 1000, 500, 1));
+  // Each pass multiplies the radius by kRadiusDecay; the pass that would
+  // take it below kMinRadius re-expands it instead.
+  double radius = Tuner::kInitialRadius;
+  while (radius >= Tuner::kMinRadius) {
+    EXPECT_DOUBLE_EQ(tuner.radius(), radius);
     const auto batch = tuner.pending();
     for (std::size_t i = 0; i < batch.size(); ++i) tuner.tell(1.0);
+    radius *= Tuner::kRadiusDecay;
   }
-  EXPECT_DOUBLE_EQ(tuner.radius(), 0.5);
+  EXPECT_DOUBLE_EQ(tuner.radius(), Tuner::kInitialRadius);
 }
 
 TEST(CoordinateDescentTest, ConvergesOnSeparableObjective) {

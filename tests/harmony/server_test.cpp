@@ -125,13 +125,15 @@ TEST(HarmonyServerTest, MultipleIndependentSessions) {
 }
 
 TEST(HarmonyServerTest, ConvergenceExposed) {
-  SessionOptions options;
-  options.patience = 4;
   HarmonyServer server;
-  const auto id = server.create_session("s", options);
+  const auto id = server.create_session("s");
   server.register_parameter(id, {"x", 0, 10, 5});
   server.start(id);
-  for (int i = 0; i < 8; ++i) server.report_performance(id, 100.0);
+  for (std::size_t i = 0; i < TuningSession::kPatience; ++i) {
+    server.report_performance(id, 100.0);
+  }
+  EXPECT_FALSE(server.converged_at(id).has_value());
+  server.report_performance(id, 100.0);
   EXPECT_TRUE(server.converged_at(id).has_value());
 }
 

@@ -43,43 +43,44 @@ TEST(TuningSessionTest, NotConvergedInitially) {
   EXPECT_FALSE(session.converged_at().has_value());
 }
 
+constexpr std::size_t kPatience = TuningSession::kPatience;
+constexpr double kEpsilon = TuningSession::kImprovementEpsilon;
+
+/// Reports `cost` `times` times.
+void tell_flat(TuningSession& session, double cost, std::size_t times) {
+  for (std::size_t i = 0; i < times; ++i) session.tell(cost);
+}
+
 TEST(TuningSessionTest, ConvergesAfterPatienceWithoutImprovement) {
-  SessionOptions options;
-  options.patience = 5;
-  TuningSession session("s", simple_space(), options);
+  TuningSession session("s", simple_space());
   session.tell(10.0);  // improvement at index 0
-  for (int i = 0; i < 5; ++i) session.tell(10.0);  // flat
+  tell_flat(session, 10.0, kPatience - 1);
+  EXPECT_FALSE(session.converged_at().has_value());
+  session.tell(10.0);  // kPatience-th flat evaluation
   ASSERT_TRUE(session.converged_at().has_value());
   EXPECT_EQ(*session.converged_at(), 0u);
 }
 
 TEST(TuningSessionTest, ImprovementResetsConvergenceClock) {
-  SessionOptions options;
-  options.patience = 4;
-  options.improvement_epsilon = 0.01;
-  TuningSession session("s", simple_space(), options);
-  session.tell(10.0);
-  session.tell(10.0);
-  session.tell(10.0);
+  TuningSession session("s", simple_space());
+  tell_flat(session, 10.0, 3);
   session.tell(5.0);  // big improvement at index 3
-  session.tell(5.0);
+  tell_flat(session, 5.0, kPatience - 1);
   EXPECT_FALSE(session.converged_at().has_value());
-  session.tell(5.0);
-  session.tell(5.0);
-  session.tell(5.0);  // 4th flat evaluation after the improvement
+  session.tell(5.0);  // kPatience-th flat evaluation after the improvement
   ASSERT_TRUE(session.converged_at().has_value());
   EXPECT_EQ(*session.converged_at(), 3u);
 }
 
 TEST(TuningSessionTest, TinyImprovementDoesNotReset) {
-  SessionOptions options;
-  options.patience = 3;
-  options.improvement_epsilon = 0.05;  // 5% required
-  TuningSession session("s", simple_space(), options);
+  TuningSession session("s", simple_space());
   session.tell(100.0);
-  session.tell(99.0);  // 1% — below epsilon
-  session.tell(98.5);
-  session.tell(98.4);
+  // Every later cost improves on 100 by less than kImprovementEpsilon, so
+  // none of them resets the clock.
+  for (std::size_t i = 1; i <= kPatience; ++i) {
+    session.tell(100.0 * (1.0 - kEpsilon * static_cast<double>(i) /
+                                    static_cast<double>(kPatience + 1)));
+  }
   ASSERT_TRUE(session.converged_at().has_value());
   EXPECT_EQ(*session.converged_at(), 0u);
 }
@@ -87,14 +88,11 @@ TEST(TuningSessionTest, TinyImprovementDoesNotReset) {
 TEST(TuningSessionTest, NegativeCostsHandled) {
   // WIPS are reported as negated costs; relative improvement must work on
   // negative values.
-  SessionOptions options;
-  options.patience = 3;
-  TuningSession session("s", simple_space(), options);
+  TuningSession session("s", simple_space());
   session.tell(-100.0);
   session.tell(-110.0);  // 10% better (more negative)
+  tell_flat(session, -110.0, kPatience - 1);
   EXPECT_FALSE(session.converged_at().has_value());
-  session.tell(-110.0);
-  session.tell(-110.0);
   session.tell(-110.0);
   ASSERT_TRUE(session.converged_at().has_value());
   EXPECT_EQ(*session.converged_at(), 1u);

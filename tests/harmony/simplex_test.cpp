@@ -31,15 +31,6 @@ TEST(SimplexTunerTest, RejectsEmptySpace) {
   EXPECT_THROW(SimplexTuner tuner{ParameterSpace{}}, std::invalid_argument);
 }
 
-TEST(SimplexTunerTest, RejectsBadCoefficients) {
-  SimplexOptions bad;
-  bad.contraction = 1.5;
-  EXPECT_THROW(SimplexTuner(box(0, 10, 5, 2), bad), std::invalid_argument);
-  bad = SimplexOptions{};
-  bad.expansion = 0.5;
-  EXPECT_THROW(SimplexTuner(box(0, 10, 5, 2), bad), std::invalid_argument);
-}
-
 TEST(SimplexTunerTest, InitialBatchIsDimensionPlusOne) {
   SimplexTuner tuner(box(0, 100, 50, 4));
   EXPECT_EQ(tuner.pending().size(), 5u);

@@ -42,6 +42,9 @@ TEST(HistogramTest, BucketIndexIsMonotoneAndInRange) {
       ASSERT_LT(idx, Histogram::kBucketCount) << "v=" << v;
       ASSERT_GE(idx, prev) << "v=" << v;
       ASSERT_LE(Histogram::bucket_low_us(idx), v) << "v=" << v;
+      ASSERT_GE(Histogram::bucket_high_us(idx), v) << "v=" << v;
+      ASSERT_EQ(Histogram::bucket_index(Histogram::bucket_high_us(idx)), idx)
+          << "v=" << v;
       prev = idx;
     }
   }
@@ -61,6 +64,13 @@ TEST(HistogramTest, BucketBoundaries) {
   // Representative (lower bound) round-trips.
   EXPECT_EQ(Histogram::bucket_low_us(Histogram::bucket_index(64)), 64u);
   EXPECT_EQ(Histogram::bucket_low_us(Histogram::bucket_index(100)), 100u);
+  // Inclusive upper bounds: the last value before the next bucket starts.
+  EXPECT_EQ(Histogram::bucket_high_us(Histogram::bucket_index(31)), 31u);
+  EXPECT_EQ(Histogram::bucket_high_us(Histogram::bucket_index(32)), 32u);
+  EXPECT_EQ(Histogram::bucket_high_us(Histogram::bucket_index(64)), 65u);
+  EXPECT_EQ(Histogram::bucket_high_us(Histogram::bucket_index(100)), 101u);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(Histogram::bucket_high_us(Histogram::bucket_index(kMax)), kMax);
 }
 
 TEST(HistogramTest, ExtremeValuesStayInBounds) {

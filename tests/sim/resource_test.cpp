@@ -47,18 +47,8 @@ TEST_F(ResourceTest, MultipleServersRunConcurrently) {
   EXPECT_EQ(sim_.now(), SimTime::millis(10));  // parallel, not 20
 }
 
-TEST_F(ResourceTest, QueueCapacityRejects) {
-  Resource r(sim_, "r", {.servers = 1, .queue_capacity = 1});
-  EXPECT_TRUE(r.submit(SimTime::millis(10), {}));   // in service
-  EXPECT_TRUE(r.submit(SimTime::millis(10), {}));   // queued
-  EXPECT_FALSE(r.submit(SimTime::millis(10), {}));  // rejected
-  EXPECT_EQ(r.rejected(), 1u);
-  sim_.run();
-  EXPECT_EQ(r.completed(), 2u);
-}
-
 TEST_F(ResourceTest, SlowdownScalesServiceTime) {
-  Resource r(sim_, "r", {.servers = 1, .queue_capacity = 100, .slowdown = 2.0});
+  Resource r(sim_, "r", {.servers = 1, .slowdown = 2.0});
   SimTime done_at = SimTime::zero();
   r.submit(SimTime::millis(10), [&] { done_at = sim_.now(); });
   sim_.run();
@@ -170,7 +160,7 @@ TEST_F(ResourceTest, CompletionMovesAtMostFourTimesOnAFreeServer) {
   test::MoveCounts counts;
   {
     Resource r(sim_, "r", {.servers = 1});
-    EXPECT_TRUE(r.submit(SimTime::millis(1), test::MoveCounter(&counts)));
+    r.submit(SimTime::millis(1), test::MoveCounter(&counts));
     sim_.run();
     EXPECT_EQ(r.completed(), 1u);
   }

@@ -52,6 +52,20 @@ TEST(WirtTrackerTest, ViolationDetectedAtP90) {
   }
   EXPECT_FALSE(tracker.check(Interaction::kHome).compliant);
   EXPECT_FALSE(tracker.compliant());
+
+  // A p90 50 us over Home's 3 s limit shares its histogram bucket with
+  // values under the limit; the check reads the bucket's upper bound, so
+  // the violation is not rounded away.
+  WirtTracker rounded;
+  for (int i = 0; i < 90; ++i) {
+    rounded.record(Interaction::kHome, SimTime::micros(3'000'050));
+  }
+  for (int i = 0; i < 10; ++i) {
+    rounded.record(Interaction::kHome, SimTime::seconds(10.0));
+  }
+  const auto result = rounded.check(Interaction::kHome);
+  EXPECT_GE(result.p90_seconds, 3.00005);
+  EXPECT_FALSE(result.compliant);
 }
 
 TEST(WirtTrackerTest, TailBelowTenPercentTolerated) {

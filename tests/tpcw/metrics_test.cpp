@@ -65,8 +65,8 @@ TEST(WipsMeterTest, LatencyStatsOverOkOnly) {
   meter.record(true, true, SimTime::seconds(1.0), SimTime::millis(100));
   meter.record(true, true, SimTime::seconds(1.0), SimTime::millis(200));
   meter.record(false, true, SimTime::seconds(1.0), SimTime::millis(900));
-  EXPECT_EQ(meter.latency_ms().count(), 2u);
-  EXPECT_NEAR(meter.latency_ms().mean(), 150.0, 1e-9);
+  EXPECT_EQ(meter.latency_histogram().count(), 2u);
+  EXPECT_NEAR(meter.latency_histogram().mean_us(), 150'000.0, 1e-9);
 }
 
 TEST(WipsMeterTest, RearmResets) {
@@ -76,7 +76,7 @@ TEST(WipsMeterTest, RearmResets) {
   meter.arm(SimTime::seconds(20.0), SimTime::seconds(30.0));
   EXPECT_EQ(meter.completed_ok(), 0u);
   EXPECT_EQ(meter.errors(), 0u);
-  EXPECT_EQ(meter.latency_ms().count(), 0u);
+  EXPECT_EQ(meter.latency_histogram().count(), 0u);
   EXPECT_EQ(meter.window_start(), SimTime::seconds(20.0));
   EXPECT_EQ(meter.window_end(), SimTime::seconds(30.0));
 }

@@ -217,32 +217,42 @@ TEST_F(WorkloadTest, RetriesGiveUpAfterMaxAttempts) {
   Workload::Config c;
   c.browsers = 1;
   c.retry.max_retries = 2;
-  c.think_mean = SimTime::seconds(1000.0);  // effectively one interaction
-  c.think_cap = SimTime::seconds(2000.0);
   c.seed = 5;
   Workload workload(sim, frontend, &Mix::standard(WorkloadKind::kOrdering),
                     meter, c);
   workload.start();
-  sim.run_until(SimTime::seconds(600.0));
-  // Exactly one interaction: 1 attempt + 2 retries, then the browser
-  // gives up and thinks.
-  EXPECT_EQ(workload.interactions_issued(), 1u);
+  // Run up to the browser's second interaction: the first one made 1
+  // attempt + 2 retries, then the browser gave up and thought.
+  while (workload.interactions_issued() < 2 && sim.step()) {
+  }
+  ASSERT_EQ(workload.interactions_issued(), 2u);
   EXPECT_EQ(attempts, 3u);
   EXPECT_EQ(meter.completed_ok(), 0u);
 }
 
 TEST_F(WorkloadTest, ThinkTimesRespectCap) {
-  Workload::Config c = config(10);
-  c.think_mean = SimTime::seconds(1.0);
-  c.think_cap = SimTime::seconds(2.0);
+  // Arrival modulation 0.01 stretches the mean think time a hundredfold
+  // (350 s), far past kThinkCap: nearly every draw hits the cap.
+  sim::ArrivalModulation slow;
+  sim::ArrivalPhase phase;
+  phase.kind = sim::ArrivalPhase::Kind::kRamp;
+  phase.t1 = SimTime::micros(1);
+  phase.magnitude = 0.01;
+  slow.phases.push_back(phase);
+  constexpr int kBrowsers = 10;
   Workload workload(sim_, frontend_, &Mix::standard(WorkloadKind::kShopping),
-                    meter_, c);
-  meter_.arm(SimTime::zero(), SimTime::seconds(300.0));
+                    meter_, config(kBrowsers));
+  workload.set_arrival_modulation(&slow);
+  const SimTime run = SimTime::seconds(300.0);
   workload.start();
-  sim_.run_until(SimTime::seconds(300.0));
-  // With mean 1s (capped) think and 10 EBs, at least ~8/s must flow; an
-  // uncapped heavy tail would push throughput visibly lower.
-  EXPECT_GT(meter_.wips(), 7.0);
+  sim_.run_until(run);
+  // Each browser starts within one mean think time and then issues again
+  // at most kThinkCap plus its (~10 ms) response time later.  Uncapped,
+  // the 350 s mean would leave about two interactions per browser.
+  const SimTime cycle = Workload::kThinkCap + SimTime::seconds(1.0);
+  const auto per_browser =
+      1 + static_cast<std::uint64_t>((run - Workload::kThinkMean) / cycle);
+  EXPECT_GE(workload.interactions_issued(), kBrowsers * per_browser);
 }
 
 }  // namespace

@@ -224,6 +224,36 @@ TEST(LruCacheTest, InsertLargerThanHighWatermarkAfterSetWatermarks) {
   EXPECT_TRUE(cache.insert(3, 500));
 }
 
+// The tuner varies cache_swap_low and cache_swap_high independently, so an
+// inverted pair is valid: eviction fires above `high` but trims only to
+// `low`, so the cache fills to `low`, while `high` still caps the size of
+// an admitted object.
+TEST(LruCacheTest, InvertedWatermarksFillToLowAndCapObjectsAtHigh) {
+  // capacity 1000, low 90% (900), high 60% (600).
+  LruCache cache(1000, 90, 60);
+  for (std::uint64_t k = 0; k < 9; ++k) EXPECT_TRUE(cache.insert(k, 100));
+  EXPECT_EQ(cache.used(), 900);  // past high, but not past low
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_TRUE(cache.insert(9, 100));  // past low -> trims back to low
+  EXPECT_EQ(cache.used(), 900);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.contains(0));
+  EXPECT_FALSE(cache.insert(10, 601));  // > high watermark bytes
+  EXPECT_TRUE(cache.insert(11, 600));
+  EXPECT_LE(cache.used(), 900);
+
+  // set_watermarks takes an inverted pair the same way.
+  const std::uint64_t evictions = cache.evictions();
+  const common::Bytes used = cache.used();
+  ASSERT_GT(used, 500);
+  cache.set_watermarks(95, 50);
+  EXPECT_EQ(cache.evictions(), evictions);  // past high, not past low
+  EXPECT_EQ(cache.used(), used);
+  EXPECT_FALSE(cache.insert(12, 501));
+  EXPECT_TRUE(cache.insert(13, 500));
+  EXPECT_LE(cache.used(), 950);
+}
+
 // Heavy erase/insert churn recycles slab slots; stale index entries or slot
 // aliasing would surface as wrong lookups here.  The key range forces the
 // bucket array through several growth rehashes while erases interleave.

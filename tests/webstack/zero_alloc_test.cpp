@@ -185,26 +185,36 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
   // Target far below the achievable latency: every window breaches, so the
   // loop walks the admit fraction down and keeps shedding throughout.
   config.target_p95 = SimTime::millis(1);
-  config.period = SimTime::seconds(1.0);
-  config.min_samples = 2;  // this harness trickles ~4 requests per period
   ctrl::AdmissionController controller(sim_, config);
   proxies_.back()->set_admission(&controller,
                                  ProxyServer::ShedMode::kServeStale);
   controller.start();
 
+  // Each slice sends a burst: wide open, a control period then collects
+  // four times the samples a window needs before the controller acts on it,
+  // so it keeps acting until the admit fraction falls to a quarter.
+  constexpr SimTime kSlice = SimTime::millis(250);
+  constexpr int kSlicesPerPeriod = static_cast<int>(
+      ctrl::AdmissionController::kPeriod.as_micros() / kSlice.as_micros());
+  constexpr int kBurst = static_cast<int>(
+      4 * ctrl::AdmissionController::kMinSamples) / kSlicesPerPeriod;
+
   // The started controller re-arms a tick every period, so the event queue
-  // never drains; advance in bounded slices instead of sim_.run().
-  auto run_timed = [this](const RequestProfile& profile) {
-    bool completed = false;
-    frontend_.route(make_request(profile),
-                    [&completed](const Response&) { completed = true; });
-    sim_.run_until(sim_.now() + SimTime::millis(250));
+  // never drains; advance in bounded slices instead of sim_.run().  Returns
+  // how many of the slice's burst completed (served or shed).
+  auto run_timed = [this, kSlice](const RequestProfile& profile) {
+    int completed = 0;
+    for (int b = 0; b < kBurst; ++b) {
+      frontend_.route(make_request(profile),
+                      [&completed](const Response&) { ++completed; });
+    }
+    sim_.run_until(sim_.now() + kSlice);
     return completed;
   };
 
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(run_timed(cacheable));
-    ASSERT_TRUE(run_timed(dynamic_db));
+    ASSERT_EQ(run_timed(cacheable), kBurst);
+    ASSERT_EQ(run_timed(dynamic_db), kBurst);
   }
   ASSERT_LT(controller.admit_fraction(), 1.0);  // warm-up ended shedding
 
@@ -215,13 +225,13 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
   constexpr int kMeasured = 100;
   int completed = 0;
   for (int i = 0; i < kMeasured; ++i) {
-    if (run_timed(cacheable)) ++completed;
-    if (run_timed(dynamic_db)) ++completed;
+    completed += run_timed(cacheable);
+    completed += run_timed(dynamic_db);
   }
   g_track.store(false);
   controller.stop();
 
-  EXPECT_EQ(completed, 2 * kMeasured);
+  EXPECT_EQ(completed, 2 * kMeasured * kBurst);
   EXPECT_EQ(g_allocs.load(), 0u)
       << "admission-controlled requests performed heap allocations";
   // Prove both controller paths actually ran during the measured window.
