@@ -156,26 +156,27 @@ struct ScalePoint {
   std::vector<ThreadSample> samples;
 };
 
-ScalePoint run_scale_point(std::size_t lines,
-                           const std::vector<std::size_t>& thread_counts,
-                           std::size_t iterations) {
+/// Resident footprint: everything a fully wired model + workload holds.
+ScalePoint measure_footprint(std::size_t lines) {
   ScalePoint point;
   point.lines = lines;
-
-  // Resident footprint: everything a fully wired model + workload holds.
-  {
-    const std::int64_t before = live_bytes();
-    core::SystemModel system(topology_for(lines));
-    core::Experiment experiment(system, experiment_for(lines));
-    point.model_bytes = live_bytes() - before;
-    point.nodes = system.cluster().node_count();
-  }
+  const std::int64_t before = live_bytes();
+  core::SystemModel system(topology_for(lines));
+  core::Experiment experiment(system, experiment_for(lines));
+  point.model_bytes = live_bytes() - before;
+  point.nodes = system.cluster().node_count();
   point.bytes_per_node = static_cast<double>(point.model_bytes) /
                          static_cast<double>(point.nodes);
+  return point;
+}
 
-  // Throughput: a fresh system per thread count runs the identical virtual
-  // history (per-line order is thread-independent), so cells differ only
-  // in wall clock.
+/// Throughput: a fresh system per thread count runs the identical virtual
+/// history (per-line order is thread-independent), so cells differ only in
+/// wall clock.
+void measure_throughput(ScalePoint& point,
+                        const std::vector<std::size_t>& thread_counts,
+                        std::size_t iterations) {
+  const std::size_t lines = point.lines;
   for (const std::size_t threads : thread_counts) {
     core::SystemModel system(topology_for(lines));
     std::unique_ptr<common::ThreadPool> pool;
@@ -201,7 +202,6 @@ ScalePoint run_scale_point(std::size_t lines,
         wall > 0.0 ? static_cast<double>(sample.events) / wall : 0.0;
     point.samples.push_back(sample);
   }
-  return point;
 }
 
 // ---------------------------------------------------------------------------
@@ -334,13 +334,20 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 4, 8};
   const std::size_t iterations = smoke ? 1 : 2;
 
+  // Every byte figure is taken before the first throughput cell starts a
+  // ThreadPool: once worker threads have run, the heap's layout depends on
+  // their timing, and the usable sizes of later blocks move between runs.
+  std::vector<ScalePoint> points;
+  for (const std::size_t lines : line_counts) {
+    points.push_back(measure_footprint(lines));
+  }
+  const SharingSample shared = build_shared_systems();
+
   std::printf("bench_scale%s\n", smoke ? " (--smoke)" : "");
   std::printf("== scale sweep: %zu nodes/line, %d browsers/line ==\n",
               kNodesPerLine, kBrowsersPerLine);
-  std::vector<ScalePoint> points;
-  for (const std::size_t lines : line_counts) {
-    points.push_back(run_scale_point(lines, thread_counts, iterations));
-    const ScalePoint& p = points.back();
+  for (ScalePoint& p : points) {
+    measure_throughput(p, thread_counts, iterations);
     std::printf("  %4zu lines (%4zu nodes): %8.1f KiB/node |", p.lines,
                 p.nodes, p.bytes_per_node / 1024.0);
     for (const ThreadSample& s : p.samples) {
@@ -351,7 +358,6 @@ int main(int argc, char** argv) {
 
   std::printf("== sharing: %zu systems on one popularity table ==\n",
               kSharingSystems);
-  const SharingSample shared = build_shared_systems();
   std::printf("  shared %10.1f KiB/system\n",
               shared.bytes_per_system / 1024.0);
 

@@ -11,7 +11,6 @@
 #include "core/system_model.hpp"
 #include "core/tuning_driver.hpp"
 #include "sim/simulator.hpp"
-#include "harmony/config_io.hpp"
 #include "webstack/params.hpp"
 
 int main(int argc, char** argv) {
@@ -44,19 +43,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nbest WIPS observed: %.1f\n", result.best_wips);
-
-  // Persist the winner the way an administrator would.
-  {
-    ah::harmony::ParameterSpace space;
-    for (const auto& spec : ah::webstack::parameter_catalogue()) {
-      space.add({spec.name, spec.min_value, spec.max_value,
-                 spec.default_value});
-    }
-    const std::string path = "quickstart_best.conf";
-    ah::harmony::save_configuration(path, space, result.best_configuration,
-                                    "best configuration found by quickstart");
-    std::printf("saved to %s\n", path.c_str());
-  }
   std::printf("best configuration:\n");
   const auto& catalogue = ah::webstack::parameter_catalogue();
   for (std::size_t i = 0; i < catalogue.size(); ++i) {

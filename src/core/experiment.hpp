@@ -80,8 +80,8 @@ class Experiment {
   IterationResult run_iteration();
 
   /// TPC-W clause 5.5 response-time compliance over every work line's
-  /// successful interactions since the browsers started (lines merged in
-  /// index order).
+  /// successful interactions inside the measurement windows run so far
+  /// (lines merged in index order).
   [[nodiscard]] tpcw::WirtTracker wirt() const;
 
   /// Installs a full scenario: faults via SystemModel::install_scenario,

@@ -73,10 +73,6 @@ class ReconfigController {
     return moves_;
   }
 
-  [[nodiscard]] const harmony::Reconfigurer& algorithm() const {
-    return reconfigurer_;
-  }
-
  private:
   void on_health_transition(cluster::NodeId id, bool up);
   /// Borrows the least-loaded healthy node from another tier into `needy`

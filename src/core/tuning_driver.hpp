@@ -110,8 +110,6 @@ class TuningDriver {
   void restart_sessions(const harmony::PointI& seed);
 
   [[nodiscard]] harmony::HarmonyServer& server() { return server_; }
-  [[nodiscard]] TuningMethod method() const { return options_.method; }
-  [[nodiscard]] const Options& options() const { return options_; }
 
  private:
   /// Builds the Harmony sessions for the chosen method.  When `seed` is

@@ -3,33 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "harmony/baselines.hpp"
-
 namespace ah::harmony {
-
-namespace {
-std::unique_ptr<Tuner> make_tuner(ParameterSpace space,
-                                  const SessionOptions& options) {
-  switch (options.kernel) {
-    case TuningKernel::kSimplex:
-      return std::make_unique<SimplexTuner>(std::move(space),
-                                            options.simplex);
-    case TuningKernel::kRandomSearch:
-      return std::make_unique<RandomSearchTuner>(std::move(space));
-    case TuningKernel::kCoordinateDescent:
-      return std::make_unique<CoordinateDescentTuner>(std::move(space));
-  }
-  return nullptr;
-}
-}  // namespace
 
 TuningSession::TuningSession(std::string name, ParameterSpace space,
                              SessionOptions options)
-    : name_(std::move(name)), tuner_(make_tuner(std::move(space), options)) {}
+    : name_(std::move(name)), tuner_(std::move(space), options.simplex) {}
 
 void TuningSession::tell(double cost) {
-  observe(tuner_->ask(), cost);
-  tuner_->tell(cost);
+  observe(tuner_.ask(), cost);
+  tuner_.tell(cost);
 }
 
 void TuningSession::observe(const PointI& configuration, double cost) {

@@ -10,23 +10,16 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "harmony/parameter.hpp"
 #include "harmony/simplex.hpp"
-#include "harmony/tuner.hpp"
 
 namespace ah::harmony {
 
-/// Which search kernel drives the session (the paper uses kSimplex; the
-/// baselines exist for the kernel ablation).
-enum class TuningKernel { kSimplex, kRandomSearch, kCoordinateDescent };
-
 struct SessionOptions {
-  TuningKernel kernel = TuningKernel::kSimplex;
   SimplexOptions simplex;
 };
 
@@ -48,17 +41,14 @@ class TuningSession {
                 SessionOptions options = {});
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const ParameterSpace& space() const {
-    return tuner_->space();
-  }
-  [[nodiscard]] Tuner& tuner() { return *tuner_; }
+  [[nodiscard]] const ParameterSpace& space() const { return tuner_.space(); }
 
-  /// Ask/tell protocol (see Tuner).
-  [[nodiscard]] PointI ask() const { return tuner_->ask(); }
+  /// Ask/tell protocol (see SimplexTuner).
+  [[nodiscard]] PointI ask() const { return tuner_.ask(); }
   void tell(double cost);
 
-  [[nodiscard]] const PointI& best() const { return tuner_->best(); }
-  [[nodiscard]] double best_cost() const { return tuner_->best_cost(); }
+  [[nodiscard]] const PointI& best() const { return tuner_.best(); }
+  [[nodiscard]] double best_cost() const { return tuner_.best_cost(); }
 
   [[nodiscard]] const std::vector<HistoryEntry>& history() const {
     return history_;
@@ -73,7 +63,7 @@ class TuningSession {
   void observe(const PointI& configuration, double cost);
 
   std::string name_;
-  std::unique_ptr<Tuner> tuner_;
+  SimplexTuner tuner_;
   std::vector<HistoryEntry> history_;
 
   double best_seen_ = 0.0;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harmony/parameter.hpp"
-#include "harmony/tuner.hpp"
 
 namespace ah::harmony {
 
@@ -36,7 +35,7 @@ struct SimplexOptions {
   bool damp_extremes = false;
 };
 
-class SimplexTuner final : public Tuner {
+class SimplexTuner {
  public:
   enum class Phase {
     kInit,             // evaluating the initial simplex
@@ -51,26 +50,22 @@ class SimplexTuner final : public Tuner {
   SimplexTuner(const SimplexTuner&) = delete;
   SimplexTuner& operator=(const SimplexTuner&) = delete;
 
-  [[nodiscard]] const ParameterSpace& space() const override {
-    return space_;
-  }
+  [[nodiscard]] const ParameterSpace& space() const { return space_; }
   [[nodiscard]] Phase phase() const { return phase_; }
 
   /// All lattice points currently awaiting evaluation (never empty).
-  [[nodiscard]] std::vector<PointI> pending() const override;
+  [[nodiscard]] std::vector<PointI> pending() const;
   /// Next single point to evaluate.
-  [[nodiscard]] PointI ask() const override;
+  [[nodiscard]] PointI ask() const;
   /// Cost for the point returned by the previous ask().
-  void tell(double cost) override;
+  void tell(double cost);
 
   /// Best lattice point seen so far and its cost.  Valid once at least one
   /// cost has been reported.
-  [[nodiscard]] const PointI& best() const override { return best_point_; }
-  [[nodiscard]] double best_cost() const override { return best_cost_; }
+  [[nodiscard]] const PointI& best() const { return best_point_; }
+  [[nodiscard]] double best_cost() const { return best_cost_; }
 
-  [[nodiscard]] std::size_t evaluations() const override {
-    return evaluations_;
-  }
+  [[nodiscard]] std::size_t evaluations() const { return evaluations_; }
   /// Simplex diameter (max vertex distance in normalized coordinates);
   /// a convergence indicator.
   [[nodiscard]] double diameter() const;

@@ -16,17 +16,18 @@ void WipsMeter::arm(common::SimTime start, common::SimTime end) {
   latency_hist_.reset();
 }
 
-void WipsMeter::record(bool ok, bool browse, common::SimTime now,
+bool WipsMeter::record(bool ok, bool browse, common::SimTime now,
                        common::SimTime latency) {
-  if (now < start_ || now >= end_) return;
+  if (now < start_ || now >= end_) return false;
   if (!ok) {
     ++errors_;
-    return;
+    return true;
   }
   ++ok_;
   if (browse) ++browse_ok_;
   AH_LINT_ALLOW(obs_hot_path, "meter-owned histogram, always present");
   latency_hist_.record(latency);
+  return true;
 }
 
 double WipsMeter::wips() const {

@@ -20,15 +20,15 @@ class WipsMeter {
   /// ignored.  Resets all counters.
   void arm(common::SimTime start, common::SimTime end);
 
-  /// Records an interaction completion at `now`.
-  void record(bool ok, bool browse, common::SimTime now,
+  /// Records an interaction completion at `now`.  Returns whether `now`
+  /// fell inside the armed window (only then is it counted).
+  bool record(bool ok, bool browse, common::SimTime now,
               common::SimTime latency);
 
   [[nodiscard]] common::SimTime window_start() const { return start_; }
   [[nodiscard]] common::SimTime window_end() const { return end_; }
 
   [[nodiscard]] std::uint64_t completed_ok() const { return ok_; }
-  [[nodiscard]] std::uint64_t completed_browse() const { return browse_ok_; }
   [[nodiscard]] std::uint64_t errors() const { return errors_; }
 
   /// Successful interactions per second over the armed window.

@@ -119,9 +119,12 @@ void Workload::dispatch(std::size_t browser_index,
                       issued_at](const webstack::Response& response) {
     // The WIPS meter and per-interaction histograms are the measurement
     // itself (always attached, never null), not optional telemetry sinks.
+    // Both cover the meter's armed window only (TPC-W clause 5.5 judges
+    // WIRT over the measurement interval, not warm-up or cool-down).
     AH_LINT_ALLOW(obs_hot_path, "WipsMeter is the required measurement path");
-    meter_.record(response.ok, browse, sim_.now(), sim_.now() - issued_at);
-    if (response.ok) {
+    const bool in_window = meter_.record(response.ok, browse, sim_.now(),
+                                         sim_.now() - issued_at);
+    if (response.ok && in_window) {
       AH_LINT_ALLOW(obs_hot_path, "always-present interaction histograms");
       wirt_.record(static_cast<Interaction>(request.object_id >> 48),
                    sim_.now() - issued_at);

@@ -94,8 +94,9 @@ class Workload {
 
   [[nodiscard]] const Mix* mix() const { return mix_; }
 
-  /// Latency distribution per TPC-W interaction class, over the whole run
-  /// (successful interactions only), with its clause 5.5 compliance check.
+  /// Latency distribution per TPC-W interaction class, over every armed
+  /// measurement window of the meter (successful interactions only), with
+  /// its clause 5.5 compliance check.
   /// Always recording: a histogram record is a counter increment, so
   /// observation stays passive.
   [[nodiscard]] const WirtTracker& wirt() const { return wirt_; }

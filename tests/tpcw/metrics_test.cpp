@@ -10,17 +10,22 @@ using common::SimTime;
 TEST(WipsMeterTest, CountsInsideWindowOnly) {
   WipsMeter meter;
   meter.arm(SimTime::seconds(10.0), SimTime::seconds(20.0));
-  meter.record(true, true, SimTime::seconds(5.0), SimTime::millis(10));
-  meter.record(true, true, SimTime::seconds(15.0), SimTime::millis(10));
-  meter.record(true, true, SimTime::seconds(25.0), SimTime::millis(10));
+  EXPECT_FALSE(meter.record(true, true, SimTime::seconds(5.0),
+                            SimTime::millis(10)));
+  EXPECT_TRUE(meter.record(true, true, SimTime::seconds(15.0),
+                           SimTime::millis(10)));
+  EXPECT_FALSE(meter.record(true, true, SimTime::seconds(25.0),
+                            SimTime::millis(10)));
   EXPECT_EQ(meter.completed_ok(), 1u);
 }
 
 TEST(WipsMeterTest, WindowBoundariesHalfOpen) {
   WipsMeter meter;
   meter.arm(SimTime::seconds(10.0), SimTime::seconds(20.0));
-  meter.record(true, false, SimTime::seconds(10.0), SimTime::zero());  // in
-  meter.record(true, false, SimTime::seconds(20.0), SimTime::zero());  // out
+  EXPECT_TRUE(
+      meter.record(true, false, SimTime::seconds(10.0), SimTime::zero()));
+  EXPECT_FALSE(
+      meter.record(true, false, SimTime::seconds(20.0), SimTime::zero()));
   EXPECT_EQ(meter.completed_ok(), 1u);
 }
 
@@ -53,7 +58,9 @@ TEST(WipsMeterTest, ErrorsCountedSeparately) {
   meter.arm(SimTime::zero(), SimTime::seconds(10.0));
   meter.record(true, true, SimTime::seconds(1.0), SimTime::zero());
   meter.record(false, true, SimTime::seconds(1.0), SimTime::zero());
-  meter.record(false, true, SimTime::seconds(1.0), SimTime::zero());
+  // An in-window failure is counted too, so it reports in-window.
+  EXPECT_TRUE(
+      meter.record(false, true, SimTime::seconds(1.0), SimTime::zero()));
   EXPECT_EQ(meter.completed_ok(), 1u);
   EXPECT_EQ(meter.errors(), 2u);
   EXPECT_NEAR(meter.error_ratio(), 2.0 / 3.0, 1e-12);
