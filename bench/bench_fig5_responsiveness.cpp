@@ -2,16 +2,9 @@
 //
 // The system starts on the default configuration; the TPC-W mix switches
 // every `phase` iterations (browsing -> ordering -> shopping -> browsing)
-// while one Harmony server keeps tuning continuously.  The paper's claim:
-// only a few iterations are needed to adapt after each switch.
-//
-// Two variants run back to back:
-//   continuous   — one session tunes straight through the switches
-//                  (the paper's Figure 5 setup);
-//   with memory  — a harmony::ConfigurationMemory remembers the best
-//                  configuration per workload signature; on each switch the
-//                  session is re-seeded from the remembered configuration
-//                  (the "Prediction and Adaptation" warm-start).
+// while one Harmony session keeps tuning straight through the switches.
+// The paper's claim: only a few iterations are needed to adapt after each
+// switch.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -19,7 +12,6 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "harmony/memory.hpp"
 
 namespace {
 
@@ -32,9 +24,8 @@ struct PhaseRow {
   double best = 0.0;
 };
 
-std::vector<PhaseRow> run_variant(bool with_memory, std::size_t phase_len,
-                                  std::size_t phases,
-                                  std::vector<double>* series) {
+std::vector<PhaseRow> run_rotation(std::size_t phase_len, std::size_t phases,
+                                   std::vector<double>& series) {
   const tpcw::WorkloadKind rotation[] = {
       tpcw::WorkloadKind::kBrowsing, tpcw::WorkloadKind::kOrdering,
       tpcw::WorkloadKind::kShopping, tpcw::WorkloadKind::kBrowsing};
@@ -47,33 +38,11 @@ std::vector<PhaseRow> run_variant(bool with_memory, std::size_t phase_len,
   core::Experiment experiment(system, experiment_config);
   core::TuningDriver driver(system, experiment,
                             {core::TuningMethod::kDuplication, {}});
-  harmony::ConfigurationMemory memory(0.10);
-
-  auto signature = [](tpcw::WorkloadKind kind) {
-    return harmony::ConfigurationMemory::Signature{
-        tpcw::Mix::standard(kind).browse_fraction()};
-  };
 
   std::vector<PhaseRow> rows;
   for (std::size_t p = 0; p < phases; ++p) {
     const auto workload = rotation[p % 4];
-    if (p > 0) {
-      const auto previous = rotation[(p - 1) % 4];
-      if (with_memory) {
-        // Remember where the previous phase ended up; re-seed from memory
-        // if this workload (or a close one) has been seen before.
-        memory.remember(signature(previous),
-                        driver.server().best_configuration(0),
-                        driver.server().best_performance(0),
-                        std::string(tpcw::workload_name(previous)));
-        experiment.set_workload(workload);
-        if (const auto entry = memory.recall(signature(workload))) {
-          driver.restart_sessions(entry->configuration);
-        }
-      } else {
-        experiment.set_workload(workload);
-      }
-    }
+    if (p > 0) experiment.set_workload(workload);
 
     PhaseRow row;
     row.workload = std::string(tpcw::workload_name(workload));
@@ -82,7 +51,7 @@ std::vector<PhaseRow> run_variant(bool with_memory, std::size_t phase_len,
     for (std::size_t i = 0; i < phase_len; ++i) {
       const auto result = driver.run(1, /*validation_iterations=*/0);
       const double wips = result.wips_series.front();
-      if (series != nullptr) series->push_back(wips);
+      series.push_back(wips);
       (i < 5 ? head : tail).add(wips);
       row.best = std::max(row.best, wips);
     }
@@ -96,45 +65,30 @@ std::vector<PhaseRow> run_variant(bool with_memory, std::size_t phase_len,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = ah::bench::threads_flag(argc, argv);
+  // One sequential study: --threads is accepted like every bench's, and
+  // changes nothing.
+  (void)ah::bench::threads_flag(argc, argv);
   const std::size_t phase_len = argc > 1 ? std::stoul(argv[1]) : 100;
   const std::size_t phases = argc > 2 ? std::stoul(argv[2]) : 4;
   bench::banner("Figure 5: responsiveness to changing workloads",
-                "Figure 5 (Section III.A) + warm-start extension");
+                "Figure 5 (Section III.A)");
 
-  // The plain and warm-start variants are independent end-to-end runs:
-  // compute both (fanned out with --threads > 1), then print in order.
-  std::vector<double> series[2];
-  std::vector<PhaseRow> rows[2];
-  ah::bench::fan_out(threads, 2, [&](std::size_t v) {
-    rows[v] = run_variant(/*with_memory=*/v == 1, phase_len, phases,
-                          &series[v]);
-  });
-
-  for (const bool with_memory : {false, true}) {
-    std::printf("%s:\n", with_memory
-                             ? "with configuration memory (warm-start)"
-                             : "continuous tuning (paper Figure 5)");
-    const auto& variant_rows = rows[with_memory ? 1 : 0];
-    common::TextTable table({"phase", "workload", "first 5 iters (WIPS)",
-                             "rest of phase (WIPS)", "phase best"});
-    for (std::size_t p = 0; p < variant_rows.size(); ++p) {
-      table.add_row({std::to_string(p), variant_rows[p].workload,
-                     common::TextTable::num(variant_rows[p].head, 1),
-                     common::TextTable::num(variant_rows[p].tail, 1),
-                     common::TextTable::num(variant_rows[p].best, 1)});
-    }
-    table.render(std::cout);
-    bench::write_series_csv(with_memory ? "fig5_series_memory"
-                                        : "fig5_series",
-                            series[with_memory ? 1 : 0]);
-    std::printf("\n");
+  std::vector<double> series;
+  const auto rows = run_rotation(phase_len, phases, series);
+  std::printf("continuous tuning (paper Figure 5):\n");
+  common::TextTable table({"phase", "workload", "first 5 iters (WIPS)",
+                           "rest of phase (WIPS)", "phase best"});
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    table.add_row({std::to_string(p), rows[p].workload,
+                   common::TextTable::num(rows[p].head, 1),
+                   common::TextTable::num(rows[p].tail, 1),
+                   common::TextTable::num(rows[p].best, 1)});
   }
+  table.render(std::cout);
+  bench::write_series_csv("fig5_series", series);
   std::printf(
-      "Responsiveness: after each workload switch the 'first 5 iters'\n"
+      "\nResponsiveness: after each workload switch the 'first 5 iters'\n"
       "column is already close to the 'rest of phase' column — the tuner\n"
-      "adapts within a few iterations, as in the paper's Figure 5.  The\n"
-      "warm-start variant additionally re-seeds the search from the\n"
-      "remembered configuration when a workload returns (final phase).\n");
+      "adapts within a few iterations, as in the paper's Figure 5.\n");
   return 0;
 }

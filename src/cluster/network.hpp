@@ -62,7 +62,6 @@ class Network {
                       common::SimTime extra_delay);
   /// Restores the directed link from->to.  No-op when not degraded.
   void clear_link_fault(NodeId from, NodeId to);
-  [[nodiscard]] bool has_link_faults() const { return !faults_.empty(); }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }

@@ -81,7 +81,6 @@ class Node {
   /// Fail-slow multiplier (>= 1.0) applied to all CPU service on this node;
   /// models a degraded machine (thermal throttling, a sick disk driver)
   /// that still answers probes.  1.0 = healthy.
-  [[nodiscard]] double fault_slowdown() const { return fault_slowdown_; }
   void set_fault_slowdown(double factor);
 
   // -- Utilization probes (consumed by sim::UtilizationMonitor) -------------

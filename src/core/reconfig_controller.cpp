@@ -74,18 +74,19 @@ std::optional<harmony::ReconfigDecision> ReconfigController::observe_p95(
     }
   }
   if (hottest == nullptr) return std::nullopt;
-  return borrow_into(system_.cluster().tier_of(hottest->node_id));
+  return borrow_into(system_.cluster().tier_of(hottest->node_id),
+                     hottest->node_id);
 }
 
 void ReconfigController::on_health_transition(cluster::NodeId id, bool up) {
   if (!reactive_enabled_ || up) return;
   const auto tier = system_.cluster().tier_of(id);
   if (system_.cluster().healthy_count(tier) >= kMinHealthy) return;
-  borrow_into(tier);
+  borrow_into(tier, id);
 }
 
 std::optional<harmony::ReconfigDecision> ReconfigController::borrow_into(
-    cluster::TierKind needy) {
+    cluster::TierKind needy, cluster::NodeId relieved) {
   if (system_.now() < cooldown_until_) return std::nullopt;
   // Donor: the least-pressured healthy node outside the needy tier whose
   // own tier keeps at least one healthy member after the move.
@@ -104,20 +105,12 @@ std::optional<harmony::ReconfigDecision> ReconfigController::borrow_into(
   if (donor == nullptr) return std::nullopt;
 
   harmony::ReconfigDecision decision;
+  decision.overloaded_node = relieved;
   decision.donor_node = donor->node_id;
   decision.from_tier = static_cast<int>(system_.cluster().tier_of(donor->node_id));
   decision.to_tier = static_cast<int>(needy);
   decision.cost_seconds = kConfigCostSeconds;
   decision.immediate = kImmediate;
-  // No single overloaded node for a tier-level trigger: attribute the
-  // move to the needy tier's hottest healthy member when one exists.
-  decision.overloaded_node = donor->node_id;
-  for (const auto& reading : readings) {
-    if (system_.cluster().tier_of(reading.node_id) == needy) {
-      decision.overloaded_node = reading.node_id;
-      break;
-    }
-  }
 
   system_.move_node(decision.donor_node, needy, decision.immediate,
                     common::SimTime::seconds(decision.cost_seconds));

@@ -76,9 +76,10 @@ class ReconfigController {
  private:
   void on_health_transition(cluster::NodeId id, bool up);
   /// Borrows the least-loaded healthy node from another tier into `needy`
-  /// (cooldown + donor guard applied).  Returns the executed decision.
+  /// to relieve node `relieved` (cooldown + donor guard applied).  Returns
+  /// the executed decision.
   std::optional<harmony::ReconfigDecision> borrow_into(
-      cluster::TierKind needy);
+      cluster::TierKind needy, cluster::NodeId relieved);
 
   SystemModel& system_;
   harmony::Reconfigurer reconfigurer_;

@@ -5,7 +5,6 @@
 
 #include "common/analysis.hpp"
 #include "common/fmt.hpp"
-#include "common/log.hpp"
 
 namespace ah::core {
 
@@ -326,10 +325,6 @@ void SystemModel::move_node(NodeId id, TierKind to, bool immediate,
   state.moving = true;
   deregister_active(state, from);  // stop new traffic right away
 
-  common::log_info("reconfig", "node{} {} -> {} ({})", id,
-                   cluster::tier_name(from), cluster::tier_name(to),
-                   immediate ? "immediate" : "drain");
-
   if (immediate) {
     // Existing jobs are migrated to same-tier neighbours (cost M_km was
     // already accounted in the decision); the switch starts now.
@@ -403,7 +398,6 @@ void SystemModel::enable_fault_tolerance(const FaultToleranceConfig& config) {
       line.health->set_scope(line.nodes);
       line.health->set_transition_observer([this](NodeId id, bool up) {
         disturbances_.fetch_add(1, std::memory_order_relaxed);
-        common::log_info("health", "node{} marked {}", id, up ? "up" : "down");
         if (health_hook_) health_hook_(id, up);
       });
       line.health->start();
@@ -596,7 +590,6 @@ void SystemModel::crash_node(NodeId id) {
   if (!node.alive()) return;
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_alive(false);
-  common::log_info("fault", "node{} crash", id);
   // New requests fail fast at the dead server until the health checker
   // reroutes them; a node mid-move has no registered role to deactivate.
   if (!state.moving) set_role_active(state, false);
@@ -625,7 +618,6 @@ void SystemModel::restart_node(NodeId id) {
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_alive(true);
   node.set_fault_slowdown(1.0);
-  common::log_info("fault", "node{} restart", id);
   // Reactivation charges the role's restart burst (cold caches, config
   // parse) — recovery is visible in the WIPS series, as on the testbed.
   if (!state.moving) set_role_active(state, true);
@@ -635,7 +627,6 @@ void SystemModel::set_node_fail_slow(NodeId id, double factor) {
   cluster::Node& node = cluster_.node(id);
   disturbances_.fetch_add(1, std::memory_order_relaxed);
   node.set_fault_slowdown(factor);
-  common::log_info("fault", "node{} fail-slow x{}", id, factor);
 }
 
 void SystemModel::set_trace_recorder(obs::TraceRecorder* trace) {

@@ -106,25 +106,15 @@ TuningDriver::TuningDriver(SystemModel& system, Experiment& experiment,
 namespace {
 
 harmony::TunableParameter to_tunable(const webstack::ParamSpec& spec,
-                                     const std::string& prefix,
-                                     const std::int64_t* seed_value) {
-  std::int64_t start = spec.default_value;
-  if (seed_value != nullptr) {
-    start = std::clamp(*seed_value, spec.min_value, spec.max_value);
-  }
+                                     const std::string& prefix) {
   return harmony::TunableParameter{prefix + spec.name, spec.min_value,
-                                   spec.max_value, start};
+                                   spec.max_value, spec.default_value};
 }
 
 }  // namespace
 
-void TuningDriver::build_sessions(const harmony::PointI* seed) {
+void TuningDriver::build_sessions() {
   const auto& catalogue = webstack::parameter_catalogue();
-  std::size_t seed_cursor = 0;
-  auto next_seed = [&]() -> const std::int64_t* {
-    if (seed == nullptr) return nullptr;
-    return &seed->at(seed_cursor++);
-  };
   switch (options_.method) {
     case TuningMethod::kNone:
       break;
@@ -135,8 +125,7 @@ void TuningDriver::build_sessions(const harmony::PointI* seed) {
         const auto tier = system_.cluster().tier_of(node);
         for (const std::size_t ci : webstack::catalogue_indices_for(tier)) {
           server_.register_parameter(
-              id, to_tunable(catalogue[ci],
-                             common::format("node{}.", node), next_seed()));
+              id, to_tunable(catalogue[ci], common::format("node{}.", node)));
         }
       }
       server_.start(id);
@@ -146,7 +135,7 @@ void TuningDriver::build_sessions(const harmony::PointI* seed) {
     case TuningMethod::kDuplication: {
       const auto id = server_.create_session("duplication", options_.session);
       for (const auto& spec : catalogue) {
-        server_.register_parameter(id, to_tunable(spec, "", next_seed()));
+        server_.register_parameter(id, to_tunable(spec, ""));
       }
       server_.start(id);
       sessions_.push_back(id);
@@ -157,7 +146,7 @@ void TuningDriver::build_sessions(const harmony::PointI* seed) {
         const auto id = server_.create_session(
             common::format("workline{}", line), options_.session);
         for (const auto& spec : catalogue) {
-          server_.register_parameter(id, to_tunable(spec, "", next_seed()));
+          server_.register_parameter(id, to_tunable(spec, ""));
         }
         server_.start(id);
         sessions_.push_back(id);
@@ -165,17 +154,6 @@ void TuningDriver::build_sessions(const harmony::PointI* seed) {
       break;
     }
   }
-}
-
-void TuningDriver::restart_sessions(const harmony::PointI& seed) {
-  if (options_.method == TuningMethod::kNone) return;
-  check_layout(system_, options_.method, seed.size());
-  server_ = harmony::HarmonyServer{};
-  sessions_.clear();
-  build_sessions(&seed);  // clamps each value into its parameter's bounds
-  // Put the system into the (clamped) remembered state immediately; the
-  // rebuilt sessions propose it as their first evaluation.
-  apply_pending();
 }
 
 void TuningDriver::apply_pending() {

@@ -101,20 +101,11 @@ class TuningDriver {
   /// was.
   void apply_configuration(const harmony::PointI& configuration);
 
-  /// Rebuilds the Harmony sessions so the search starts from `seed`
-  /// (same layout as apply_configuration) instead of the catalogue
-  /// defaults — the prediction/warm-start path driven by
-  /// harmony::ConfigurationMemory when a known workload returns.  Throws
-  /// std::invalid_argument on a layout mismatch (e.g. a vector remembered
-  /// under another method or topology), leaving the sessions untouched.
-  void restart_sessions(const harmony::PointI& seed);
-
   [[nodiscard]] harmony::HarmonyServer& server() { return server_; }
 
  private:
-  /// Builds the Harmony sessions for the chosen method.  When `seed` is
-  /// non-null its values become the sessions' starting configuration.
-  void build_sessions(const harmony::PointI* seed = nullptr);
+  /// Builds the Harmony sessions for the chosen method.
+  void build_sessions();
   /// Applies every session's currently-asked configuration to the system.
   void apply_pending();
   /// Reports measured performance to every session.

@@ -119,8 +119,6 @@ class AdmissionController {
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   /// Ticks that actually moved the admit fraction.
   [[nodiscard]] std::uint64_t adjustments() const { return adjustments_; }
-  /// Samples in the current (not yet evaluated) window.
-  [[nodiscard]] std::uint64_t window_count() const { return window_.count(); }
 
  private:
   static constexpr std::uint64_t kAdmitAll = ~0ull;

@@ -27,26 +27,11 @@ std::size_t ParameterSpace::add(TunableParameter parameter) {
   return parameters_.size() - 1;
 }
 
-std::size_t ParameterSpace::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < parameters_.size(); ++i) {
-    if (parameters_[i].name == name) return i;
-  }
-  throw std::out_of_range("unknown parameter: " + name);
-}
-
 PointI ParameterSpace::defaults() const {
   PointI point;
   point.reserve(parameters_.size());
   for (const auto& p : parameters_) point.push_back(p.default_value);
   return point;
-}
-
-bool ParameterSpace::valid(const PointI& point) const {
-  if (point.size() != parameters_.size()) return false;
-  for (std::size_t i = 0; i < point.size(); ++i) {
-    if (!parameters_[i].contains(point[i])) return false;
-  }
-  return true;
 }
 
 PointI ParameterSpace::project(const PointD& point) const {
@@ -62,56 +47,11 @@ PointI ParameterSpace::project(const PointD& point) const {
   return out;
 }
 
-PointI ParameterSpace::clamp(PointI point) const {
-  if (point.size() != parameters_.size()) {
-    throw std::invalid_argument("clamp: arity mismatch");
-  }
-  for (std::size_t i = 0; i < point.size(); ++i) {
-    point[i] = std::clamp(point[i], parameters_[i].min_value,
-                          parameters_[i].max_value);
-  }
-  return point;
-}
-
-PointI ParameterSpace::random_point(common::Rng& rng) const {
-  PointI point;
-  point.reserve(parameters_.size());
-  for (const auto& p : parameters_) {
-    point.push_back(rng.uniform_int(p.min_value, p.max_value));
-  }
-  return point;
-}
-
 PointD ParameterSpace::to_continuous(const PointI& point) {
   PointD out;
   out.reserve(point.size());
   for (const std::int64_t v : point) out.push_back(static_cast<double>(v));
   return out;
-}
-
-ParameterSpace ParameterSpace::subspace(
-    std::span<const std::size_t> indices) const {
-  ParameterSpace sub;
-  for (const std::size_t idx : indices) sub.add(parameters_.at(idx));
-  return sub;
-}
-
-void ParameterSpace::scatter(std::span<const std::size_t> indices,
-                             const PointI& sub_values, PointI& full) {
-  if (indices.size() != sub_values.size()) {
-    throw std::invalid_argument("scatter: arity mismatch");
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    full.at(indices[i]) = sub_values[i];
-  }
-}
-
-PointI ParameterSpace::gather(std::span<const std::size_t> indices,
-                              const PointI& full) {
-  PointI sub;
-  sub.reserve(indices.size());
-  for (const std::size_t idx : indices) sub.push_back(full.at(idx));
-  return sub;
 }
 
 }  // namespace ah::harmony

@@ -8,11 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace ah::harmony {
 
@@ -48,46 +45,15 @@ class ParameterSpace {
   [[nodiscard]] const TunableParameter& parameter(std::size_t i) const {
     return parameters_.at(i);
   }
-  [[nodiscard]] const std::vector<TunableParameter>& parameters() const {
-    return parameters_;
-  }
-
-  /// Index of a parameter by name; throws std::out_of_range when unknown.
-  [[nodiscard]] std::size_t index_of(const std::string& name) const;
-
   /// The default configuration.
   [[nodiscard]] PointI defaults() const;
-
-  /// True when `point` has the right arity and every value is in bounds.
-  [[nodiscard]] bool valid(const PointI& point) const;
 
   /// Projects a continuous point onto the lattice: nearest integer, clamped
   /// to bounds (the paper's adaptation of Nelder–Mead to discrete spaces).
   [[nodiscard]] PointI project(const PointD& point) const;
 
-  /// Clamps an integer point into bounds.
-  [[nodiscard]] PointI clamp(PointI point) const;
-
-  /// Uniform random lattice point (used by random-restart tests).
-  [[nodiscard]] PointI random_point(common::Rng& rng) const;
-
   /// Converts to the continuous representation.
   [[nodiscard]] static PointD to_continuous(const PointI& point);
-
-  /// A sub-space over a subset of dimensions (for parameter partitioning).
-  /// `indices` are positions in this space; they are recorded so values can
-  /// be scattered back via `scatter`.
-  [[nodiscard]] ParameterSpace subspace(
-      std::span<const std::size_t> indices) const;
-
-  /// Writes `sub_values` (in subspace order, as produced against the result
-  /// of `subspace(indices)`) into `full` at the given indices.
-  static void scatter(std::span<const std::size_t> indices,
-                      const PointI& sub_values, PointI& full);
-
-  /// Reads the values at `indices` out of `full` (inverse of scatter).
-  [[nodiscard]] static PointI gather(std::span<const std::size_t> indices,
-                                     const PointI& full);
 
  private:
   std::vector<TunableParameter> parameters_;

@@ -106,7 +106,6 @@ class FaultInjector {
   /// True while events are still pending (fired ones no longer count).
   [[nodiscard]] bool armed() const { return remaining_ > 0; }
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
   void fire(std::size_t index);

@@ -92,8 +92,6 @@ class Workload {
   /// Throws std::invalid_argument on an unknown mix name.
   void apply_mix_schedule(const std::vector<sim::MixChange>& changes);
 
-  [[nodiscard]] const Mix* mix() const { return mix_; }
-
   /// Latency distribution per TPC-W interaction class, over every armed
   /// measurement window of the meter (successful interactions only), with
   /// its clause 5.5 compliance check.
@@ -103,11 +101,6 @@ class Workload {
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::uint64_t interactions_issued() const { return issued_; }
-
-  /// The popularity table actually in use (shared or privately owned).
-  [[nodiscard]] const ZipfSampler& item_popularity() const {
-    return *popularity_;
-  }
 
  private:
   /// Parked state for a backed-off retry: Request + bookkeeping exceeds the

@@ -65,7 +65,8 @@ void AppServer::release_memory_and_reset() {
 void AppServer::reconfigure(const AppParams& params) {
   // Restart: pools resize, spawned threads reset to the configured minimum,
   // memory re-charged for the new footprint.  In-flight requests complete
-  // under the new limits (SlotPool handles shrink gracefully).
+  // under the new limits (SlotPool handles shrink gracefully).  A stopped
+  // server only takes the parameters; set_active(true) charges them.
   release_memory_and_reset();
   params_ = params;
   http_pool_->set_slots(params_.max_processors);
@@ -73,6 +74,7 @@ void AppServer::reconfigure(const AppParams& params) {
   http_spawned_ = std::min(params_.min_processors, params_.max_processors);
   ajp_spawned_ =
       std::min(params_.ajp_min_processors, params_.ajp_max_processors);
+  if (!active_) return;
   charged_memory_ = kBaseProcess + http_spawned_ * http_thread_memory() +
                     ajp_spawned_ * ajp_thread_memory();
   node_.alloc_memory(charged_memory_);

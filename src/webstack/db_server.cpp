@@ -60,12 +60,15 @@ common::Bytes DbServer::base_memory() const {
 }
 
 void DbServer::reconfigure(const DbParams& params) {
+  // A stopped server only takes the parameters; set_active(true) charges
+  // its footprint and restart burst.
   node_.free_memory(charged_memory_);
   params_ = params;
   connections_->set_slots(params_.max_connections);
   executors_->set_slots(params_.thread_concurrency);
   binlog_fill_ = 0;
   delayed_pending_ = 0;
+  if (!active_) return;
   charged_memory_ = base_memory();
   node_.alloc_memory(charged_memory_);
   node_.cpu().submit(kRestartCpu, {});

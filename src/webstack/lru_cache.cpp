@@ -173,7 +173,6 @@ common::Bytes LruCache::lookup_stale(std::uint64_t key) {
   // an error page.  The entry stays cached so repeated degraded hits keep
   // working until the tier recovers and a fresh copy replaces it.
   ++hits_;
-  ++stale_hits_;
   if (head_ != slot) {  // promote to MRU
     list_detach(slot);
     list_push_front(slot);

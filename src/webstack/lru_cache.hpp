@@ -46,7 +46,7 @@ class LruCache {
                        common::SimTime now = common::SimTime::zero());
 
   /// Degraded-mode lookup: like lookup(), but an expired entry still
-  /// counts as a hit (promoted, kept, counted under stale_hits).  The
+  /// counts as a hit (promoted, kept and counted).  The
   /// proxy's serve-stale mode prefers an outdated page over an error when
   /// the whole application tier is marked down — RFC 5861's
   /// stale-if-error, in cache terms.
@@ -83,7 +83,6 @@ class LruCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t expirations() const { return expirations_; }
-  [[nodiscard]] std::uint64_t stale_hits() const { return stale_hits_; }
   [[nodiscard]] double hit_ratio() const;
 
  private:
@@ -156,7 +155,6 @@ class LruCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t expirations_ = 0;
-  std::uint64_t stale_hits_ = 0;
 };
 
 }  // namespace ah::webstack

@@ -55,17 +55,18 @@ common::Bytes ProxyServer::resident_memory(const ProxyParams& params) const {
 
 void ProxyServer::reconfigure(const ProxyParams& params) {
   // Restart: drop the memory cache (volatile), keep the disk cache, charge
-  // the restart burst, swap the memory accounting to the new footprint.
-  node_.free_memory(charged_memory_);
+  // the restart burst, swap the memory accounting to the new footprint.  A
+  // stopped proxy only takes the parameters; set_active(true) charges them.
   params_ = params;
-  charged_memory_ = resident_memory(params_);
-  node_.alloc_memory(charged_memory_);
-
   mem_cache_.clear();
   mem_cache_.set_capacity(params_.cache_mem);
   mem_cache_.set_watermarks(params_.cache_swap_low, params_.cache_swap_high);
   disk_cache_.set_watermarks(params_.cache_swap_low, params_.cache_swap_high);
+  if (!active_) return;
 
+  node_.free_memory(charged_memory_);
+  charged_memory_ = resident_memory(params_);
+  node_.alloc_memory(charged_memory_);
   node_.cpu().submit(kRestartCpu, {});
 }
 

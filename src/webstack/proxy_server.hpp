@@ -93,7 +93,6 @@ class ProxyServer {
   void set_resilience(const Resilience& resilience) {
     resilience_ = resilience;
   }
-  [[nodiscard]] const Resilience& resilience() const { return resilience_; }
 
   /// Opt-in span tracing (null disables, the default).  Spans decompose
   /// queue wait (handle() to after_lookup()) from service time.

@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/system_model.hpp"
+#include "webstack/params.hpp"
 
 namespace ah::core {
 namespace {
@@ -215,6 +216,28 @@ TEST(FailureInjectionTest, NodeCrashedDuringMoveStaysDownInItsNewTier) {
     system.restart_node(mover);
     EXPECT_TRUE(system.proxy_on(mover).active());
     EXPECT_FALSE(system.app_on(mover).active());
+  }
+}
+
+TEST(FailureInjectionTest, NodeReconfiguredWhileDownChargesMemoryOnce) {
+  // The tuner applies its candidates to every node, crashed ones too.  A
+  // stopped server takes the new parameters but charges nothing; its
+  // restart charges the footprint once, as before the crash.
+  for (const TierKind tier :
+       {TierKind::kProxy, TierKind::kApp, TierKind::kDb}) {
+    SCOPED_TRACE(cluster::tier_name(tier));
+    sim::Simulator sim;
+    SystemModel system(sim, {});
+    const auto id = system.cluster().tier(tier).members()[0];
+    const cluster::Node& node = system.cluster().node(id);
+    const common::Bytes running = node.memory_used();
+    ASSERT_GT(running, 0);
+
+    system.crash_node(id);
+    system.apply_values_all(webstack::default_values());
+    EXPECT_EQ(node.memory_used(), 0);
+    system.restart_node(id);
+    EXPECT_EQ(node.memory_used(), running);
   }
 }
 

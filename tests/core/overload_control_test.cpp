@@ -129,6 +129,8 @@ TEST(OverloadControlTest, ReactiveBorrowsOnMarkDown) {
   EXPECT_EQ(controller.reactive_moves(), 1u);
   ASSERT_EQ(controller.moves().size(), 1u);
   EXPECT_EQ(controller.moves()[0].to_tier, static_cast<int>(TierKind::kDb));
+  // The move relieves the db node whose mark-down triggered it.
+  EXPECT_EQ(controller.moves()[0].overloaded_node, plan.events[1].node);
   EXPECT_GE(system.cluster().healthy_count(TierKind::kDb),
             ReconfigController::kMinHealthy);
 }

@@ -180,41 +180,6 @@ TEST(TuningDriverTest, ValidationSkippedWhenDisabled) {
   EXPECT_DOUBLE_EQ(result.validated_wips, result.best_wips);
 }
 
-TEST(TuningDriverTest, RestartSessionsSeedsSearch) {
-  sim::Simulator sim;
-  SystemModel system(sim, {});
-  Experiment experiment(system, fast_config());
-  TuningDriver driver(system, experiment,
-                      {.method = TuningMethod::kDuplication});
-  driver.run(2, /*validation_iterations=*/0);
-
-  auto seed = webstack::default_values();
-  seed[webstack::catalogue_index("cache_mem")] = 48;
-  seed[webstack::catalogue_index("maxProcessors")] = 200;
-  driver.restart_sessions(seed);
-
-  // The rebuilt session proposes the seed as its first configuration and
-  // the system is already running it.
-  EXPECT_EQ(driver.server().get_configuration(0), seed);
-  EXPECT_EQ(driver.server().evaluations(0), 0u);
-  const auto proxy_id =
-      system.cluster().tier(cluster::TierKind::kProxy).members()[0];
-  EXPECT_EQ(system.proxy_on(proxy_id).params().cache_mem, 48LL * 1024 * 1024);
-}
-
-TEST(TuningDriverTest, RestartSessionsClampsOutOfRangeSeed) {
-  sim::Simulator sim;
-  SystemModel system(sim, {});
-  Experiment experiment(system, fast_config());
-  TuningDriver driver(system, experiment,
-                      {.method = TuningMethod::kDuplication});
-  auto seed = webstack::default_values();
-  seed[webstack::catalogue_index("cache_mem")] = 10'000'000;  // way over max
-  driver.restart_sessions(seed);
-  const auto& spec = webstack::parameter_catalogue()[0];
-  EXPECT_EQ(driver.server().get_configuration(0)[0], spec.max_value);
-}
-
 /// Every node's active-role parameters, as catalogue vectors.
 std::vector<harmony::PointI> node_values(SystemModel& system) {
   std::vector<harmony::PointI> values;
@@ -264,25 +229,6 @@ TEST(TuningDriverTest, RejectedConfigurationLeavesEveryNodeAsItWas) {
   const auto proxy_id =
       system.cluster().tier(cluster::TierKind::kProxy).members()[0];
   EXPECT_EQ(system.proxy_on(proxy_id).params().cache_mem, 48LL * 1024 * 1024);
-}
-
-TEST(TuningDriverTest, RejectedRestartKeepsDriverRunning) {
-  sim::Simulator sim;
-  SystemModel system(sim, {});
-  Experiment experiment(system, fast_config());
-  TuningDriver driver(system, experiment,
-                      {.method = TuningMethod::kDuplication});
-  // A partitioned two-line vector and a truncated one, as a configuration
-  // memory could hold them for another method or topology.
-  EXPECT_THROW(driver.restart_sessions(harmony::PointI(46, 1)),
-               std::invalid_argument);
-  EXPECT_THROW(driver.restart_sessions(harmony::PointI(5, 1)),
-               std::invalid_argument);
-  ASSERT_EQ(driver.server().session_count(), 1u);
-  EXPECT_EQ(driver.server().get_configuration(0), webstack::default_values());
-  const auto result = driver.run(2, /*validation_iterations=*/0);
-  EXPECT_EQ(result.wips_series.size(), 2u);
-  EXPECT_EQ(driver.server().evaluations(0), 2u);
 }
 
 TEST(ApplyMethodValuesTest, RejectsLayoutMismatch) {

@@ -35,21 +35,10 @@ TEST(ParameterSpaceTest, Accessors) {
   EXPECT_EQ(space.dimensions(), 3u);
   EXPECT_FALSE(space.empty());
   EXPECT_EQ(space.parameter(1).name, "b");
-  EXPECT_EQ(space.index_of("c"), 2u);
-  EXPECT_THROW(static_cast<void>(space.index_of("zzz")), std::out_of_range);
 }
 
 TEST(ParameterSpaceTest, Defaults) {
   EXPECT_EQ(small_space().defaults(), (PointI{5, 0, 100}));
-}
-
-TEST(ParameterSpaceTest, Valid) {
-  const auto space = small_space();
-  EXPECT_TRUE(space.valid({5, 0, 100}));
-  EXPECT_TRUE(space.valid({10, -5, 1000}));
-  EXPECT_FALSE(space.valid({11, 0, 100}));   // out of bounds
-  EXPECT_FALSE(space.valid({5, 0}));         // wrong arity
-  EXPECT_FALSE(space.valid({5, 0, 99}));     // below min
 }
 
 TEST(ParameterSpaceTest, ProjectRoundsAndClamps) {
@@ -62,47 +51,9 @@ TEST(ParameterSpaceTest, ProjectArityMismatchThrows) {
   EXPECT_THROW((void)small_space().project({1.0}), std::invalid_argument);
 }
 
-TEST(ParameterSpaceTest, ClampBringsIntoBounds) {
-  const auto space = small_space();
-  EXPECT_EQ(space.clamp({100, -100, 0}), (PointI{10, -5, 100}));
-  EXPECT_THROW((void)space.clamp({1, 2}), std::invalid_argument);
-}
-
-TEST(ParameterSpaceTest, RandomPointInBounds) {
-  const auto space = small_space();
-  common::Rng rng(3);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(space.valid(space.random_point(rng)));
-  }
-}
-
 TEST(ParameterSpaceTest, ToContinuous) {
   const PointD d = ParameterSpace::to_continuous({1, -2, 3});
   EXPECT_EQ(d, (PointD{1.0, -2.0, 3.0}));
-}
-
-TEST(ParameterSpaceTest, SubspaceSelectsDimensions) {
-  const auto space = small_space();
-  const std::vector<std::size_t> indices{2, 0};
-  const auto sub = space.subspace(indices);
-  ASSERT_EQ(sub.dimensions(), 2u);
-  EXPECT_EQ(sub.parameter(0).name, "c");
-  EXPECT_EQ(sub.parameter(1).name, "a");
-}
-
-TEST(ParameterSpaceTest, ScatterGatherRoundTrip) {
-  const std::vector<std::size_t> indices{2, 0};
-  PointI full{5, 0, 100};
-  ParameterSpace::scatter(indices, {777, 9}, full);
-  EXPECT_EQ(full, (PointI{9, 0, 777}));
-  EXPECT_EQ(ParameterSpace::gather(indices, full), (PointI{777, 9}));
-}
-
-TEST(ParameterSpaceTest, ScatterArityMismatchThrows) {
-  PointI full{1, 2, 3};
-  const std::vector<std::size_t> indices{0};
-  EXPECT_THROW(ParameterSpace::scatter(indices, {1, 2}, full),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <functional>
 
+#include "common/rng.hpp"
+
 namespace ah::harmony {
 namespace {
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "../support/move_counter.hpp"
+#include "common/rng.hpp"
 
 namespace ah::sim {
 namespace {
@@ -167,6 +169,99 @@ TEST_F(ResourceTest, CompletionMovesAtMostFourTimesOnAFreeServer) {
   EXPECT_LE(counts.moves, 4);
   EXPECT_EQ(counts.runs, 1);
   EXPECT_EQ(counts.destroyed, counts.constructed);
+}
+
+/// Erlang-C mean wait in queue (seconds) of an M/M/c system with arrival
+/// rate `lambda` and per-server service rate `mu` (lambda < c * mu).
+double erlang_c_wait(int c, double lambda, double mu) {
+  const double a = lambda / mu;  // offered load, in erlangs
+  double term = 1.0;             // a^k / k!
+  double below_c = 0.0;
+  for (int k = 0; k < c; ++k) {
+    below_c += term;
+    term *= a / static_cast<double>(k + 1);
+  }
+  const double at_c = term / (1.0 - a / static_cast<double>(c));
+  const double p_wait = at_c / (below_c + at_c);
+  return p_wait / (static_cast<double>(c) * mu - lambda);
+}
+
+/// Poisson arrivals with exponential service demands into a Resource.
+/// Each arrival submits its job and schedules the next; a completing job
+/// adds its wait (service start minus arrival) to the total.
+class MmcSource {
+ public:
+  MmcSource(Simulator& sim, Resource& resource, double lambda, double mu,
+            std::uint64_t seed, std::size_t jobs)
+      : sim_(sim),
+        resource_(resource),
+        mean_gap_(1.0 / lambda),
+        mean_demand_(1.0 / mu),
+        rng_(seed),
+        jobs_(jobs) {
+    sim_.schedule(SimTime::zero(), [this] { arrive(); });
+  }
+  // Scheduled events hold `this`.
+  MmcSource(const MmcSource&) = delete;
+  MmcSource& operator=(const MmcSource&) = delete;
+
+  [[nodiscard]] std::int64_t total_wait_us() const { return wait_us_; }
+
+ private:
+  void arrive() {
+    const SimTime demand = SimTime::seconds(rng_.exponential(mean_demand_));
+    // Service ends `demand` after it starts: whatever lies beyond
+    // arrival + demand was spent waiting.
+    resource_.submit(demand, [this, due = sim_.now() + demand] {
+      wait_us_ += (sim_.now() - due).as_micros();
+    });
+    if (++issued_ < jobs_) {
+      sim_.schedule(SimTime::seconds(rng_.exponential(mean_gap_)),
+                    [this] { arrive(); });
+    }
+  }
+
+  Simulator& sim_;
+  Resource& resource_;
+  double mean_gap_;
+  double mean_demand_;
+  common::Rng rng_;
+  std::size_t jobs_;
+  std::size_t issued_ = 0;
+  std::int64_t wait_us_ = 0;
+};
+
+TEST(ResourceQueueingTest, MeanWaitMatchesErlangC) {
+  // The analytic oracle for the queueing substrate: under Poisson arrivals
+  // and exponential service, a c-server Resource is an M/M/c queue, whose
+  // mean wait Erlang C gives in closed form.
+  struct Case {
+    int servers;
+    double lambda;
+    double mu;
+  };
+  constexpr Case kCases[] = {
+      {1, 70.0, 100.0}, {2, 160.0, 100.0}, {4, 300.0, 100.0}};
+  constexpr std::size_t kJobs = 200'000;
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(::testing::Message() << "c=" << c.servers);
+    Simulator sim;
+    Resource resource(sim, "mmc", {.servers = c.servers});
+    MmcSource source(sim, resource, c.lambda, c.mu, /*seed=*/2004, kJobs);
+    sim.run();
+    ASSERT_EQ(resource.completed(), kJobs);
+
+    const double mean_wait =
+        static_cast<double>(source.total_wait_us()) * 1e-6 /
+        static_cast<double>(kJobs);
+    const double expected = erlang_c_wait(c.servers, c.lambda, c.mu);
+    EXPECT_NEAR(mean_wait / expected, 1.0, 0.10)
+        << "mean wait " << mean_wait * 1e3 << " ms, Erlang C "
+        << expected * 1e3 << " ms";
+    // Little's law on the sample path: every microsecond a job waits is
+    // one job-microsecond of queue, so the two sums agree exactly.
+    EXPECT_EQ(source.total_wait_us(), resource.queue_integral());
+  }
 }
 
 }  // namespace
