@@ -93,10 +93,10 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: this bench built from the commit before the cheaper-events
-// change (closures moved through by-value schedule/push, advance()
-// cascading one level at a time) and run on the recording host.  Median of
-// five full runs, alternated with runs of the current build.  Re-measured
+// Baseline: this bench built from the commit before the sparse-timeline
+// scheduler (one-tick level-0 buckets, closures stored in the slab nodes
+// and moved out at pop) and run on the recording host.  Median of five
+// full runs, alternated with runs of the current build.  Re-measured
 // numbers land in "after"; keeping the baseline in-source makes the JSON
 // self-contained and the speedup claims auditable.
 // ---------------------------------------------------------------------------
@@ -116,14 +116,14 @@ struct BaselineNumbers {
 };
 
 constexpr BaselineNumbers kBaseline = {
-    /*zipf_samples_per_sec=*/51.13e6,
-    /*lru_ops_per_sec=*/10.85e6,
-    /*event_queue_ops_per_sec=*/18.88e6,
+    /*zipf_samples_per_sec=*/101.54e6,
+    /*lru_ops_per_sec=*/25.42e6,
+    /*event_queue_ops_per_sec=*/64.74e6,
     /*allocs_per_request=*/0.0,
     {
-        /*Browsing=*/{5175289, 453430, 0.000284},
-        /*Shopping=*/{5047419, 323296, 0.000463},
-        /*Ordering=*/{5158573, 195182, 0.000658},
+        /*Browsing=*/{17896226, 1567969, 0.0000820},
+        /*Shopping=*/{17572849, 1125572, 0.0001329},
+        /*Ordering=*/{18194589, 688419, 0.0001866},
     },
 };
 
@@ -237,8 +237,7 @@ EventQueueRun bench_event_queue(std::uint64_t iterations) {
   std::uint64_t ops = 0;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    now = q.next_time();
-    q.pop().fn();
+    q.run_next(now);
     ++ops;
     if (popped == kTimeout) continue;  // a fired timeout is not replaced
     if (popped >= kFirstHop) {
@@ -381,12 +380,12 @@ void write_json(double zipf_rate, double lru_rate, const EventQueueRun& queue,
   std::fprintf(out, "  \"before\": {\n");
   std::fprintf(out,
                "    \"provenance\": \"median of five full runs of the "
-               "build before cheaper simulator events on the same host: "
-               "closures moved through by-value schedule/push, advance() "
-               "cascading one wheel level at a time; its "
-               "event_queue_ops_per_sec is that build running the "
-               "steady-queue BM_EventQueueMixed loop (median of five, "
-               "alternated with runs of the after build)\",\n");
+               "build before the sparse-timeline scheduler (d63451d) on "
+               "the same host, alternated with five runs of the after "
+               "build: one-tick level-0 buckets, each closure stored in "
+               "its 96-byte slab node and moved out at pop; its "
+               "event_queue_ops_per_sec is that build running the same "
+               "steady-queue BM_EventQueueMixed loop\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n",
                kBaseline.zipf_samples_per_sec);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n",
@@ -408,12 +407,11 @@ void write_json(double zipf_rate, double lru_rate, const EventQueueRun& queue,
   std::fprintf(out, "    ]\n  },\n");
   std::fprintf(out, "  \"after\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"cheaper simulator events (each "
-               "closure built once in its queue slot, advance() jumping "
-               "the cursor straight to the next event), then the options "
-               "audit (single-valued settings as constants, unbounded "
-               "Resource::submit); BM_EventQueueMixed holds a steady "
-               "~530-event queue\",\n");
+               "    \"provenance\": \"sparse-timeline scheduler: "
+               "256-tick level-0 buckets kept sorted (a 2^40 us wheel "
+               "horizon), 24-byte slab nodes with the closures in fixed "
+               "chunks, each closure run in its slot; BM_EventQueueMixed "
+               "holds a steady ~530-event queue\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n", zipf_rate);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n", lru_rate);
   std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n",

@@ -4,19 +4,26 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <utility>
+#include <memory>
 
 AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
 std::uint32_t EventQueue::claim_slot() {
-  if (free_slots_.empty()) {
-    nodes_.push_back(Node{});
-    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  if (free_head_ != kNil) {
+    const std::uint32_t n = free_head_;
+    free_head_ = nodes_[n].next;
+    return n;
   }
-  const std::uint32_t n = free_slots_.back();
-  free_slots_.pop_back();
+  const auto n = static_cast<std::uint32_t>(nodes_.size());
+  if ((n & kChunkMask) == 0) {
+    // Growth only: chunks are kept for the queue's lifetime, so once the
+    // slab holds the peak pending population this branch is never taken.
+    AH_LINT_ALLOW(hot_path_alloc, "closure chunk growth, warm-up only");
+    chunks_.push_back(std::make_unique<Chunk>());
+  }
+  nodes_.push_back(Node{});
   return n;
 }
 
@@ -34,10 +41,9 @@ bool EventQueue::cancel(EventId id) {
   // cancelled ids are a no-op so callers need not track event lifetimes.
   if (!is_pending(id)) return false;
   const std::uint32_t n = slot_of(id);
-  Node& node = nodes_[n];
   // The node sits where place() would put it against the current cursor
   // (see the file comment), so its list follows from its tick alone.
-  const std::uint64_t tick = tick_of(node.time);
+  const std::uint64_t tick = tick_of(nodes_[n].time);
   if (tick <= cursor_) {
     unlink(ready_, n);
   } else if (const std::size_t level = level_of(tick); level >= kLevels) {
@@ -50,13 +56,12 @@ bool EventQueue::cancel(EventId id) {
       wheel.occupied[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
     }
   }
-  node.fn.reset();
   // Generation wrap after 2^32 reuses of one slot is accepted: a caller
   // would need to hold an id across four billion pushes into the same slot
   // to see a false match.
-  ++node.generation;
-  free_slots_.push_back(n);
+  ++nodes_[n].generation;
   --size_;
+  release(n);
   return true;
 }
 
@@ -85,12 +90,33 @@ void EventQueue::unlink(List& list, std::uint32_t n) {
   }
 }
 
+void EventQueue::sorted_insert(List& list, std::uint32_t n) {
+  const common::SimTime t = nodes_[n].time;
+  // The last node at or before t (upper bound from the back), so same-time
+  // events keep push order.  Most arrivals are at or after the tail.
+  std::uint32_t prev = list.tail;
+  while (prev != kNil && nodes_[prev].time > t) prev = nodes_[prev].prev;
+  const std::uint32_t next = prev == kNil ? list.head : nodes_[prev].next;
+  nodes_[n].prev = prev;
+  nodes_[n].next = next;
+  if (prev == kNil) {
+    list.head = n;
+  } else {
+    nodes_[prev].next = n;
+  }
+  if (next == kNil) {
+    list.tail = n;
+  } else {
+    nodes_[next].prev = n;
+  }
+}
+
 void EventQueue::place(std::uint32_t n) {
   const std::uint64_t tick = tick_of(nodes_[n].time);
   if (tick <= cursor_) {
-    // At or behind the drain point (same-tick reschedules, or pushes after
-    // the cursor peeked ahead of virtual time): joins the ready list.
-    ready_insert(n);
+    // In or behind the current level-0 bucket (near-term pushes, or pushes
+    // after the cursor peeked ahead of virtual time): joins the ready run.
+    sorted_insert(ready_, n);
     return;
   }
   // All digits above the level match the cursor's, so the bucket is
@@ -102,74 +128,36 @@ void EventQueue::place(std::uint32_t n) {
   }
   const std::size_t idx = bucket_of(tick, level);
   Wheel& wheel = wheels_[level];
-  append(wheel.buckets[idx], n);
-  wheel.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-}
-
-void EventQueue::ready_insert(std::uint32_t n) {
-  const common::SimTime t = nodes_[n].time;
-  if (ready_.tail == kNil || nodes_[ready_.tail].time <= t) {
-    append(ready_, n);  // common case: at or after every queued time
-    return;
-  }
-  // Walk to the first strictly-later node (upper bound), so same-time
-  // events keep push order.  Rare path: only pushes that land behind an
-  // already-loaded ready list get here, and that list spans one tick.
-  std::uint32_t prev = kNil;
-  std::uint32_t cur = ready_.head;
-  while (cur != kNil && nodes_[cur].time <= t) {
-    prev = cur;
-    cur = nodes_[cur].next;
-  }
-  assert(cur != kNil);  // the tail is strictly later, so we stop before it
-  nodes_[n].prev = prev;
-  nodes_[n].next = cur;
-  nodes_[cur].prev = n;
-  if (prev == kNil) {
-    ready_.head = n;
+  if (level == 0) {
+    sorted_insert(wheel.buckets[idx], n);
   } else {
-    nodes_[prev].next = n;
+    append(wheel.buckets[idx], n);
   }
-}
-
-common::SimTime EventQueue::next_time() {
-  if (ready_.head == kNil) advance();
-  return nodes_[ready_.head].time;
-}
-
-EventQueue::Entry EventQueue::pop() {
-  if (ready_.head == kNil) advance();
-  const std::uint32_t n = ready_.head;
-  Node& node = nodes_[n];
-  unlink(ready_, n);
-  const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
-  ++node.generation;  // retire the id; the slot is free for reuse
-  free_slots_.push_back(n);
-  --size_;
-  return Entry{node.time, id, std::move(node.fn)};
+  wheel.occupied[idx >> 6] |= std::uint64_t{1} << (idx & 63);
 }
 
 void EventQueue::advance() {
   assert(ready_.head == kNil && size_ > 0);
-  // Level 0: the next populated one-tick bucket in the current 256-tick
-  // block.  Buckets at or below the cursor's digit are empty (drained or
-  // never fillable), so the scan starts one past it.
-  if (const int idx = next_occupied(0, (cursor_ & kIndexMask) + 1);
-      idx >= 0) {
+  // Level 0: the next populated bucket in the current 2^16-tick span.
+  // Buckets at or below the cursor's digit are empty (drained or never
+  // fillable), so the scan starts one past it.
+  const std::uint64_t digit = (cursor_ >> kGrainBits) & kIndexMask;
+  if (const int idx = next_occupied(0, digit + 1); idx >= 0) {
     const auto b = static_cast<std::size_t>(idx);
-    cursor_ = (cursor_ & ~kIndexMask) | static_cast<std::uint64_t>(idx);
+    // Same digits above level 0, and the grain bits stay all ones.
+    cursor_ += (static_cast<std::uint64_t>(b) - digit) << kGrainBits;
     Wheel& wheel = wheels_[0];
-    ready_ = wheel.buckets[b];  // whole-list splice: one tick's FIFO run
+    ready_ = wheel.buckets[b];  // whole-list splice: already sorted
     wheel.buckets[b] = List{};
     wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     return;
   }
-  // Block exhausted: the next events sit in the lowest populated higher
+  // Level 0 exhausted: the next events sit in the lowest populated higher
   // bucket, or, with every wheel empty, in the overflow list.  Every level
   // below that source is empty, so its earliest tick is the next one.
   List* source = &overflow_;
   for (std::size_t level = 1; level < kLevels; ++level) {
-    const std::uint64_t cur = (cursor_ >> (level * kBucketBits)) & kIndexMask;
+    const std::uint64_t cur = (cursor_ >> shift_of(level)) & kIndexMask;
     const int idx = next_occupied(level, cur + 1);
     if (idx < 0) continue;
     const auto b = static_cast<std::size_t>(idx);
@@ -178,19 +166,26 @@ void EventQueue::advance() {
     wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     break;
   }
-  const std::uint32_t head = source->head;
+  const List taken = *source;
   *source = List{};
-  assert(head != kNil);
-  // Jump the cursor to the earliest tick and re-place the nodes in stored
-  // order: that tick's nodes form the ready list, the rest land in lower
-  // buckets that are provably empty (overflow nodes of later epochs go back
-  // to the overflow list), so FIFO ties survive.
+  assert(taken.head != kNil);
+  if (taken.head == taken.tail) {
+    // A lone node is its own ready run.
+    cursor_ = tick_of(nodes_[taken.head].time) | kGrainMask;
+    ready_ = taken;
+    return;
+  }
+  // Jump the cursor to the last tick of the earliest node's level-0 bucket
+  // and re-file the nodes in stored order: that bucket's nodes form the
+  // ready run, the rest land in lower buckets that are provably empty
+  // (overflow nodes of later epochs go back to the overflow list), so FIFO
+  // ties survive.
   std::uint64_t earliest = ~std::uint64_t{0};
-  for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) {
+  for (std::uint32_t n = taken.head; n != kNil; n = nodes_[n].next) {
     earliest = std::min(earliest, tick_of(nodes_[n].time));
   }
-  cursor_ = earliest;
-  std::uint32_t n = head;
+  cursor_ = earliest | kGrainMask;
+  std::uint32_t n = taken.head;
   while (n != kNil) {
     const std::uint32_t next = nodes_[n].next;
     place(n);

@@ -1,49 +1,64 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A hierarchical calendar queue (timer wheel): four levels of 256 buckets
-// whose widths grow by a factor of 256 per level, so one structure spans
-// 2^32 µs (~71 minutes) of future time at O(1) amortised push/pop; events
-// beyond that horizon wait in an overflow list.  A cursor tracks the tick
-// (µs) the queue has drained up to; the ready list holds the events of the
-// cursor's tick in FIFO order.  When it empties, the level-0 occupancy
-// bitmap yields the next populated one-tick bucket directly.  When the
-// cursor's 256-tick block is exhausted, advance() jumps: it takes the
-// lowest populated higher bucket (or, with every wheel empty, the overflow
-// list), moves the cursor straight to the earliest tick among its nodes
-// and re-places them, so that tick's nodes become the ready list at once
-// and the rest fall into lower levels.
+// A hierarchical calendar queue (timer wheel) sized for a sparse timeline:
+// the cluster model fires one event every 0.2–0.6 ms of simulated time, so
+// level 0 does not resolve single ticks.  Four levels of 256 buckets; a
+// level-0 bucket spans 2^8 ticks (µs) and each level above is 256 times
+// coarser, so a level-l bucket spans 2^(8+8l) ticks and the wheels reach
+// 2^40 µs (~12.7 days) ahead of the cursor.  Events beyond that horizon wait
+// in an overflow list.  The cursor always sits on the last tick of the
+// current level-0 bucket, and the ready run is that bucket's events, sorted
+// by (time, push order).  When the ready run empties, the level-0 occupancy
+// bitmap yields the next populated bucket, whose sorted list becomes the
+// ready run whole.  When level 0's 2^16-tick span is exhausted, advance()
+// jumps: it takes the lowest populated higher bucket (or, with every wheel
+// empty, the overflow list), moves the cursor straight to the last tick of
+// the level-0 bucket holding the earliest of its nodes and re-files them, so
+// that bucket's nodes become the ready run at once and the rest fall into
+// lower levels.  A source holding a single node becomes the ready run
+// without re-filing.
 //
-// Storage is a single slab of nodes that doubles as the id slot table;
-// buckets, the ready run and the overflow are intrusive doubly-linked
-// lists threaded through the slab.  push() constructs the closure directly
-// in its node, and moving an event between levels is a pointer splice —
-// the closure payload never moves until pop() hands it out.  Once the slab
-// has grown to the peak pending population the queue performs no heap
+// Storage is split in two.  A slab of 24-byte nodes (time, generation and
+// the links) doubles as the id slot table; buckets, the ready run, the
+// overflow list and the free list are intrusive lists threaded through it.
+// Closures live apart, in fixed chunks of 256 EventFns indexed by the same
+// slot number.  Chunks never move, so push() builds a closure directly in
+// its slot and run_next() calls it there: moving an event between levels is
+// a splice of 24-byte nodes, and the closure itself never moves.  Once the
+// slab has grown to the peak pending population the queue performs no heap
 // allocation at all, no matter which buckets future times touch.
 //
-// Determinism: equal-time events pop in push order.  The wheel preserves
-// this without sequence numbers because every list involved only ever
-// gains nodes in push order — a bucket receives nodes either from `push`
-// (later pushes append later) or from a jump, which re-places a single
-// bucket's (or the overflow list's) nodes in their stored order into
-// buckets that are provably empty at that moment: every level below the
-// source bucket's is empty when the jump happens.  The jump lands in the
-// same state as cascading the bucket one level at a time (same cursor,
-// same stored order in every bucket), so pop order is byte-identical to
-// the previous (time, sequence) binary heap.
+// Closure lifetime: run_next() unlinks the earliest node and retires its id
+// before it calls the closure, and destroys the closure and frees the slot
+// only after the call returns or throws.  A running closure may therefore
+// push (it never receives its own slot) and cancel anything, its own id
+// included: that id is retired already, so cancelling it is a no-op.
+//
+// Determinism: equal-time events pop in push order, with no sequence
+// numbers stored.  Every level-0 bucket, and the ready run, is kept sorted:
+// sorted_insert() places a node after the last node whose time is at or
+// before its own, walking back from the tail.  That yields (time, push
+// order) because each list receives nodes in push order.  A higher-level
+// bucket only ever gains nodes in push order: from push() (later pushes
+// append later), or from a jump, which re-files a single bucket's (or the
+// overflow list's) nodes in their stored order into buckets that are
+// provably empty at that moment: when a jump happens, every level below the
+// source bucket's is empty.  So every list holds its nodes in push order
+// (higher levels) or in (time, push order) (level 0 and the ready run), and
+// pop order equals a (time, sequence) binary heap's.
 //
 // Cancellation is eager: cancel() unlinks the node, destroys its closure
 // and frees its slot at once, so a cancelled timer costs no memory and is
-// never re-placed.  The node's list needs no stored location; it follows
+// never re-filed.  The node's list needs no stored location; it follows
 // from the node's tick and the cursor exactly as in place(): at or behind
-// the cursor means the ready run, otherwise the highest base-256 digit in
-// which tick and cursor differ names the wheel level (overflow beyond the
-// last one).  The mapping holds for as long as the node is stored: the
-// cursor only ever jumps to the earliest tick of the next populated bucket,
-// whose nodes are re-placed (or become the ready run), and every node it
-// leaves in place still differs from it in the same highest digit.
-// Unlinking never reorders the nodes that remain, so cancellation cannot
-// change pop order.
+// the cursor means the ready run, otherwise the highest base-256 digit above
+// the level-0 grain in which tick and cursor differ names the wheel level
+// (overflow beyond the last one).  The mapping holds for as long as the node
+// is stored: the cursor only ever moves to the last tick of the next
+// populated level-0 bucket, whose nodes become the ready run (or are
+// re-filed), and every node it leaves in place still differs from it in the
+// same highest digit.  Unlinking never reorders the nodes that remain, so
+// cancellation cannot change pop order.
 //
 // Event ids are generation-stamped slot handles: the low 32 bits index the
 // slab, the high 32 bits carry that slot's generation at push time.
@@ -57,6 +72,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -77,20 +93,14 @@ using EventFn =
 
 class EventQueue {
  public:
-  struct Entry {
-    common::SimTime time;
-    EventId id;
-    EventFn fn;
-  };
-
   /// Inserts an event whose closure is built from `fn` directly in its
-  /// slab node (one move for an rvalue callable, none in transit); returns
-  /// its id (usable with `cancel`).  Ids are never zero, so 0 is safe as a
+  /// slot (one move for an rvalue callable, none in transit); returns its
+  /// id (usable with `cancel`).  Ids are never zero, so 0 is safe as a
   /// caller-side "no event" sentinel.
   template <typename F>
   EventId push(common::SimTime time, F&& fn) {
     const std::uint32_t n = claim_slot();
-    nodes_[n].fn = std::forward<F>(fn);
+    closure(n) = std::forward<F>(fn);
     return insert(n, time);
   }
 
@@ -103,34 +113,67 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Time of the earliest pending event.  Precondition: !empty().
-  [[nodiscard]] common::SimTime next_time();
+  [[nodiscard]] common::SimTime next_time() {
+    if (ready_.head == kNil) advance();
+    return nodes_[ready_.head].time;
+  }
 
-  /// Removes and returns the earliest pending event.  Precondition:
-  /// !empty().
-  Entry pop();
+  /// Removes the earliest pending event, sets `now` to its time and runs
+  /// its closure in its slot.  The closure is destroyed and its slot freed
+  /// once the call returns or throws (see the file comment for what a
+  /// running closure may do).  Precondition: !empty().
+  void run_next(common::SimTime& now) {
+    if (ready_.head == kNil) advance();
+    const std::uint32_t n = ready_.head;
+    Node& node = nodes_[n];
+    ready_.head = node.next;
+    if (node.next == kNil) {
+      ready_.tail = kNil;
+    } else {
+      nodes_[node.next].prev = kNil;
+    }
+    ++node.generation;  // retire the id before the closure can see it
+    --size_;
+    now = node.time;
+    try {
+      closure(n)();
+    } catch (...) {
+      release(n);
+      throw;
+    }
+    release(n);
+  }
 
   /// Number of pending events, which is also the number of slab slots in
   /// use: a cancelled event holds none.
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  /// 2^kBucketBits buckets per level; level l buckets span 2^(8l) ticks.
+  /// A level-0 bucket spans 2^kGrainBits ticks.
+  static constexpr std::size_t kGrainBits = 8;
+  static constexpr std::uint64_t kGrainMask =
+      (std::uint64_t{1} << kGrainBits) - 1;
+  /// 2^kBucketBits buckets per level; level l buckets span 2^(8+8l) ticks.
   static constexpr std::size_t kBucketBits = 8;
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
   static constexpr std::size_t kLevels = 4;
   static constexpr std::uint64_t kIndexMask = kBuckets - 1;
+  /// Closures per chunk (one chunk per 256 slab slots).
+  static constexpr std::size_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// Slab node: event payload + id slot + intrusive list links.  The slab
-  /// index is the id's low 32 bits, so one array serves as event storage,
-  /// slot table and list arena at once.
+  /// Slab node: id slot + intrusive list links.  The slab index is the
+  /// id's low 32 bits and the closure's index in the chunks.
   struct Node {
     common::SimTime time;
-    EventFn fn;
-    std::uint32_t generation = 1;  // bumped on pop/cancel; 0 never occurs
+    std::uint32_t generation = 1;  // bumped on run/cancel; 0 never occurs
     std::uint32_t prev = kNil;     // kNil at a list's head
-    std::uint32_t next = kNil;     // kNil at a list's tail
+    std::uint32_t next = kNil;     // kNil at a list's tail; free-list link
   };
+  static_assert(sizeof(Node) == 24, "a re-filed event moves 24 bytes");
+
+  using Chunk = std::array<EventFn, std::size_t{1} << kChunkBits>;
 
   struct List {
     std::uint32_t head = kNil;
@@ -149,11 +192,14 @@ class EventQueue {
   [[nodiscard]] static std::uint32_t generation_of(EventId id) {
     return static_cast<std::uint32_t>(id >> 32);
   }
-  /// Clamps negative times to tick 0; the ready-list insert keeps their
-  /// relative order by actual SimTime.
+  /// Clamps negative times to tick 0; sorted_insert() keeps their relative
+  /// order by actual SimTime.
   [[nodiscard]] static std::uint64_t tick_of(common::SimTime time) {
     const std::int64_t us = time.as_micros();
     return us <= 0 ? 0 : static_cast<std::uint64_t>(us);
+  }
+  [[nodiscard]] static constexpr std::size_t shift_of(std::size_t level) {
+    return kGrainBits + level * kBucketBits;
   }
   /// True when `id` refers to a pending event.
   [[nodiscard]] bool is_pending(EventId id) const {
@@ -162,47 +208,65 @@ class EventQueue {
            nodes_[slot].generation == generation_of(id);
   }
   /// Wheel level of a tick strictly after the cursor: the highest digit
-  /// (base 2^kBucketBits) in which the two differ.  kLevels or more means
-  /// the overflow list.
+  /// (base 2^kBucketBits, above the grain) in which the two differ.  The
+  /// cursor's grain bits are all ones, so a later tick differs above them.
+  /// kLevels or more means the overflow list.
   [[nodiscard]] std::size_t level_of(std::uint64_t tick) const {
-    return (static_cast<std::size_t>(std::bit_width(tick ^ cursor_)) - 1) /
+    return (static_cast<std::size_t>(std::bit_width(tick ^ cursor_)) - 1 -
+            kGrainBits) /
            kBucketBits;
   }
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t tick,
                                              std::size_t level) {
-    return static_cast<std::size_t>((tick >> (level * kBucketBits)) &
-                                    kIndexMask);
+    return static_cast<std::size_t>((tick >> shift_of(level)) & kIndexMask);
+  }
+  [[nodiscard]] EventFn& closure(std::uint32_t n) {
+    return (*chunks_[n >> kChunkBits])[n & kChunkMask];
   }
 
-  /// A free slab slot, growing the slab when none is left.
+  /// A free slot, growing the slab (and the closure chunks) when none is
+  /// left.
   std::uint32_t claim_slot();
+  /// Destroys slot `n`'s closure and returns the slot to the free list.
+  /// Destroys first: a capture's destructor may push, and must not be
+  /// handed the slot it is still being destroyed in.
+  void release(std::uint32_t n) {
+    closure(n).reset();
+    nodes_[n].next = free_head_;
+    free_head_ = n;
+  }
   /// Files the claimed slot `n` (closure already in place) at `time`.
   EventId insert(std::uint32_t n, common::SimTime time);
   void append(List& list, std::uint32_t n);
   void unlink(List& list, std::uint32_t n);
-  /// Routes a node to the ready list, a wheel bucket, or the overflow list
+  /// Inserts after the last node whose time is at or before `n`'s, keeping
+  /// a list of nodes received in push order sorted by (time, push order).
+  /// Walks back from the tail, so in-order arrivals cost O(1).
+  void sorted_insert(List& list, std::uint32_t n);
+  /// Routes a node to the ready run, a wheel bucket, or the overflow list
   /// according to its tick's distance from the cursor.
   void place(std::uint32_t n);
-  /// Inserts into the ready list keeping (time, push-order) sorted; the
-  /// common case (at or after every queued time) is an O(1) append.
-  void ready_insert(std::uint32_t n);
-  /// Advances the cursor to the next populated tick and loads it into the
-  /// ready list.  Precondition: the ready list is empty and !empty().
+  /// Moves the cursor to the next populated level-0 bucket and makes its
+  /// nodes the ready run.  Precondition: the ready run is empty and
+  /// !empty().
   void advance();
   /// Next set bucket index >= `from` at `level`, or -1.
   [[nodiscard]] int next_occupied(std::size_t level, std::uint64_t from) const;
 
   std::array<Wheel, kLevels> wheels_;
   List overflow_;
-  /// Events of the cursor's tick (plus late pushes at or before it), in
-  /// pop order.
+  /// The current level-0 bucket's events (plus late pushes before it),
+  /// sorted by (time, push order).
   List ready_;
-  /// The tick the queue has drained up to: every stored node with a
-  /// strictly smaller tick has been popped or sits in the ready list.
-  std::uint64_t cursor_ = 0;
+  /// The last tick of the current level-0 bucket: every stored node with
+  /// a tick at or below it sits in the ready run.
+  std::uint64_t cursor_ = kGrainMask;
 
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_slots_;
+  /// Closure storage, slot n at chunks_[n >> kChunkBits][n & kChunkMask].
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  /// Head of the free-slot list, threaded through Node::next.
+  std::uint32_t free_head_ = kNil;
   std::size_t size_ = 0;
 };
 

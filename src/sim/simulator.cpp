@@ -10,9 +10,7 @@ namespace ah::sim {
 std::uint64_t Simulator::run_until(common::SimTime until) {
   std::uint64_t count = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto entry = queue_.pop();
-    now_ = entry.time;
-    entry.fn();
+    queue_.run_next(now_);
     ++count;
   }
   // Advance the clock to the end of the window even if the queue drained
@@ -31,9 +29,7 @@ std::uint64_t Simulator::run() {
 bool Simulator::step() {
   AH_HOT_ENTRY;  // the event-dispatch loop: every simulated action runs here
   if (queue_.empty()) return false;
-  auto entry = queue_.pop();
-  now_ = entry.time;
-  entry.fn();
+  queue_.run_next(now_);
   ++executed_;
   return true;
 }

@@ -4,6 +4,14 @@
 // timeline.  Parallelism in this project comes from running *independent*
 // Simulator instances concurrently (one per candidate configuration or work
 // line), never from sharing one timeline across threads.
+//
+// Each event's closure runs where the EventQueue built it: run_until() and
+// step() advance the clock to the event's time, call the closure in its
+// slot, then destroy it and free the slot, also when the closure throws
+// (the exception then leaves run_until() or step(), and the next call
+// carries on with the next event).  A running event may schedule new events
+// and cancel any event, its own id included (a no-op: that id is retired
+// before the closure runs).
 #pragma once
 
 #include <algorithm>
@@ -48,8 +56,9 @@ class Simulator {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or virtual time would pass `until`.
-  /// Events at exactly `until` DO fire.  Afterwards now() == min(until,
-  /// drain time).  Returns the number of events executed.
+  /// Events at exactly `until` DO fire.  Afterwards now() == max(until,
+  /// now() before the call), even when the queue drained early.  Returns
+  /// the number of events executed.
   std::uint64_t run_until(common::SimTime until);
 
   /// Runs until the event queue is empty.

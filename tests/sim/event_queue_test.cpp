@@ -16,6 +16,17 @@ namespace {
 
 using common::SimTime;
 
+/// Runs the earliest event and returns the time it ran at.
+SimTime run_one(EventQueue& q) {
+  SimTime at = SimTime::zero();
+  q.run_next(at);
+  return at;
+}
+
+void run_all(EventQueue& q) {
+  while (!q.empty()) run_one(q);
+}
+
 TEST(EventQueueTest, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -28,7 +39,7 @@ TEST(EventQueueTest, PopInTimeOrder) {
   q.push(SimTime::millis(30), [&] { order.push_back(3); });
   q.push(SimTime::millis(10), [&] { order.push_back(1); });
   q.push(SimTime::millis(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -38,7 +49,7 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 5; ++i) {
     q.push(SimTime::millis(7), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -68,7 +79,7 @@ TEST(EventQueueTest, CancelTwiceIsNoop) {
 TEST(EventQueueTest, CancelFiredEventIsNoop) {
   EventQueue q;
   const EventId id = q.push(SimTime::millis(1), [] {});
-  q.pop().fn();
+  run_one(q);
   EXPECT_FALSE(q.cancel(id));
   EXPECT_TRUE(q.empty());
 }
@@ -87,7 +98,7 @@ TEST(EventQueueTest, CancelMiddleEventSkipsIt) {
   q.push(SimTime::millis(3), [&] { order.push_back(3); });
   q.cancel(mid);
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().fn();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -106,7 +117,7 @@ TEST(EventQueueTest, LiveSizeTracksCancellations) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
+  run_one(q);
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -128,14 +139,14 @@ TEST(EventQueueTest, StaleIdCannotCancelRecycledSlot) {
   EXPECT_NE(old_id, new_id);
   EXPECT_FALSE(q.cancel(old_id));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
+  run_one(q);
   EXPECT_TRUE(fired);
 }
 
 TEST(EventQueueTest, FiredIdCannotCancelRecycledSlot) {
   EventQueue q;
   const EventId fired_id = q.push(SimTime::millis(1), [] {});
-  q.pop().fn();
+  run_one(q);
   const EventId live_id = q.push(SimTime::millis(2), [] {});
   EXPECT_NE(fired_id, live_id);
   EXPECT_FALSE(q.cancel(fired_id));
@@ -156,30 +167,49 @@ TEST(EventQueueTest, CancelHeavyStressKeepsOrderAndCounts) {
   SimTime last = SimTime::zero();
   std::size_t popped = 0;
   while (!q.empty()) {
-    const auto entry = q.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
+    const SimTime at = run_one(q);
+    EXPECT_GE(at, last);
+    last = at;
     ++popped;
   }
   EXPECT_EQ(popped, 500u);
 }
 
 TEST(EventQueueTest, EqualTimeTiesAcrossBucketBoundaries) {
-  // Tie groups pinned where the wheel changes gear: the last one-tick
-  // bucket of a level-0 block, the first tick of the next block, level-2
-  // and level-3 territory, and both sides of the overflow horizon.  The
-  // last three pairs put a later tick first into a bucket whose earliest
-  // tick comes second: one level-1 bucket, one level-2 bucket whose
-  // earliest node sits in a different level-1 digit, and one overflow
-  // epoch beyond the others.  Every group must still pop in push order
-  // after the cursor jumps that reach it.
+  // Tie groups pinned where the wheel changes gear: both sides of the
+  // first two 256-tick level-0 buckets' ends, the first ticks of level 1
+  // (2^16), level 2 (2^24) and level 3 (2^32), and both sides of the
+  // overflow horizon (2^40).  The remaining pairs put a later tick first:
+  // two pairs inside one 256-tick level-0 bucket, one level-1 bucket, one
+  // level-2 bucket whose earliest node sits in a different level-1 digit,
+  // one level-3 bucket, and one overflow epoch beyond the others.  Every
+  // group must still pop in push order after the cursor jumps that reach
+  // it.
   EventQueue q;
-  const std::int64_t times[] = {255,        256,           65'535,
-                                65'536,     16'777'216,    (1LL << 32) - 1,
-                                (1LL << 32), (1LL << 32) + 7,
-                                1'000,      800,
-                                140'000,    131'100,
-                                (1LL << 33) + 900,         (1LL << 33) + 5};
+  const std::int64_t times[] = {255,
+                                256,
+                                511,
+                                512,
+                                65'535,
+                                65'536,
+                                16'777'216,
+                                (1LL << 32) - 1,
+                                1LL << 32,
+                                (1LL << 40) - 1,
+                                1LL << 40,
+                                (1LL << 40) + 7,
+                                1'000,
+                                800,
+                                700,
+                                650,
+                                140'000,
+                                131'100,
+                                (1LL << 24) + 300'000,
+                                (1LL << 24) + 70'000,
+                                (1LL << 33) + 900,
+                                (1LL << 33) + 5,
+                                (1LL << 41) + 900,
+                                (1LL << 41) + 5};
   std::vector<std::pair<std::int64_t, int>> order;
   std::vector<std::pair<std::int64_t, int>> expected;
   int seq = 0;
@@ -195,30 +225,84 @@ TEST(EventQueueTest, EqualTimeTiesAcrossBucketBoundaries) {
   }
   std::stable_sort(expected.begin(), expected.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  while (!q.empty()) q.pop().fn();
+  run_all(q);
   EXPECT_EQ(order, expected);
 }
 
+TEST(EventQueueTest, OutOfOrderPushesInsideOneBucketPopSorted) {
+  // 600..700 µs past `base` share one 256-tick level-0 bucket, behind a
+  // lead event at base + 100 that holds the cursor in an earlier bucket.
+  // Pushed out of order, they must pop by (time, push order), both when
+  // push() files them into that bucket directly (base 0) and when a jump
+  // re-files the level-1 bucket holding all five (base 2^16).  Cancelling
+  // the node sorted into the middle must leave the rest in order.
+  const std::int64_t offsets[] = {700, 650, 700, 600};
+  for (const std::int64_t base : {std::int64_t{0}, std::int64_t{1} << 16}) {
+    for (const bool cancel_middle : {false, true}) {
+      EventQueue q;
+      std::vector<int> order;
+      std::vector<EventId> ids;
+      q.push(SimTime::micros(base + 100), [&order] { order.push_back(9); });
+      for (int i = 0; i < 4; ++i) {
+        ids.push_back(q.push(SimTime::micros(base + offsets[i]),
+                             [&order, i] { order.push_back(i); }));
+      }
+      // The first 700 sits between 650 and the second 700.
+      if (cancel_middle) {
+        EXPECT_TRUE(q.cancel(ids[0]));
+      }
+      EXPECT_EQ(q.next_time(), SimTime::micros(base + 100));
+      run_all(q);
+      const std::vector<int> expected =
+          cancel_middle ? std::vector<int>{9, 3, 1, 2}
+                        : std::vector<int>{9, 3, 1, 0, 2};
+      EXPECT_EQ(order, expected) << "base " << base;
+    }
+  }
+}
+
+TEST(EventQueueTest, PushBeforeLoadedReadyRunPopsFirst) {
+  // next_time() loads the 256-tick bucket holding 1,000 µs as the ready
+  // run (the cursor moves to its last tick, 1,023).  Later pushes before,
+  // inside and after that run must still pop in (time, push order).
+  EventQueue q;
+  std::vector<int> order;
+  q.push(SimTime::micros(1'000), [&] { order.push_back(1); });
+  q.push(SimTime::micros(1'010), [&] { order.push_back(2); });
+  q.push(SimTime::micros(5'000), [&] { order.push_back(3); });
+  EXPECT_EQ(q.next_time(), SimTime::micros(1'000));
+  q.push(SimTime::micros(400), [&] { order.push_back(4); });  // before it
+  q.push(SimTime::micros(999), [&] { order.push_back(5); });  // same bucket
+  q.push(SimTime::micros(1'000), [&] { order.push_back(6); });  // tie
+  q.push(SimTime::micros(1'023), [&] { order.push_back(7); });  // run's end
+  q.push(SimTime::micros(1'024), [&] { order.push_back(8); });  // next one
+  EXPECT_EQ(q.next_time(), SimTime::micros(400));
+  run_all(q);
+  EXPECT_EQ(order, (std::vector<int>{4, 5, 1, 6, 2, 7, 8, 3}));
+}
+
 TEST(EventQueueTest, CancelInOverflowBucket) {
-  // 5000 s = 5e9 µs, beyond the wheel's 2^32 µs span: the event sits in
-  // the overflow list, and cancelling it frees its slot at once.
+  // 1.2e6 s = 1.2e12 µs, beyond the wheels' 2^40 µs (~1.1e6 s) span: the
+  // event sits in the overflow list, and cancelling it frees its slot at
+  // once.
   EventQueue q;
   std::vector<int> order;
   q.push(SimTime::seconds(1), [&] { order.push_back(1); });
-  const EventId doomed = q.push(SimTime::seconds(5000), [&] { order.push_back(2); });
-  q.push(SimTime::seconds(6000), [&] { order.push_back(3); });
+  const EventId doomed =
+      q.push(SimTime::seconds(1.2e6), [&] { order.push_back(2); });
+  q.push(SimTime::seconds(1.3e6), [&] { order.push_back(3); });
   EXPECT_EQ(q.size(), 3u);
   EXPECT_TRUE(q.cancel(doomed));
   EXPECT_FALSE(q.cancel(doomed));
   EXPECT_EQ(q.size(), 2u);
   // The next push reuses the freed slot under a new generation.
   const EventId reused =
-      q.push(SimTime::seconds(5500), [&] { order.push_back(4); });
+      q.push(SimTime::seconds(1.25e6), [&] { order.push_back(4); });
   EXPECT_EQ(static_cast<std::uint32_t>(reused),
             static_cast<std::uint32_t>(doomed));
   EXPECT_NE(reused, doomed);
   EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) q.pop().fn();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 4, 3}));
 }
 
@@ -253,10 +337,11 @@ TEST(EventQueueTest, SizeStaysExactUnderLazyCancellation) {
 
 TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
   // Randomized interleaving of push/cancel/pop against an exact reference
-  // of the old binary heap's order: a set of (time, global push sequence)
-  // pairs.  The delta mixture deliberately hits one-tick ties, level
-  // boundaries, deep levels and the overflow horizon, and the final drain
-  // walks the cursor across several 2^32 µs overflow epochs.
+  // of a binary heap's order: a set of (time, global push sequence) pairs.
+  // The delta mixture deliberately hits one-tick ties, the 256-tick
+  // level-0 grain, the level-1 (2^16), level-2 (2^24) and level-3 (2^32)
+  // boundaries and the 2^40 overflow horizon, and the final drain walks
+  // the cursor across several 2^40 µs overflow epochs.
   //
   // Every third round is cancel-heavy and checks the queue against the
   // reference after every operation.  It loads a tie group into the ready
@@ -297,9 +382,7 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
     ASSERT_FALSE(ref.empty());
     const auto expect = *ref.begin();
     ref.erase(ref.begin());
-    auto entry = q.pop();
-    ASSERT_EQ(entry.time.as_micros(), expect.first);
-    entry.fn();
+    ASSERT_EQ(run_one(q).as_micros(), expect.first);
     ASSERT_EQ(popped.back(), expect.second);
     now = expect.first;
   };
@@ -314,15 +397,20 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
     for (int i = 0; i < 8; ++i) {
       const std::uint64_t r = rng();
       std::int64_t delta = 0;
-      switch (r % 5) {
+      switch (r % 7) {
         case 0: delta = static_cast<std::int64_t>((r >> 8) % 4); break;
         case 1: delta = 250 + static_cast<std::int64_t>((r >> 8) % 12); break;
-        case 2: delta = static_cast<std::int64_t>((r >> 8) % (1u << 20)); break;
-        case 3:
+        case 2: delta = 506 + static_cast<std::int64_t>((r >> 8) % 12); break;
+        case 3: delta = static_cast<std::int64_t>((r >> 8) % (1u << 20)); break;
+        case 4:
           delta = (1LL << 24) + static_cast<std::int64_t>((r >> 8) % 1024);
           break;
-        case 4:
+        case 5:
           delta = (1LL << 32) + static_cast<std::int64_t>((r >> 8) % 1000);
+          break;
+        case 6:
+          delta = (1LL << 40) - 500 +
+                  static_cast<std::int64_t>((r >> 8) % 1000);
           break;
       }
       push(now + delta);
@@ -335,13 +423,13 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
     ASSERT_EQ(q.size(), ref.size());
     if (round % 3 != 2) continue;
 
-    // Cancel-heavy round.  Pick a tie time g whose four low base-256
-    // digits are all below 255, so that raising one digit of g gives a
-    // tick at exactly that wheel level.
+    // Cancel-heavy round.  Pick a tie time g whose four wheel digits
+    // (base 256, above the 256-tick grain) are all below 255, so that
+    // raising one digit of g gives a tick at exactly that wheel level.
     std::uint64_t g = static_cast<std::uint64_t>(now) + 1000 + rng() % 256;
     for (std::size_t level = 0; level < 4; ++level) {
-      if (((g >> (8 * level)) & 0xff) == 0xff) {
-        g += std::uint64_t{1} << (8 * level);
+      if (((g >> (8 + 8 * level)) & 0xff) == 0xff) {
+        g += std::uint64_t{1} << (8 + 8 * level);
       }
     }
     const auto tie = static_cast<std::int64_t>(g);
@@ -351,7 +439,8 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
       check();
     }
     // Drain everything earlier; the tie group then leads, so peeking moves
-    // the cursor to g and loads the group as the ready run.
+    // the cursor to the end of g's level-0 bucket and loads the group as
+    // (part of) the ready run.
     while (ref.begin()->first < tie) {
       pop_and_check();
       check();
@@ -365,7 +454,7 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
     for (std::size_t level = 0; level <= 4; ++level) {
       std::int64_t t = 0;
       if (level < 4) {
-        const std::size_t shift = 8 * level;
+        const std::size_t shift = 8 + 8 * level;
         const std::uint64_t digit = (g >> shift) & 0xff;
         const std::uint64_t raised = digit + 1 + rng() % (0xff - digit);
         const std::uint64_t low = (std::uint64_t{1} << shift) - 1;
@@ -373,8 +462,9 @@ TEST(EventQueueTest, RolloverCascadeStressMatchesReferenceModel) {
             (g & ~((std::uint64_t{0x100} << shift) - 1)) | (raised << shift) |
             (rng() & low));
       } else {
-        t = static_cast<std::int64_t>((((g >> 32) + 1 + rng() % 3) << 32) |
-                                      (rng() & 0xffffffffu));
+        const std::uint64_t low = (std::uint64_t{1} << 40) - 1;
+        t = static_cast<std::int64_t>((((g >> 40) + 1 + rng() % 3) << 40) |
+                                      (rng() & low));
       }
       const Pushed victim = push(t);
       push(t);  // a same-tick survivor keeps the bucket populated
@@ -405,9 +495,9 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
   }
   SimTime last = SimTime::zero();
   while (!q.empty()) {
-    const auto entry = q.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
+    const SimTime at = run_one(q);
+    EXPECT_GE(at, last);
+    last = at;
   }
 }
 

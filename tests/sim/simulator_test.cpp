@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "../support/move_counter.hpp"
@@ -142,18 +144,63 @@ TEST(SimulatorTest, LongChainTerminates) {
   EXPECT_EQ(sim.now(), SimTime::micros(10000));
 }
 
-TEST(SimulatorTest, ScheduledClosureMovesOnlyIntoItsSlotAndOut) {
+TEST(SimulatorTest, ScheduledClosureMovesOnlyIntoItsSlot) {
   // schedule() forwards the callable to the queue, which builds the EventFn
-  // in its slot: one move in, one move out at pop, nothing in transit.
+  // in its slot, and the event runs there: one move in, none in transit
+  // and none at run time.
   test::MoveCounts counts;
   {
     Simulator sim;
     sim.schedule(SimTime::millis(1), test::MoveCounter(&counts));
     sim.run();
   }
-  EXPECT_LE(counts.moves, 2);
+  EXPECT_LE(counts.moves, 1);
   EXPECT_EQ(counts.runs, 1);
   EXPECT_EQ(counts.destroyed, counts.constructed);
+}
+
+TEST(SimulatorTest, ThrowingEventFreesItsSlotAndLaterEventsStillRun) {
+  // The exception leaves run_until(); the thrower's closure is destroyed
+  // and its slot freed on the way out, so the pending count is exact, the
+  // next schedule() reuses that slot, and the next run carries on.
+  test::MoveCounts counts;
+  Simulator sim;
+  std::vector<int> order;
+  const EventId thrower = sim.schedule(
+      SimTime::millis(1),
+      [&order, guard = test::MoveCounter(&counts)] {
+        (void)guard;
+        order.push_back(1);
+        throw std::runtime_error("event failed");
+      });
+  sim.schedule(SimTime::millis(2), [&] { order.push_back(2); });
+  EXPECT_THROW(sim.run_until(SimTime::millis(10)), std::runtime_error);
+  EXPECT_EQ(sim.now(), SimTime::millis(1));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(counts.destroyed, counts.constructed);  // thrower destroyed
+  EXPECT_FALSE(sim.cancel(thrower));
+  const EventId next =
+      sim.schedule(SimTime::millis(1), [&] { order.push_back(3); });
+  EXPECT_EQ(static_cast<std::uint32_t>(next),
+            static_cast<std::uint32_t>(thrower));
+  EXPECT_EQ(sim.run_until(SimTime::millis(10)), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, RunningEventMayCancelItsOwnIdAndSchedule) {
+  // A running event's id is retired before its closure runs: cancelling it
+  // is a no-op, and what the event schedules gets a slot of its own.
+  Simulator sim;
+  std::vector<int> order;
+  EventId self = 0;
+  self = sim.schedule(SimTime::millis(1), [&] {
+    EXPECT_FALSE(sim.cancel(self));
+    sim.schedule(SimTime::zero(), [&] { order.push_back(2); });
+    order.push_back(1);
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace
