@@ -25,7 +25,7 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
       // charged (the sender pushed the frame; the network lost it).
       if (fault->drop > 0.0 && fault_rng_.uniform() < fault->drop) {
         ++dropped_;
-        from.nic().submit(from.nic_time(bytes), {});
+        from.nic().send_lost(from.nic_time(bytes));
         return false;
       }
       extra = fault->extra_delay;
@@ -37,14 +37,8 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
     sim_.schedule(common::SimTime::zero(), std::move(on_delivered));
     return true;
   }
-  Msg* msg = msgs_.acquire();
-  msg->net = this;
-  msg->latency = from.hardware().nic_latency + extra;
-  msg->on_delivered = std::move(on_delivered);
-  auto done = [msg] { msg->net->nic_done(msg); };
-  static_assert(sim::Resource::Completion::stores_inline<decltype(done)>(),
-                "NIC completion closure must not allocate");
-  from.nic().submit(from.nic_time(bytes), std::move(done));
+  from.nic().send(from.nic_time(bytes), from.hardware().nic_latency + extra,
+                  std::move(on_delivered));
   return true;
 }
 
@@ -75,11 +69,6 @@ const Network::LinkFault* Network::match_fault(NodeId from, NodeId to) const {
     }
   }
   return nullptr;
-}
-
-void Network::nic_done(Msg* msg) {
-  sim_.schedule(msg->latency, std::move(msg->on_delivered));
-  msgs_.release(msg);
 }
 
 }  // namespace ah::cluster

@@ -1,11 +1,13 @@
 // Inter-node message transfer.
 //
-// Transfers charge the sender's NIC (serialization) and add a fixed
-// propagation latency; the receiver-side cost is folded into the per-request
-// CPU demands of the receiving server.  This keeps each message at one
-// queueing interaction, which measurement of the real testbed's 100 Mbps
-// switched Ethernet justifies: the switch was never the bottleneck, the
-// endpoints were.
+// A transfer occupies the sender's NIC (a NicLink: serialization, first come
+// first served) and then takes a fixed propagation latency; the
+// receiver-side cost is folded into the per-request CPU demands of the
+// receiving server.  Each message is one event, its delivery, scheduled at
+// send time for the end of its serialization plus the latency.  One
+// queueing interaction per message is what measurement of the real
+// testbed's 100 Mbps switched Ethernet justifies: the switch was never the
+// bottleneck, the endpoints were.
 //
 // Fault injection: a link fault (set_link_fault) makes matching messages
 // eligible for probabilistic drop and/or an added propagation delay —
@@ -20,10 +22,8 @@
 
 #include "cluster/node.hpp"
 #include "common/analysis.hpp"
-#include "common/object_pool.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
 AH_HOT_PATH_FILE;
@@ -35,21 +35,20 @@ inline constexpr NodeId kAnyNode = static_cast<NodeId>(-1);
 
 class Network {
  public:
-  explicit Network(sim::Simulator& sim) : sim_(sim), fault_rng_(0x11fec7) {
-    AH_ASSERT_POOLED_CALL(Msg);
-  }
+  explicit Network(sim::Simulator& sim) : sim_(sim), fault_rng_(0x11fec7) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// Sends `bytes` from `from`; invokes `on_delivered` after NIC
-  /// serialization plus propagation latency.  Local (same-node) delivery is
-  /// free and immediate, matching loopback behaviour.  Returns false when
-  /// an installed link fault dropped the message — `on_delivered` is then
-  /// destroyed uninvoked, and the caller's hop timeout (if any) is what
-  /// eventually notices the loss, exactly as on a real network.
+  /// Sends `bytes` from `from`; invokes `on_delivered` after the sender's
+  /// NIC has serialized them and the propagation latency has passed.
+  /// Local (same-node) delivery is free and immediate, matching loopback
+  /// behaviour.  Returns false when an installed link fault dropped the
+  /// message — `on_delivered` is then destroyed uninvoked (the frame still
+  /// occupies the sender's NIC), and the caller's hop timeout (if any) is
+  /// what eventually notices the loss, exactly as on a real network.
   bool send(Node& from, Node& to, common::Bytes bytes,
             sim::EventFn on_delivered);
 
@@ -68,15 +67,6 @@ class Network {
   [[nodiscard]] common::Bytes bytes_sent() const { return bytes_; }
 
  private:
-  /// In-flight message state, pooled so the NIC-completion closure captures
-  /// a single pointer (the delivery callback itself is a full-width EventFn
-  /// that would not fit the NIC Resource's inline Completion buffer).
-  struct Msg {
-    Network* net = nullptr;
-    common::SimTime latency = common::SimTime::zero();
-    sim::EventFn on_delivered;
-  };
-
   struct LinkFault {
     NodeId from = kAnyNode;
     NodeId to = kAnyNode;
@@ -84,12 +74,10 @@ class Network {
     common::SimTime extra_delay = common::SimTime::zero();
   };
 
-  void nic_done(Msg* msg);
   /// First installed fault matching the directed pair, or nullptr.
   [[nodiscard]] const LinkFault* match_fault(NodeId from, NodeId to) const;
 
   sim::Simulator& sim_;
-  common::ObjectPool<Msg> msgs_;
   /// Installed link faults.  Mutated only by (rare) fault events; empty in
   /// steady state, so the per-message check is one branch.
   std::vector<LinkFault> faults_;

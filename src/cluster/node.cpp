@@ -26,7 +26,7 @@ double paging_slowdown(double pressure) {
 
 Node::Node(sim::Simulator& sim, NodeId id, std::string name,
            const NodeHardware& hw)
-    : sim_(sim), id_(id), name_(std::move(name)), hw_(hw) {
+    : sim_(sim), id_(id), name_(std::move(name)), hw_(hw), nic_(sim) {
   assert(hw_.cpu_cores > 0);
   assert(hw_.cpu_speed > 0.0);
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
@@ -36,9 +36,6 @@ Node::Node(sim::Simulator& sim, NodeId id, std::string name,
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
   disk_ = std::make_unique<sim::Resource>(
       sim_, name_ + ".disk", sim::Resource::Config{1});
-  AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
-  nic_ = std::make_unique<sim::Resource>(
-      sim_, name_ + ".nic", sim::Resource::Config{1});
 }
 
 common::SimTime Node::disk_time(common::Bytes bytes) const {
@@ -96,8 +93,8 @@ double Node::disk_utilization_probe() {
 }
 
 double Node::nic_utilization_probe() {
-  const double u = nic_->utilization_since(nic_snap_.integral, nic_snap_.at);
-  nic_snap_ = {nic_->busy_integral(), sim_.now()};
+  const double u = nic_.utilization_since(nic_snap_.integral, nic_snap_.at);
+  nic_snap_ = {nic_.busy_integral(), sim_.now()};
   return u;
 }
 

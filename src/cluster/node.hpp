@@ -1,7 +1,8 @@
 // A cluster machine: CPU cores, one disk, one NIC, and a memory budget.
 //
 // Mirrors the paper's testbed nodes (dual Athlon, 1 GiB RAM, 100 Mbps
-// Ethernet).  Hardware contention is modelled with sim::Resource queues;
+// Ethernet).  CPU and disk contention is modelled with sim::Resource
+// queues and the NIC with a NicLink, a one-server FIFO kept as arithmetic;
 // memory is a capacity counter whose over-subscription translates into a CPU
 // slowdown (paging), which is how "too many threads / too large buffers"
 // configurations hurt instead of help — the cliff the tuner must avoid.
@@ -11,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "cluster/nic_link.hpp"
 #include "common/analysis.hpp"
 #include "common/units.hpp"
 #include "sim/resource.hpp"
@@ -48,7 +50,7 @@ class Node {
   /// scaled by node speed and the current paging slowdown.
   [[nodiscard]] sim::Resource& cpu() { return *cpu_; }
   [[nodiscard]] sim::Resource& disk() { return *disk_; }
-  [[nodiscard]] sim::Resource& nic() { return *nic_; }
+  [[nodiscard]] NicLink& nic() { return nic_; }
 
   /// Converts a byte count into disk service time on this node.
   [[nodiscard]] common::SimTime disk_time(common::Bytes bytes) const;
@@ -100,7 +102,7 @@ class Node {
 
   std::unique_ptr<sim::Resource> cpu_;
   std::unique_ptr<sim::Resource> disk_;
-  std::unique_ptr<sim::Resource> nic_;
+  NicLink nic_;
 
   common::Bytes memory_used_ = 0;
   bool alive_ = true;

@@ -600,7 +600,7 @@ void SystemModel::crash_node(NodeId id) {
   // Roles the node never played have no pools to clear.
   node.cpu().clear_queue();
   node.disk().clear_queue();
-  node.nic().clear_queue();
+  node.nic().drop_waiting();
   if (state.app != nullptr) {
     state.app->http_pool().clear_waiters();
     state.app->ajp_pool().clear_waiters();

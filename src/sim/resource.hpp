@@ -1,11 +1,13 @@
 // Queueing resource: k identical servers in front of a FIFO queue.
 //
-// This is the primitive from which every hardware and software bottleneck in
-// the cluster model is built: CPU cores, disk spindles, NIC links, database
-// connection slots, and servlet/AJP thread pools are all Resources with
-// different capacities and service demands.  Contention, saturation and the
-// latency knees that the Active Harmony tuner exploits all emerge from the
-// queueing behaviour here rather than from hand-authored response curves.
+// The queueing primitive of the cluster model: CPU cores and disk spindles
+// are Resources with different capacities and service demands, and
+// sim::SlotPool covers the pools held across downstream waits (servlet/AJP
+// threads, database connections).  A NIC is a cluster::NicLink, the
+// one-server case kept as arithmetic so that it needs no completion event.
+// Contention, saturation and the latency knees that the Active Harmony tuner
+// exploits all emerge from the queueing behaviour here rather than from
+// hand-authored response curves.
 #pragma once
 
 #include <cstdint>

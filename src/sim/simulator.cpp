@@ -8,16 +8,16 @@ AH_HOT_PATH_FILE;
 namespace ah::sim {
 
 std::uint64_t Simulator::run_until(common::SimTime until) {
-  std::uint64_t count = 0;
+  const std::uint64_t before = executed_;
   while (!queue_.empty() && queue_.next_time() <= until) {
+    // Counted before it runs, so an event that throws is counted too.
+    ++executed_;
     queue_.run_next(now_);
-    ++count;
   }
   // Advance the clock to the end of the window even if the queue drained
   // early, so subsequent scheduling is relative to the window boundary.
   now_ = std::max(now_, until);
-  executed_ += count;
-  return count;
+  return executed_ - before;
 }
 
 std::uint64_t Simulator::run() {
@@ -29,8 +29,8 @@ std::uint64_t Simulator::run() {
 bool Simulator::step() {
   AH_HOT_ENTRY;  // the event-dispatch loop: every simulated action runs here
   if (queue_.empty()) return false;
-  queue_.run_next(now_);
   ++executed_;
+  queue_.run_next(now_);
   return true;
 }
 

@@ -43,10 +43,11 @@ void Workload::start() {
   if (running_) return;
   running_ = true;
   for (std::size_t i = 0; i < browser_rngs_.size(); ++i) {
-    // Stagger initial arrivals uniformly over one mean think time.
+    // Stagger initial issues uniformly over one mean think time; each
+    // request reaches the proxy kClientLatency after its issue.
     const double offset =
         browser_rngs_[i].uniform() * kThinkMean.as_seconds();
-    sim_.schedule(common::SimTime::seconds(offset),
+    sim_.schedule(common::SimTime::seconds(offset) + webstack::kClientLatency,
                   [this, i] { browser_issue(i); });
   }
 }
@@ -76,7 +77,7 @@ webstack::Request Workload::make_request(common::Rng& rng) {
   webstack::Request request;
   request.id = next_request_id_++;
   request.profile = &profile;
-  request.issued_at = sim_.now();
+  request.issued_at = sim_.now() - webstack::kClientLatency;
 
   if (profile.cacheable) {
     const std::uint64_t space = object_space(interaction, config_.item_count);
@@ -141,8 +142,9 @@ void Workload::dispatch(std::size_t browser_index,
       retry->request = request;
       retry->retries_left = retries_left;
       const int attempt = config_.retry.max_retries - retries_left;
-      sim_.schedule(config_.retry.backoff(attempt, request.id),
-                    [retry] { retry->self->redispatch(retry); });
+      sim_.schedule(
+          config_.retry.backoff(attempt, request.id) + webstack::kClientLatency,
+          [retry] { retry->self->redispatch(retry); });
       return;
     }
     browser_think(browser_index);
@@ -173,7 +175,7 @@ void Workload::browser_think(std::size_t browser_index) {
   if (arrival_ != nullptr) mean_s /= arrival_->factor(sim_.now());
   const double think =
       std::min(rng.exponential(mean_s), kThinkCap.as_seconds());
-  sim_.schedule(common::SimTime::seconds(think),
+  sim_.schedule(common::SimTime::seconds(think) + webstack::kClientLatency,
                 [this, browser_index] { browser_issue(browser_index); });
 }
 

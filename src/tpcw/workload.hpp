@@ -6,6 +6,11 @@
 // drawn from the active Mix, which the driver can swap at runtime — that is
 // how the changing-workload experiment (paper Fig 5) is expressed.
 //
+// The request's trip to the proxy tier (webstack::kClientLatency) needs no
+// event of its own: each think timer and retry back-off ends that much
+// later, in the event where the request reaches the proxy, and the request
+// records its issue time as that arrival minus kClientLatency.
+//
 // Cacheable page identities draw from Zipf popularity; their sizes are a
 // deterministic function of the page identity, so a page has the same size
 // every time it is fetched (a cache would otherwise see phantom updates).
@@ -114,6 +119,8 @@ class Workload {
     int retries_left = 0;
   };
 
+  /// Draws the browser's next request and routes it; runs when that
+  /// request reaches the proxy tier, kClientLatency after its issue.
   void browser_issue(std::size_t browser_index);
   void dispatch(std::size_t browser_index, const webstack::Request& request,
                 int retries_left);

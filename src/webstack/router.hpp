@@ -11,9 +11,10 @@
 //                   (DbTierRouter): both legs cross the cluster network,
 //                   each charged to the sender's NIC.
 //   FrontendRouter  browser -> proxy: the client machine is not a
-//                   simulated node, so the inbound leg is kClientLatency
-//                   and the reply leg is the proxy's NIC, then
-//                   kClientLatency.
+//                   simulated node.  The inbound leg, kClientLatency, is
+//                   folded into the browser's think timer, so route() runs
+//                   when the request reaches the proxy; the reply leg is
+//                   the proxy's NIC, then kClientLatency, one event.
 //
 // Server objects never talk to each other directly, which is what lets the
 // reconfiguration logic retarget a node by just removing/adding it here
@@ -44,7 +45,6 @@
 #include "common/object_pool.hpp"
 #include "common/units.hpp"
 #include "obs/histogram.hpp"
-#include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "webstack/app_server.hpp"
 #include "webstack/db_server.hpp"
@@ -142,8 +142,8 @@ class HopRouter {
   void set_hop_timeout(common::SimTime timeout) { hop_timeout_ = timeout; }
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
-  /// Hop-latency histogram: route() to finish(), i.e. both legs plus
-  /// backend service (for the frontend, the full client round trip).
+  /// Hop-latency histogram: the hop's start to finish(), i.e. both legs
+  /// plus backend service (for the frontend, the full client round trip).
   /// Observation is passive: recording is a pure counter increment, so
   /// attaching a histogram perturbs nothing.
   void set_hop_histogram(obs::Histogram* histogram) {
@@ -171,11 +171,14 @@ class HopRouter {
     AH_ASSERT_POOLED_CALL(Call);
   }
 
-  /// Sends `message` from `from` to a selected backend: the forward leg,
-  /// then the timeout.  `done` fires with the backend's reply after the
-  /// reply leg.  With no backends (or all of them marked down) the request
-  /// fails before this returns.
-  void route_from(const Message& message, cluster::Node* from, Done done) {
+  /// Sends `message` from `from` to a selected backend: arms the timeout
+  /// (`hop_timeout` after `routed_at`, when the hop's clock started), then
+  /// runs the forward leg, which may reach the backend before this
+  /// returns.  `done` fires with the backend's reply after the reply leg.
+  /// With no backends (or all of them marked down) the request fails
+  /// before this returns.
+  void route_from(const Message& message, cluster::Node* from,
+                  common::SimTime routed_at, Done done) {
     if (backends_.empty()) {
       done(Traits::failed());
       return;
@@ -199,15 +202,17 @@ class HopRouter {
     call->from = from;
     call->message = message;
     call->done = std::move(done);
-    call->routed_at = sim_.now();
+    call->routed_at = routed_at;
     call->timeout_id = 0;
-    call->self->forward_leg(call);
+    // Armed before the forward leg: a backend that answers at once may
+    // finish the call, and with it its generation, inside forward_leg().
     if (hop_timeout_ > common::SimTime::zero()) {
-      call->timeout_id = sim_.schedule(
-          hop_timeout_, [call, gen = call->generation] {
+      call->timeout_id = sim_.schedule_at(
+          routed_at + hop_timeout_, [call, gen = call->generation] {
             if (call->generation == gen) call->self->on_timeout(call);
           });
     }
+    call->self->forward_leg(call);
   }
 
   void arrive(Call* call) {
@@ -266,7 +271,7 @@ class NetworkHop final
   /// with the backend's reply after the return hop.
   void route(const Message& message, cluster::Node& from,
              typename Base::Done done) {
-    this->route_from(message, &from, std::move(done));
+    this->route_from(message, &from, this->sim_.now(), std::move(done));
   }
 
  private:
@@ -304,36 +309,27 @@ class FrontendRouter final
   FrontendRouter(sim::Simulator& sim, cluster::BalancePolicy policy)
       : HopRouter(sim, policy) {}
 
+  /// Routes a browser request that reaches the proxy tier now.  The
+  /// browser issued it kClientLatency ago, so the hop's clock (latency
+  /// histogram and timeout) starts then.
   void route(const Request& request, ResponseFn done) {
-    route_from(request, nullptr, std::move(done));
+    route_from(request, nullptr, sim_.now() - kClientLatency,
+               std::move(done));
   }
 
  private:
   friend HopRouter;
 
-  void forward_leg(Call* call) {
-    sim_.schedule(kClientLatency, [call, gen = call->generation] {
-      if (call->generation == gen) call->self->arrive(call);
-    });
-  }
-  /// Response serialization on the proxy's NIC, then client latency.  The
-  /// NIC's Completion is a relaxed 16-byte InlineFunction: a capture wider
-  /// than (call, generation) would silently move to the heap.
+  void forward_leg(Call* call) { arrive(call); }
+  /// Response serialization on the proxy's NIC, then client latency.
   void reply_leg(Call* call) {
     cluster::Node& node = call->backend->node();
     const common::Bytes bytes =
         HopTraits<Request>::reply_bytes(call->message, call->reply);
-    auto nic_done = [call, gen = call->generation] {
-      if (call->generation == gen) call->self->to_client(call);
-    };
-    static_assert(
-        sim::Resource::Completion::stores_inline<decltype(nic_done)>());
-    node.nic().submit(node.nic_time(bytes), std::move(nic_done));
-  }
-  void to_client(Call* call) {
-    sim_.schedule(kClientLatency, [call, gen = call->generation] {
-      if (call->generation == gen) call->self->deliver(call);
-    });
+    node.nic().send(node.nic_time(bytes), kClientLatency,
+                    [call, gen = call->generation] {
+                      if (call->generation == gen) call->self->deliver(call);
+                    });
   }
 };
 

@@ -29,8 +29,10 @@ TEST_F(NetworkTest, SenderNicCharged) {
   Node b(sim_, 1, "b", hw_);
   net_.send(a, b, 12'500, [] {});
   sim_.run();
-  EXPECT_EQ(a.nic().completed(), 1u);
-  EXPECT_EQ(b.nic().completed(), 0u);
+  EXPECT_EQ(a.nic().messages(), 1u);
+  EXPECT_EQ(a.nic().busy_integral(), 1000);  // 1 ms of serialization
+  EXPECT_EQ(b.nic().messages(), 0u);
+  EXPECT_EQ(b.nic().busy_integral(), 0);
 }
 
 TEST_F(NetworkTest, LoopbackIsFree) {
@@ -39,7 +41,8 @@ TEST_F(NetworkTest, LoopbackIsFree) {
   net_.send(a, a, 1'000'000, [&] { delivered = sim_.now(); });
   sim_.run();
   EXPECT_EQ(delivered, SimTime::zero());
-  EXPECT_EQ(a.nic().completed(), 0u);
+  EXPECT_EQ(a.nic().messages(), 0u);
+  EXPECT_EQ(a.nic().busy_integral(), 0);
 }
 
 TEST_F(NetworkTest, ConcurrentSendsSerializeOnNic) {
@@ -58,15 +61,16 @@ TEST_F(NetworkTest, ConcurrentSendsSerializeOnNic) {
 TEST_F(NetworkTest, SlowdownScalesDeliveries) {
   Node a(sim_, 0, "a", hw_);
   Node b(sim_, 1, "b", hw_);
-  a.nic().set_slowdown(2.0);
+  // A fail-slow node's CPU slows down; nothing slows its NIC.
+  a.set_fault_slowdown(2.0);
   SimTime first = SimTime::zero();
   SimTime second = SimTime::zero();
   net_.send(a, b, 12'500, [&] { first = sim_.now(); });
   net_.send(a, b, 12'500, [&] { second = sim_.now(); });
   sim_.run();
-  // Each 1 ms demand serves for 2 ms; propagation latency is not scaled.
-  EXPECT_EQ(first, SimTime::micros(2200));
-  EXPECT_EQ(second, SimTime::micros(4200));
+  // Each 1 ms demand serves for 1 ms, back to back.
+  EXPECT_EQ(first, SimTime::micros(1200));
+  EXPECT_EQ(second, SimTime::micros(2200));
 }
 
 TEST_F(NetworkTest, DroppedMessageStillChargesNic) {
@@ -86,7 +90,8 @@ TEST_F(NetworkTest, DroppedMessageStillChargesNic) {
   EXPECT_EQ(delivered[0], (std::pair<int, SimTime>{1, SimTime::micros(1200)}));
   // The dropped frame occupied the wire for 1-2 ms.
   EXPECT_EQ(delivered[1], (std::pair<int, SimTime>{3, SimTime::micros(3200)}));
-  EXPECT_EQ(a.nic().completed(), 3u);
+  EXPECT_EQ(a.nic().messages(), 3u);
+  EXPECT_EQ(a.nic().busy_integral(), 3000);
 }
 
 TEST_F(NetworkTest, CountsTraffic) {

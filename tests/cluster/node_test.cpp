@@ -18,7 +18,7 @@ TEST_F(NodeTest, ResourcesMatchHardware) {
   Node node(sim_, 0, "n0", hw_);
   EXPECT_EQ(node.cpu().servers(), 4);
   EXPECT_EQ(node.disk().servers(), 1);
-  EXPECT_EQ(node.nic().servers(), 1);
+  EXPECT_EQ(node.nic().busy_until(), SimTime::zero());  // an idle link
   EXPECT_EQ(node.id(), 0u);
   EXPECT_EQ(node.name(), "n0");
 }
@@ -120,7 +120,7 @@ TEST_F(NodeTest, UtilizationProbesDeltaBased) {
 TEST_F(NodeTest, DiskAndNicProbes) {
   Node node(sim_, 0, "n0", hw_);
   node.disk().submit(SimTime::millis(5), {});
-  node.nic().submit(SimTime::millis(2), {});
+  node.nic().send_lost(SimTime::millis(2));
   sim_.run_until(SimTime::millis(10));
   EXPECT_NEAR(node.disk_utilization_probe(), 0.5, 1e-9);
   EXPECT_NEAR(node.nic_utilization_probe(), 0.2, 1e-9);

@@ -188,6 +188,23 @@ TEST(SimulatorTest, ThrowingEventFreesItsSlotAndLaterEventsStillRun) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(SimulatorTest, EventsExecutedCountsEveryEventThatRanIncludingAThrower) {
+  // Three events run and a fourth throws in one run_until(), then one
+  // step() throws: each event that ran is counted when it runs.
+  Simulator sim;
+  for (int i = 1; i <= 3; ++i) sim.schedule(SimTime::millis(i), [] {});
+  sim.schedule(SimTime::millis(4),
+               [] { throw std::runtime_error("event failed"); });
+  EXPECT_THROW(sim.run_until(SimTime::millis(10)), std::runtime_error);
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  sim.schedule(SimTime::millis(1),
+               [] { throw std::runtime_error("event failed"); });
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
 TEST(SimulatorTest, RunningEventMayCancelItsOwnIdAndSchedule) {
   // A running event's id is retired before its closure runs: cancelling it
   // is a no-op, and what the event schedules gets a slot of its own.

@@ -175,11 +175,12 @@ TEST_F(RouterTest, NetworkChargesSenderNics) {
   add_db(add_node("d0"));
   frontend_.route(make_request(true), [](const Response&) {});
   sim_.run();
-  // proxy NIC: forward to app + response to client; app NIC: queries +
-  // response; db NIC: results.
-  EXPECT_GT(nodes_[0]->nic().completed(), 0u);
-  EXPECT_GT(nodes_[1]->nic().completed(), 0u);
-  EXPECT_GT(nodes_[2]->nic().completed(), 0u);
+  // proxy NIC: forward to app + response to client; app NIC: 2 queries +
+  // response; db NIC: 2 results.
+  EXPECT_EQ(nodes_[0]->nic().messages(), 2u);
+  EXPECT_EQ(nodes_[1]->nic().messages(), 3u);
+  EXPECT_EQ(nodes_[2]->nic().messages(), 2u);
+  for (int i = 0; i < 3; ++i) EXPECT_GT(nodes_[i]->nic().busy_integral(), 0);
 }
 
 TEST_F(RouterTest, ClientLatencyAddsRoundTrip) {
@@ -296,7 +297,13 @@ TYPED_TEST(HopTest, TimeoutShorterThanServiceFailsOnceThenCallIsReused) {
   cluster::Node& backend = this->build();
   this->router().set_hop_timeout(kHopTimeout);
   backend.set_fault_slowdown(kSlowdown);
+  // The hop's clock starts when its message leaves.  A browser request
+  // reaches FrontendRouter::route() kClientLatency after it left, and the
+  // frontend's clock (and timeout) still start at the issue.
   const SimTime routed_at = this->sim_.now();
+  if constexpr (TestFixture::kFrontend) {
+    this->sim_.run_until(routed_at + kClientLatency);
+  }
   Outcome slow;
   this->route(slow);
   this->sim_.run();  // the timeout fires, then the late reply comes back
@@ -337,6 +344,43 @@ TYPED_TEST(HopTest, HistogramRecordsEveryFinishedHop) {
   ASSERT_TRUE(fast.ok);
   EXPECT_EQ(hops.count(), 2u);
   EXPECT_LT(hops.min_us(), hops.max_us());
+}
+
+TEST_F(RouterTest, ProxyRefusingAtArrivalWithHopTimeoutAnswersOnce) {
+  // route() runs at the request's arrival, so a stopped proxy refuses it
+  // inside route(); the timeout armed there must die with the call.
+  cluster::Node& node = add_node("p0");
+  ProxyServer& proxy = add_proxy(node);
+  add_app(add_node("a0"));
+  add_db(add_node("d0"));
+  frontend_.set_hop_timeout(kHopTimeout);
+  proxy.set_active(false);
+  Outcome refused;
+  frontend_.route(make_request(false), [&](const Response& r) {
+    ++refused.calls;
+    refused.ok = r.ok;
+    refused.at = sim_.now();
+  });
+  sim_.run();
+  EXPECT_EQ(refused.calls, 1);
+  EXPECT_FALSE(refused.ok);
+  // The error reply crosses the proxy's NIC (128 B), then the client leg.
+  EXPECT_EQ(refused.at, node.nic_time(128) + kClientLatency);
+  EXPECT_EQ(sim_.now(), refused.at);  // no timeout left to fire later
+  EXPECT_EQ(frontend_.stats().timeouts, 0u);
+
+  // The released call serves the next request.
+  proxy.set_active(true);
+  Outcome served;
+  frontend_.route(make_request(false), [&](const Response& r) {
+    ++served.calls;
+    served.ok = r.ok;
+  });
+  sim_.run();
+  EXPECT_EQ(served.calls, 1);
+  EXPECT_TRUE(served.ok);
+  EXPECT_EQ(refused.calls, 1);
+  EXPECT_EQ(frontend_.stats().timeouts, 0u);
 }
 
 }  // namespace
