@@ -11,7 +11,7 @@
 //   * recovery time                — restart until a bucket is back within
 //                                    90 % of baseline
 //
-// The scenario is fully scripted (sim::FaultPlan) and single-timeline, so
+// The scenario is fully scripted (sim::ScenarioPlan) and single-timeline, so
 // every number is deterministic for a given seed.  Results land in
 // BENCH_fault_recovery.json.
 //
@@ -28,7 +28,7 @@
 #include "core/system_model.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tpcw/metrics.hpp"
 #include "tpcw/mix.hpp"
@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
       "crash:" + std::to_string(victim) + "@" +
       std::to_string(scenario.crash_at_s) + "; restart:" +
       std::to_string(victim) + "@" + std::to_string(scenario.restart_at_s);
-  const auto plan = sim::FaultPlan::parse(plan_text);
+  const auto plan = sim::ScenarioPlan::parse(plan_text);
   if (!plan.has_value()) {
     std::fprintf(stderr, "internal: bad fault plan '%s'\n", plan_text.c_str());
     return 1;
   }
-  system.install_fault_plan(*plan);
+  system.install_scenario(*plan);
 
   tpcw::WipsMeter meter;
   tpcw::Workload::Config workload_config;

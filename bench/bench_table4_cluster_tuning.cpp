@@ -100,14 +100,20 @@ int main(int argc, char** argv) {
     }
     // "Iterations": how quickly the method reaches 90% of its eventual
     // gain (the paper's column tracks time-to-tuned, where duplication's
-    // 23-dimension space beats the default method's 46 dimensions).
+    // 23-dimension space beats the default method's 46 dimensions).  A
+    // best configuration that runs no faster than no tuning has no gain
+    // to reach.
     std::string converged_text = "-";
     if (row.method != core::TuningMethod::kNone) {
       const std::size_t reached = bench::iterations_to_quality(
           study.tuning.wips_series, study.baseline_wips, best_wips);
-      converged_text = reached >= iterations
-                           ? ("> " + std::to_string(iterations))
-                           : std::to_string(reached);
+      if (best_wips <= study.baseline_wips) {
+        converged_text = "no gain";
+      } else if (reached >= iterations) {
+        converged_text = "> " + std::to_string(iterations);
+      } else {
+        converged_text = std::to_string(reached);
+      }
     }
     table.add_row({std::string(core::tuning_method_name(row.method)),
                    common::TextTable::num(best_wips, 1),

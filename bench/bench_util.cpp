@@ -161,6 +161,7 @@ std::string write_series_csv(const std::string& name,
 std::size_t iterations_to_quality(const std::vector<double>& series,
                                   double baseline, double target,
                                   double quality, std::size_t window) {
+  if (target <= baseline) return series.size();
   const double threshold = baseline + quality * (target - baseline);
   for (std::size_t i = 0; i < series.size(); ++i) {
     const std::size_t from = i + 1 >= window ? i + 1 - window : 0;

@@ -91,7 +91,8 @@ void banner(const std::string& title, const std::string& paper_reference);
 /// First iteration whose trailing `window`-iteration mean reaches
 /// baseline + quality x (target - baseline); the "iterations" figure of
 /// Table 4 (how quickly a method delivers most of its eventual gain).
-/// Returns the series length when never reached.
+/// Returns the series length when never reached, and always when `target`
+/// is not above `baseline`: there is no gain to deliver.
 std::size_t iterations_to_quality(const std::vector<double>& series,
                                   double baseline, double target,
                                   double quality = 0.9,

@@ -6,10 +6,11 @@
 // every `check_every` iterations (paper: every 50).  Watch the tier sizes
 // change and throughput recover.
 //
-// With --faults a scripted fault plan runs on the same timeline (see
-// sim/fault_injector.hpp for the plan grammar): health checking, per-hop
-// timeouts and proxy retry/serve-stale degradation switch on, and the tuner
-// discards measurement windows that overlapped a disturbance.
+// With --faults a scripted scenario runs on the same timeline (see
+// sim/scenario.hpp for the grammar: faults, flash crowds, ramps, mix drift,
+// racks, switches): health checking, per-hop timeouts and proxy
+// retry/serve-stale degradation switch on, and the tuner discards
+// measurement windows that overlapped a disturbance.
 //
 // With --metrics <path> the full registry snapshot (every counter, gauge
 // and latency histogram the SystemModel registers) is written as JSON when
@@ -17,7 +18,7 @@
 // writes them as CSV.  Both are opt-in and passive: runs with and without
 // them are byte-identical on stdout.
 //
-// Usage: adaptive_cluster [iterations] [check_every] [--faults <plan>]
+// Usage: adaptive_cluster [iterations] [check_every] [--faults <scenario>]
 //                         [--metrics <path>] [--trace <path>]
 // Example: adaptive_cluster 60 10 --faults "crash:5@400; restart:5@900"
 #include <cstdio>
@@ -29,7 +30,7 @@
 #include "core/system_model.hpp"
 #include "core/tuning_driver.hpp"
 #include "obs/trace.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 #include "tpcw/mix.hpp"
 
 int main(int argc, char** argv) {
@@ -82,27 +83,30 @@ int main(int argc, char** argv) {
   obs::TraceRecorder trace(/*every_nth=*/8);
   if (!trace_path.empty()) system.set_trace_recorder(&trace);
 
+  core::Experiment::Config experiment_config;
+  experiment_config.browsers = 2600;
+  experiment_config.workload = tpcw::WorkloadKind::kBrowsing;
+  core::Experiment experiment(system, experiment_config);
+
   if (!fault_text.empty()) {
     std::string error;
-    const auto plan = sim::FaultPlan::parse(fault_text, &error);
+    const auto plan = sim::ScenarioPlan::parse(fault_text, &error);
     if (!plan.has_value()) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
     system.enable_fault_tolerance({});
     try {
-      system.install_fault_plan(*plan);
+      experiment.apply_scenario(*plan);
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    std::printf("# fault plan armed: %zu events\n", plan->events.size());
+    std::printf("# scenario armed: %zu fault events, %zu arrival phases, "
+                "%zu mix changes\n",
+                plan->faults.events.size(), plan->arrival.phases.size(),
+                plan->mix_changes.size());
   }
-
-  core::Experiment::Config experiment_config;
-  experiment_config.browsers = 2600;
-  experiment_config.workload = tpcw::WorkloadKind::kBrowsing;
-  core::Experiment experiment(system, experiment_config);
 
   core::TuningDriver driver(
       system, experiment,

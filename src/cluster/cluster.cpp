@@ -10,12 +10,11 @@ AH_HOT_PATH_FILE;
 
 namespace ah::cluster {
 
-NodeId Cluster::add_node(sim::Simulator& sim, const NodeHardware& hw,
-                         TierKind tier_kind) {
+NodeId Cluster::add_node(sim::Simulator& sim, TierKind tier_kind) {
   const auto id = static_cast<NodeId>(nodes_.size());
   AH_LINT_ALLOW(hot_path_alloc, "topology construction: add_node runs at cluster build time only");
   nodes_.push_back(std::make_unique<Node>(
-      sim, id, common::format("node{}", id), hw));
+      sim, id, common::format("node{}", id)));
   node_tier_.push_back(tier_kind);
   tiers_[tier_index(tier_kind)].add(id);
   return id;

@@ -31,7 +31,7 @@ class Cluster {
   /// Creates a node whose hardware runs on `sim` and assigns it to `tier`.
   /// Returns its id.  The Cluster holds membership only (ids, tiers); each
   /// work line of a core::SystemModel places its nodes on its own timeline.
-  NodeId add_node(sim::Simulator& sim, const NodeHardware& hw, TierKind tier);
+  NodeId add_node(sim::Simulator& sim, TierKind tier);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] Node& node(NodeId id);

@@ -8,59 +8,34 @@ AH_HOT_PATH_FILE;
 namespace ah::cluster {
 
 HealthChecker::HealthChecker(sim::Simulator& sim, Cluster& cluster,
-                             const Config& config)
+                             const Config& config,
+                             const std::vector<NodeId>& nodes)
     : sim_(sim), cluster_(cluster), config_(config) {
   assert(config_.period > common::SimTime::zero());
   assert(config_.mark_down_after >= 1);
   assert(config_.mark_up_after >= 1);
-}
-
-HealthChecker::~HealthChecker() { stop(); }
-
-void HealthChecker::start() {
-  if (running_) return;
-  running_ = true;
+  states_.reserve(nodes.size());
+  for (const NodeId id : nodes) states_.push_back(NodeState{.id = id});
   tick_id_ = sim_.schedule(config_.period, [this] { tick(); });
 }
 
-void HealthChecker::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(tick_id_);
-  tick_id_ = 0;
-}
-
-bool HealthChecker::node_up(NodeId id) const {
-  if (id >= states_.size()) return true;  // never probed: assumed healthy
-  return states_[id].up;
-}
+HealthChecker::~HealthChecker() { sim_.cancel(tick_id_); }
 
 void HealthChecker::tick() {
   AH_HOT_ENTRY;  // periodic probe sweep driven by the event loop
-  if (states_.size() < cluster_.node_count()) {
-    states_.resize(cluster_.node_count());
-  }
-  if (scope_.empty()) {
-    for (NodeId id = 0; id < states_.size(); ++id) {
-      probe(id, states_[id]);
-    }
-  } else {
-    for (const NodeId id : scope_) {
-      probe(id, states_.at(id));
-    }
-  }
+  for (NodeState& state : states_) probe(state);
   tick_id_ = sim_.schedule(config_.period, [this] { tick(); });
 }
 
-void HealthChecker::probe(NodeId id, NodeState& state) {
+void HealthChecker::probe(NodeState& state) {
   ++probes_;
-  const bool responded = cluster_.node(id).alive();
+  const bool responded = cluster_.node(state.id).alive();
   if (responded) {
     state.consecutive_failures = 0;
     if (!state.up && ++state.consecutive_successes >= config_.mark_up_after) {
       state.up = true;
       state.consecutive_successes = 0;
-      publish(id, true);
+      publish(state, true);
     }
   } else {
     ++failed_probes_;
@@ -68,14 +43,13 @@ void HealthChecker::probe(NodeId id, NodeState& state) {
     if (state.up && ++state.consecutive_failures >= config_.mark_down_after) {
       state.up = false;
       state.consecutive_failures = 0;
-      publish(id, false);
+      publish(state, false);
     }
   }
 }
 
-void HealthChecker::publish(NodeId id, bool up) {
+void HealthChecker::publish(NodeState& state, bool up) {
   ++transitions_;
-  NodeState& state = states_.at(id);
   if (up) {
     ++mark_ups_;
     if (nodes_down_ > 0) --nodes_down_;
@@ -85,8 +59,8 @@ void HealthChecker::publish(NodeId id, bool up) {
     ++nodes_down_;
     state.down_since = sim_.now();
   }
-  cluster_.node(id).set_marked_up(up);
-  if (observer_) observer_(id, up);
+  cluster_.node(state.id).set_marked_up(up);
+  if (observer_) observer_(state.id, up);
 }
 
 common::SimTime HealthChecker::total_downtime() const {

@@ -1,7 +1,8 @@
 // Periodic heartbeat probing with hysteresis.
 //
-// Models the monitoring daemon of the paper's testbed: every `period` the
-// checker probes each node's liveness and, after `mark_down_after`
+// Models the monitoring daemon of the paper's testbed: every `period`, from
+// construction until destruction, the checker probes the liveness of each
+// node it was given and, after `mark_down_after`
 // consecutive failures (resp. `mark_up_after` successes), flips the node's
 // routing mark.  The two-threshold hysteresis is what keeps a *flapping*
 // node from whipsawing the load balancer — a single missed heartbeat never
@@ -53,31 +54,20 @@ class HealthChecker {
       common::InlineFunction<void(NodeId, bool), 48,
                              common::SboPolicy::kRequired>;
 
-  HealthChecker(sim::Simulator& sim, Cluster& cluster, const Config& config);
+  /// Probes `nodes` (a work line's slice of the cluster: core::SystemModel
+  /// gives each line's checker that line's nodes, so health traffic and
+  /// mark flips stay on the line's own timeline).  The first tick is one
+  /// period from now; the destructor cancels the pending one.
+  HealthChecker(sim::Simulator& sim, Cluster& cluster, const Config& config,
+                const std::vector<NodeId>& nodes);
 
   HealthChecker(const HealthChecker&) = delete;
   HealthChecker& operator=(const HealthChecker&) = delete;
   ~HealthChecker();
 
-  /// Begins periodic probing (first tick one period from now).
-  void start();
-  /// Stops probing; marks are left as they are.
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
   void set_transition_observer(TransitionFn observer) {
     observer_ = std::move(observer);
   }
-
-  /// Restricts probing to `nodes` (a work line's slice of the cluster).
-  /// Empty means probe every node, the default.  core::SystemModel gives
-  /// each line's checker that line's nodes so health traffic and mark
-  /// flips stay on the line's own timeline.
-  void set_scope(std::vector<NodeId> nodes) { scope_ = std::move(nodes); }
-  [[nodiscard]] const std::vector<NodeId>& scope() const { return scope_; }
-
-  /// Current routing mark for `id` (true until probing says otherwise).
-  [[nodiscard]] bool node_up(NodeId id) const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::uint64_t probes_sent() const { return probes_; }
@@ -96,6 +86,7 @@ class HealthChecker {
 
  private:
   struct NodeState {
+    NodeId id = 0;
     int consecutive_failures = 0;
     int consecutive_successes = 0;
     bool up = true;
@@ -104,19 +95,16 @@ class HealthChecker {
   };
 
   void tick();
-  void probe(NodeId id, NodeState& state);
-  void publish(NodeId id, bool up);
+  void probe(NodeState& state);
+  void publish(NodeState& state, bool up);
 
   sim::Simulator& sim_;
   Cluster& cluster_;
   Config config_;
-  /// Indexed by NodeId; grown lazily so nodes added mid-run are covered.
+  /// One per probed node, in the order given at construction.
   std::vector<NodeState> states_;
-  /// Node ids to probe; empty = all cluster nodes.
-  std::vector<NodeId> scope_;
   TransitionFn observer_;
-  sim::EventId tick_id_ = 0;  // EventQueue ids are never zero
-  bool running_ = false;
+  sim::EventId tick_id_ = 0;
   std::uint64_t probes_ = 0;
   std::uint64_t transitions_ = 0;
   std::uint64_t failed_probes_ = 0;

@@ -10,9 +10,8 @@ namespace ah::cluster {
 
 namespace {
 
-/// Number of backends the mask admits; n when the mask is empty.
+/// Number of backends the mask admits.
 std::size_t available_count(std::size_t n, LoadBalancer::AvailFn avail) {
-  if (!avail) return n;
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (avail(i)) ++count;
@@ -37,7 +36,7 @@ std::size_t LoadBalancer::pick(std::size_t n, LoadFn load, AvailFn avail) {
   // A mask that admits nobody is degenerate: ignore it rather than spin.
   // Routers fail fast before picking when the whole tier is marked down.
   const std::size_t h = available_count(n, avail);
-  const bool masked = avail && h > 0 && h < n;
+  const bool masked = h > 0 && h < n;
   switch (policy_) {
     case BalancePolicy::kRoundRobin: {
       // The cursor counts *picks*, not backend slots: the choice is the
@@ -51,7 +50,6 @@ std::size_t LoadBalancer::pick(std::size_t n, LoadFn load, AvailFn avail) {
       return masked ? nth_available(n, avail, rank) : rank;
     }
     case BalancePolicy::kLeastLoaded: {
-      if (!load) return masked ? nth_available(n, avail, 0) : 0;
       std::size_t best = 0;
       double best_load = std::numeric_limits<double>::max();
       for (std::size_t i = 0; i < n; ++i) {

@@ -29,21 +29,19 @@ class LoadBalancer {
   /// allocation and no ownership transfer.
   using LoadFn = common::FunctionRef<double(std::size_t)>;
 
-  /// `avail(i)` must return whether backend i may receive traffic (health
-  /// mask from cluster::HealthChecker).  An empty AvailFn means "all
-  /// available" and costs nothing — the unmasked fast paths are taken.
+  /// `avail(i)` must return whether backend i may receive traffic (the
+  /// health mark cluster::HealthChecker maintains).
   using AvailFn = common::FunctionRef<bool(std::size_t)>;
 
   explicit LoadBalancer(BalancePolicy policy) : policy_(policy) {}
 
-  /// Picks a backend in [0, n).  Precondition: n > 0.  When `avail` is
-  /// given, only backends it admits are chosen; round-robin spreads evenly
-  /// over the *healthy subset* (the cursor advances one healthy position
-  /// per pick, so skipped backends cannot skew the rotation).  If no
-  /// backend is available the mask is ignored — callers are expected to
-  /// fail fast before picking in that case.
-  [[nodiscard]] std::size_t pick(std::size_t n, LoadFn load = {},
-                                 AvailFn avail = {});
+  /// Picks a backend in [0, n).  Precondition: n > 0.  Only backends
+  /// `avail` admits are chosen; round-robin spreads evenly over the
+  /// *healthy subset* (the cursor advances one healthy position per pick,
+  /// so skipped backends cannot skew the rotation).  If no backend is
+  /// available the mask is ignored — callers are expected to fail fast
+  /// before picking in that case.
+  [[nodiscard]] std::size_t pick(std::size_t n, LoadFn load, AvailFn avail);
 
   [[nodiscard]] BalancePolicy policy() const { return policy_; }
 

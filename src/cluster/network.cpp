@@ -37,7 +37,7 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
     sim_.schedule(common::SimTime::zero(), std::move(on_delivered));
     return true;
   }
-  from.nic().send(from.nic_time(bytes), from.hardware().nic_latency + extra,
+  from.nic().send(from.nic_time(bytes), Node::kNicLatency + extra,
                   std::move(on_delivered));
   return true;
 }

@@ -24,30 +24,24 @@ double paging_slowdown(double pressure) {
 
 }  // namespace
 
-Node::Node(sim::Simulator& sim, NodeId id, std::string name,
-           const NodeHardware& hw)
-    : sim_(sim), id_(id), name_(std::move(name)), hw_(hw), nic_(sim) {
-  assert(hw_.cpu_cores > 0);
-  assert(hw_.cpu_speed > 0.0);
+Node::Node(sim::Simulator& sim, NodeId id, std::string name)
+    : sim_(sim), id_(id), name_(std::move(name)), nic_(sim) {
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
-  cpu_ = std::make_unique<sim::Resource>(
-      sim_, name_ + ".cpu",
-      sim::Resource::Config{hw_.cpu_cores, 1.0 / hw_.cpu_speed});
+  cpu_ = std::make_unique<sim::Resource>(sim_, name_ + ".cpu", kCpuCores);
   AH_LINT_ALLOW(hot_path_alloc, "node construction: resources allocated once at startup");
-  disk_ = std::make_unique<sim::Resource>(
-      sim_, name_ + ".disk", sim::Resource::Config{1});
+  disk_ = std::make_unique<sim::Resource>(sim_, name_ + ".disk", 1);
 }
 
 common::SimTime Node::disk_time(common::Bytes bytes) const {
   // Seek/overhead floor plus transfer proportional to size.
   const double seconds =
-      hw_.disk_seek_s + static_cast<double>(bytes) / (hw_.disk_mb_per_s * 1e6);
+      kDiskSeekS + static_cast<double>(bytes) / (kDiskMbPerS * 1e6);
   return common::SimTime::seconds(seconds);
 }
 
 common::SimTime Node::nic_time(common::Bytes bytes) const {
   const double seconds =
-      static_cast<double>(bytes) * 8.0 / (hw_.nic_mbit_per_s * 1e6);
+      static_cast<double>(bytes) * 8.0 / (kNicMbitPerS * 1e6);
   return common::SimTime::seconds(seconds);
 }
 
@@ -64,8 +58,7 @@ void Node::free_memory(common::Bytes bytes) {
 }
 
 double Node::memory_pressure() const {
-  return static_cast<double>(memory_used_) /
-         static_cast<double>(hw_.memory);
+  return static_cast<double>(memory_used_) / static_cast<double>(kMemory);
 }
 
 void Node::set_fault_slowdown(double factor) {
@@ -75,8 +68,7 @@ void Node::set_fault_slowdown(double factor) {
 }
 
 void Node::refresh_cpu_slowdown() {
-  cpu_->set_slowdown(paging_slowdown(memory_pressure()) * fault_slowdown_ /
-                     hw_.cpu_speed);
+  cpu_->set_slowdown(paging_slowdown(memory_pressure()) * fault_slowdown_);
 }
 
 double Node::cpu_utilization_probe() {

@@ -24,30 +24,26 @@ namespace ah::cluster {
 
 using NodeId = std::uint32_t;
 
-struct NodeHardware {
-  int cpu_cores = 2;                         // dual Athlon
-  double cpu_speed = 1.0;                    // relative; >1 = faster
-  common::Bytes memory = 1024LL * 1024 * 1024;  // 1 GiB
-  double disk_mb_per_s = 35.0;               // sequential-ish throughput
-  double disk_seek_s = 0.009;                // seek + rotational latency
-  double nic_mbit_per_s = 100.0;             // 100 Mbps Ethernet
-  common::SimTime nic_latency = common::SimTime::micros(200);
-};
-
 class Node {
  public:
-  Node(sim::Simulator& sim, NodeId id, std::string name,
-       const NodeHardware& hw);
+  // The testbed machine; every node is one (paper §III).
+  static constexpr int kCpuCores = 2;  // dual Athlon
+  static constexpr common::Bytes kMemory = 1024LL * 1024 * 1024;  // 1 GiB
+  static constexpr double kDiskMbPerS = 35.0;  // sequential-ish throughput
+  static constexpr double kDiskSeekS = 0.009;  // seek + rotational latency
+  static constexpr double kNicMbitPerS = 100.0;  // 100 Mbps Ethernet
+  static constexpr common::SimTime kNicLatency = common::SimTime::micros(200);
+
+  Node(sim::Simulator& sim, NodeId id, std::string name);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const NodeHardware& hardware() const { return hw_; }
 
-  /// CPU work: `demand` is time on a speed-1.0 core; actual service time is
-  /// scaled by node speed and the current paging slowdown.
+  /// CPU work: `demand` is time on one core; actual service time is scaled
+  /// by the current paging and fail-slow slowdown.
   [[nodiscard]] sim::Resource& cpu() { return *cpu_; }
   [[nodiscard]] sim::Resource& disk() { return *disk_; }
   [[nodiscard]] NicLink& nic() { return nic_; }
@@ -55,7 +51,7 @@ class Node {
   /// Converts a byte count into disk service time on this node.
   [[nodiscard]] common::SimTime disk_time(common::Bytes bytes) const;
   /// Converts a byte count into NIC serialization time (latency excluded;
-  /// the caller adds `hardware().nic_latency` once per message).
+  /// the caller adds kNicLatency once per message).
   [[nodiscard]] common::SimTime nic_time(common::Bytes bytes) const;
 
   // -- Memory accounting ----------------------------------------------------
@@ -92,13 +88,13 @@ class Node {
   [[nodiscard]] double nic_utilization_probe();
 
  private:
-  /// Re-derives the CPU slowdown from node speed and memory pressure.
+  /// Re-derives the CPU slowdown from memory pressure and the fail-slow
+  /// factor.
   void refresh_cpu_slowdown();
 
   sim::Simulator& sim_;
   NodeId id_;
   std::string name_;
-  NodeHardware hw_;
 
   std::unique_ptr<sim::Resource> cpu_;
   std::unique_ptr<sim::Resource> disk_;

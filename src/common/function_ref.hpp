@@ -9,7 +9,8 @@
 // lambdas and plain functions) without taking ownership.
 //
 // Lifetime rule: a FunctionRef must not outlive the callable it was bound
-// to.  Only use it for parameters consumed before the call returns.
+// to.  Only use it for parameters consumed before the call returns.  It is
+// never empty: a caller without a hook has nothing to pass.
 #pragma once
 
 #include <type_traits>
@@ -23,9 +24,6 @@ class FunctionRef;  // undefined; specialised for function signatures
 template <typename R, typename... Args>
 class FunctionRef<R(Args...)> {
  public:
-  constexpr FunctionRef() noexcept = default;
-  constexpr FunctionRef(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
-
   template <typename F,
             typename D = std::remove_reference_t<F>,
             typename = std::enable_if_t<
@@ -38,10 +36,6 @@ class FunctionRef<R(Args...)> {
           return (*static_cast<D*>(target))(std::forward<Args>(args)...);
         }) {}
 
-  [[nodiscard]] constexpr explicit operator bool() const noexcept {
-    return invoke_ != nullptr;
-  }
-
   R operator()(Args... args) const {
     return invoke_(target_, std::forward<Args>(args)...);
   }
@@ -49,8 +43,8 @@ class FunctionRef<R(Args...)> {
  private:
   using Invoke = R (*)(void*, Args&&...);
 
-  void* target_ = nullptr;
-  Invoke invoke_ = nullptr;
+  void* target_;
+  Invoke invoke_;
 };
 
 }  // namespace ah::common

@@ -87,7 +87,8 @@ class Experiment {
   /// Installs a full scenario: faults via SystemModel::install_scenario,
   /// arrival modulation and mix drift on every work line's browsers.  The
   /// plan is owned by the model, so the modulation pointers stay valid for
-  /// the experiment's lifetime.
+  /// the experiment's lifetime.  A plan install_scenario rejects (it
+  /// throws std::invalid_argument) changes nothing.
   void apply_scenario(const sim::ScenarioPlan& plan);
 
   [[nodiscard]] std::size_t iterations_run() const { return iterations_; }

@@ -14,8 +14,6 @@ using cluster::TierKind;
 namespace {
 /// Poll period while waiting for a draining node to empty.
 constexpr auto kDrainPoll = common::SimTime::seconds(1.0);
-/// Utilization sampling period for the reconfiguration monitor.
-constexpr auto kMonitorPeriod = common::SimTime::seconds(5.0);
 /// Client -> proxy spreading: the testbed's DNS/IPVS style rotation.
 constexpr auto kFrontendPolicy = cluster::BalancePolicy::kRoundRobin;
 /// Proxy -> app and app -> db: busyness-based, like mod_jk's balancer and
@@ -73,8 +71,6 @@ void SystemModel::build(sim::Simulator* borrowed) {
       line.sim = line.owned_sim.get();
     }
     line.network = std::make_unique<cluster::Network>(*line.sim);
-    line.monitor = std::make_unique<sim::UtilizationMonitor>(
-        *line.sim, kMonitorPeriod, /*ewma_alpha=*/0.3);
     line.frontend = std::make_unique<webstack::FrontendRouter>(
         *line.sim, kFrontendPolicy);
     line.app_router = std::make_unique<webstack::AppTierRouter>(
@@ -103,15 +99,31 @@ void SystemModel::build(sim::Simulator* borrowed) {
   }
   all_nodes_.reserve(nodes_.size());
   for (const NodeState& state : nodes_) all_nodes_.push_back(state.id);
+  // Monitors come last: each arms its first sample at construction, after
+  // every event its line's nodes and servers pushed while being built.
+  for (Line& line : lines_) {
+    line.monitor = std::make_unique<sim::UtilizationMonitor>(*line.sim);
+    for (const NodeId id : line.nodes) {
+      cluster::Node& node = cluster_.node(id);
+      nodes_[id].probe_base = line.monitor->add_probe(
+          node.name() + ".cpu",
+          [&node] { return node.cpu_utilization_probe(); });
+      line.monitor->add_probe(node.name() + ".disk", [&node] {
+        return node.disk_utilization_probe();
+      });
+      line.monitor->add_probe(node.name() + ".nic", [&node] {
+        return node.nic_utilization_probe();
+      });
+      line.monitor->add_probe(node.name() + ".mem",
+                              [&node] { return node.memory_pressure(); });
+    }
+  }
   register_metrics();
-  for (Line& line : lines_) line.monitor->start();
 }
 
 NodeId SystemModel::create_node(std::size_t line_index, TierKind tier) {
   Line& line = lines_[line_index];
-  const NodeId id =
-      cluster_.add_node(*line.sim, cluster::NodeHardware{}, tier);
-  cluster::Node& node = cluster_.node(id);
+  const NodeId id = cluster_.add_node(*line.sim, tier);
 
   NodeState state;
   state.id = id;
@@ -124,17 +136,6 @@ NodeId SystemModel::create_node(std::size_t line_index, TierKind tier) {
     case TierKind::kApp:   ensure_app(stored); break;
     case TierKind::kDb:    ensure_db(stored); break;
   }
-
-  stored.probe_base = line.monitor->add_probe(
-      node.name() + ".cpu", [&node] { return node.cpu_utilization_probe(); });
-  line.monitor->add_probe(node.name() + ".disk", [&node] {
-    return node.disk_utilization_probe();
-  });
-  line.monitor->add_probe(node.name() + ".nic", [&node] {
-    return node.nic_utilization_probe();
-  });
-  line.monitor->add_probe(node.name() + ".mem",
-                          [&node] { return node.memory_pressure(); });
 
   line.nodes.push_back(id);
   register_active(stored);
@@ -159,10 +160,11 @@ webstack::ProxyServer& SystemModel::ensure_proxy(NodeState& state) {
         },
         webstack::ProxyParams{});
     deactivate_unless_current(state, TierKind::kProxy);
-    if (fault_tolerance_enabled_) state.proxy->set_resilience(proxy_resilience_);
-    if (admission_enabled_) {
-      state.proxy->set_admission(line.admission.get(),
-                                 overload_config_.shed_mode);
+    if (fault_tolerance_enabled()) {
+      state.proxy->set_resilience(proxy_resilience_);
+    }
+    if (line.admission != nullptr) {
+      state.proxy->set_admission(line.admission.get(), shed_mode_);
     }
     if (trace_ != nullptr) state.proxy->set_trace(trace_);
   }
@@ -388,19 +390,16 @@ SystemModel::FaultToleranceConfig::default_proxy_resilience() {
 }
 
 void SystemModel::enable_fault_tolerance(const FaultToleranceConfig& config) {
-  if (!fault_tolerance_enabled_) {
-    fault_tolerance_enabled_ = true;
+  if (!fault_tolerance_enabled()) {
     for (Line& line : lines_) {
-      line.health = std::make_unique<cluster::HealthChecker>(
-          *line.sim, cluster_, config.health);
       // Each checker probes only its line's nodes: health state stays
       // line-local, and the per-line sums below keep the metric totals.
-      line.health->set_scope(line.nodes);
+      line.health = std::make_unique<cluster::HealthChecker>(
+          *line.sim, cluster_, config.health, line.nodes);
       line.health->set_transition_observer([this](NodeId id, bool up) {
         disturbances_.fetch_add(1, std::memory_order_relaxed);
         if (health_hook_) health_hook_(id, up);
       });
-      line.health->start();
     }
     // First enable: the health counters join the registry (PR-5 migration).
     // Probe-budget and mark-down visibility: how much of the probe budget
@@ -454,48 +453,44 @@ void SystemModel::enable_fault_tolerance(const FaultToleranceConfig& config) {
 }
 
 void SystemModel::enable_admission_control(const OverloadControlConfig& config) {
-  overload_config_ = config;
-  if (!admission_enabled_) {
-    admission_enabled_ = true;
-    for (Line& line : lines_) {
-      line.admission = std::make_unique<ctrl::AdmissionController>(
-          *line.sim, config.admission);
-      // Controller actuations taint measurement windows like faults do —
-      // a window that straddles an admit-fraction change is not a clean
-      // read of the configuration under test.
-      line.admission->set_change_observer(
-          [this](double) { note_disturbance(); });
-      line.admission->start();
-    }
-    // First enable: the ctrl counters join the registry.  Sums are in line
-    // order, so snapshots stay byte-identical at any thread count.
-    const auto ctrl_sum =
-        [this](std::uint64_t (ctrl::AdmissionController::*counter)() const) {
-          std::uint64_t total = 0;
-          for (const Line& line : lines_) total += (*line.admission.*counter)();
-          return total;
-        };
-    using ctrl::AdmissionController;
-    metrics_.add_counter("ctrl.admitted", [ctrl_sum] {
-      return ctrl_sum(&AdmissionController::admitted);
-    });
-    metrics_.add_counter("ctrl.shed", [ctrl_sum] {
-      return ctrl_sum(&AdmissionController::shed);
-    });
-    metrics_.add_counter("ctrl.ticks", [ctrl_sum] {
-      return ctrl_sum(&AdmissionController::ticks);
-    });
-    metrics_.add_counter("ctrl.adjustments", [ctrl_sum] {
-      return ctrl_sum(&AdmissionController::adjustments);
-    });
-    for (std::size_t l = 0; l < lines_.size(); ++l) {
-      ctrl::AdmissionController* controller = lines_[l].admission.get();
-      metrics_.add_gauge(
-          "line" + std::to_string(l) + ".admit_fraction",
-          [controller] { return controller->admit_fraction(); });
-    }
-  } else {
-    for (Line& line : lines_) line.admission->set_config(config.admission);
+  if (admission_control_enabled()) {
+    throw std::logic_error("SystemModel: admission control already enabled");
+  }
+  shed_mode_ = config.shed_mode;
+  for (Line& line : lines_) {
+    line.admission = std::make_unique<ctrl::AdmissionController>(
+        *line.sim, config.admission);
+    // Controller actuations taint measurement windows like faults do — a
+    // window that straddles an admit-fraction change is not a clean read
+    // of the configuration under test.
+    line.admission->set_change_observer(
+        [this](double) { note_disturbance(); });
+  }
+  // The ctrl counters join the registry.  Sums are in line order, so
+  // snapshots stay byte-identical at any thread count.
+  const auto ctrl_sum =
+      [this](std::uint64_t (ctrl::AdmissionController::*counter)() const) {
+        std::uint64_t total = 0;
+        for (const Line& line : lines_) total += (*line.admission.*counter)();
+        return total;
+      };
+  using ctrl::AdmissionController;
+  metrics_.add_counter("ctrl.admitted", [ctrl_sum] {
+    return ctrl_sum(&AdmissionController::admitted);
+  });
+  metrics_.add_counter("ctrl.shed", [ctrl_sum] {
+    return ctrl_sum(&AdmissionController::shed);
+  });
+  metrics_.add_counter("ctrl.ticks", [ctrl_sum] {
+    return ctrl_sum(&AdmissionController::ticks);
+  });
+  metrics_.add_counter("ctrl.adjustments", [ctrl_sum] {
+    return ctrl_sum(&AdmissionController::adjustments);
+  });
+  for (std::size_t l = 0; l < lines_.size(); ++l) {
+    ctrl::AdmissionController* controller = lines_[l].admission.get();
+    metrics_.add_gauge("line" + std::to_string(l) + ".admit_fraction",
+                       [controller] { return controller->admit_fraction(); });
   }
   for (NodeState& state : nodes_) {
     if (state.proxy != nullptr) {
@@ -506,8 +501,11 @@ void SystemModel::enable_admission_control(const OverloadControlConfig& config) 
 }
 
 void SystemModel::install_scenario(const sim::ScenarioPlan& plan) {
-  scenario_ = std::make_unique<sim::ScenarioPlan>(plan);
-  install_fault_plan(scenario_->faults);
+  // Faults first: they are checked before anything is armed, so a rejected
+  // plan leaves the installed scenario (which workloads may point into)
+  // and its armed faults as they were.
+  install_fault_plan(plan.faults);
+  scenario_ = plan;
 }
 
 void SystemModel::install_fault_plan(const sim::FaultPlan& plan) {

@@ -186,31 +186,29 @@ class SystemModel {
   /// line gets its own checker scoped to its nodes.
   void enable_fault_tolerance(const FaultToleranceConfig& config);
   [[nodiscard]] bool fault_tolerance_enabled() const {
-    return fault_tolerance_enabled_;
+    return lines_.front().health != nullptr;
   }
   /// Line `line`'s checker; null until enable_fault_tolerance().
   [[nodiscard]] cluster::HealthChecker* line_health_checker(std::size_t line) {
     return lines_.at(line).health.get();
   }
 
-  /// Schedules `plan` on the lines' timelines; events are applied through
-  /// crash_node/restart_node/set_node_fail_slow and the network link-fault
-  /// hooks.  Re-installing replaces any previous plan.  Events are
-  /// partitioned by the subject node's line (a both-ends-wildcard link
-  /// event lands on every line), keeping fault plans line-local.  Throws
-  /// std::invalid_argument, before arming anything, when an event names a
-  /// node the model does not have (link endpoints may be
-  /// sim::kFaultAnyNode).
-  void install_fault_plan(const sim::FaultPlan& plan);
-
-  /// Installs the fault half of a scenario and keeps the plan around so
-  /// workload layers can pick up its arrival modulation and mix drift
-  /// (Experiment::apply_scenario does both).  Re-installing replaces the
-  /// previous scenario.
+  /// Arms the fault half of a scenario on the lines' timelines and keeps
+  /// the plan so workload layers can pick up its arrival modulation and mix
+  /// drift (Experiment::apply_scenario does both).  Fault events are
+  /// applied through crash_node/restart_node/set_node_fail_slow and the
+  /// network link-fault hooks, each on its subject node's line (a
+  /// both-ends-wildcard link event lands on every line).  Re-installing
+  /// replaces the previous scenario and its armed faults; the plan is
+  /// assigned in place, so pointers into scenario() (the workloads'
+  /// arrival modulation) stay valid.  Throws std::invalid_argument, before
+  /// arming or replacing anything, when a fault names a node the model
+  /// does not have (link endpoints may be sim::kFaultAnyNode).
   void install_scenario(const sim::ScenarioPlan& plan);
-  /// The installed scenario, or null.
+  /// The installed scenario, whose faults are the armed ones; null before
+  /// the first install.
   [[nodiscard]] const sim::ScenarioPlan* scenario() const {
-    return scenario_.get();
+    return scenario_.has_value() ? &*scenario_ : nullptr;
   }
 
   // -- Overload control ---------------------------------------------------
@@ -225,11 +223,11 @@ class SystemModel {
   };
 
   /// Starts one admission controller per work line (on the line's own
-  /// timeline) and attaches it to every proxy of that line.  Idempotent:
-  /// later calls update the knobs and shed mode in place.
+  /// timeline) and attaches it to every proxy of that line.  Throws
+  /// std::logic_error when admission control is already enabled.
   void enable_admission_control(const OverloadControlConfig& config);
   [[nodiscard]] bool admission_control_enabled() const {
-    return admission_enabled_;
+    return lines_.front().admission != nullptr;
   }
   /// Line `line`'s admission controller; null until
   /// enable_admission_control().
@@ -363,6 +361,9 @@ class SystemModel {
                          common::SimTime config_cost);
   void finish_move(cluster::NodeId id, cluster::TierKind to,
                    common::SimTime config_cost);
+  /// install_scenario's fault step: checks every event's node ids, then
+  /// re-arms every line's injector with its slice of `plan`.
+  void install_fault_plan(const sim::FaultPlan& plan);
   /// FaultInjector dispatcher: maps generic fault events onto this model.
   /// `line` routes link faults to the right line's network.
   void apply_fault(std::size_t line, const sim::FaultEvent& event);
@@ -381,12 +382,11 @@ class SystemModel {
   std::vector<cluster::NodeId> all_nodes_;
   obs::Registry metrics_;
   std::atomic<std::uint64_t> disturbances_{0};
-  bool fault_tolerance_enabled_ = false;
   /// Remembered for roles created after the respective setter ran.
   webstack::ProxyServer::Resilience proxy_resilience_{};
-  bool admission_enabled_ = false;
-  OverloadControlConfig overload_config_{};
-  std::unique_ptr<sim::ScenarioPlan> scenario_;
+  webstack::ProxyServer::ShedMode shed_mode_ =
+      webstack::ProxyServer::ShedMode::kServeStale;
+  std::optional<sim::ScenarioPlan> scenario_;
   std::function<void(cluster::NodeId, bool)> health_hook_;
   obs::TraceRecorder* trace_ = nullptr;
 };

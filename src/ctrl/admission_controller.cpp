@@ -11,27 +11,10 @@ AdmissionController::AdmissionController(sim::Simulator& sim,
                                          const Config& config)
     : sim_(sim), config_(config) {
   assert(config_.target_p95 > common::SimTime::zero());
-}
-
-AdmissionController::~AdmissionController() { stop(); }
-
-void AdmissionController::start() {
-  if (running_) return;
-  running_ = true;
   tick_id_ = sim_.schedule(kPeriod, [this] { tick(); });
 }
 
-void AdmissionController::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(tick_id_);
-  tick_id_ = 0;
-}
-
-void AdmissionController::set_config(const Config& config) {
-  assert(config.target_p95 > common::SimTime::zero());
-  config_ = config;
-}
+AdmissionController::~AdmissionController() { sim_.cancel(tick_id_); }
 
 void AdmissionController::tick() {
   AH_HOT_ENTRY;  // periodic control step driven by the event loop

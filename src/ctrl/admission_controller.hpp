@@ -70,22 +70,14 @@ class AdmissionController {
   using ChangeFn = common::InlineFunction<void(double), 48,
                                           common::SboPolicy::kRequired>;
 
+  /// Ticks every kPeriod from construction until destruction: the first
+  /// tick is one period from now, and the destructor cancels the pending
+  /// one.
   AdmissionController(sim::Simulator& sim, const Config& config);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
   ~AdmissionController();
-
-  /// Begins periodic control ticks (first one kPeriod from now).
-  void start();
-  /// Stops ticking; the current admit fraction stays in force.
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
-  /// Updates the target in place.  The admit fraction carries over —
-  /// reconfiguring the controller is not an amnesty.
-  void set_config(const Config& config);
-  [[nodiscard]] const Config& config() const { return config_; }
 
   void set_change_observer(ChangeFn observer) {
     observer_ = std::move(observer);
@@ -127,13 +119,12 @@ class AdmissionController {
   void set_fraction(double fraction);
 
   sim::Simulator& sim_;
-  Config config_;
+  const Config config_;
   obs::Histogram window_;
   ChangeFn observer_;
   double fraction_ = 1.0;
   std::uint64_t threshold_ = kAdmitAll;
   sim::EventId tick_id_ = 0;
-  bool running_ = false;
   std::uint64_t admitted_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t ticks_ = 0;

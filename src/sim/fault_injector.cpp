@@ -19,9 +19,6 @@ std::string_view fault_kind_name(FaultEvent::Kind kind) {
   return "?";
 }
 
-// FaultPlan::parse lives in scenario.cpp: the fault grammar is the
-// restricted dialect of the scenario grammar, and both share one engine.
-
 void FaultInjector::arm(const FaultPlan& plan, Handler handler) {
   disarm();
   plan_ = plan;

@@ -1,35 +1,21 @@
 // Scripted, reproducible fault injection.
 //
 // A FaultPlan is a list of timed fault events — node crash/restart,
-// fail-slow windows, link degradation windows — parsed from a compact text
-// form or built programmatically.  The FaultInjector schedules every event
-// on the ordinary EventQueue, so faults interleave with workload events in
-// one deterministic order: the same plan and seed produce byte-identical
-// runs at any `--threads` setting, which is what makes recovery-time
+// fail-slow windows, link degradation windows — the fault half of a
+// sim::ScenarioPlan, whose text grammar (scenario.hpp) is the one way to
+// write it.  The FaultInjector schedules every event on the ordinary
+// EventQueue, so faults interleave with workload events in one
+// deterministic order: the same plan and seed produce byte-identical runs
+// at any `--threads` setting, which is what makes recovery-time
 // measurements comparable across machines.
 //
 // The sim layer knows nothing about clusters or web servers: events carry
 // opaque node ids and magnitudes, and a handler installed by the layer that
 // owns the topology (core::SystemModel) gives them meaning.  That keeps the
 // dependency arrow pointing the same way as for every other sim primitive.
-//
-// Plan text format (entries separated by ';', whitespace ignored, times in
-// simulated seconds, node `*` = any node in link entries):
-//
-//   crash:<node>@<t>                 node stops answering at t
-//   restart:<node>@<t>               node returns at t
-//   slow:<node>@<t0>-<t1>x<factor>   CPU demand multiplied by factor in window
-//   link:<a>-<b>@<t0>-<t1>,drop=<p>[,delay=<ms>ms]
-//                                    directed link a->b drops each message
-//                                    with probability p and delays survivors
-//                                    by <ms> milliseconds during the window
-//
-// Example: "crash:3@120; restart:3@300; link:*-2@400-460,drop=0.2,delay=5ms"
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -65,20 +51,12 @@ struct FaultEvent {
 
 [[nodiscard]] std::string_view fault_kind_name(FaultEvent::Kind kind);
 
+/// ScenarioPlan::parse expands each window entry (slow, link, rack,
+/// switch) into a start and an end event.
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
   [[nodiscard]] bool empty() const { return events.empty(); }
-
-  /// Parses the text format documented above.  Returns std::nullopt on
-  /// malformed input; when `error` is non-null it receives a description
-  /// with line/column position.  Window entries (slow, link) expand into
-  /// start/end event pairs.  Hardened: entries must be time-sorted, a node
-  /// cannot crash twice without a restart (nor restart uncrashed), and
-  /// slow windows on one node must not overlap.  The scenario superset
-  /// grammar (flash/ramp/diurnal/mix/rack/switch) lives in scenario.hpp.
-  static std::optional<FaultPlan> parse(std::string_view text,
-                                        std::string* error = nullptr);
 };
 
 class FaultInjector {

@@ -1,39 +1,22 @@
 #include "sim/monitor.hpp"
 #include "common/analysis.hpp"
 
-#include <cassert>
 #include <utility>
 
 AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
-UtilizationMonitor::UtilizationMonitor(Simulator& sim, common::SimTime period,
-                                       double ewma_alpha)
-    : sim_(sim), period_(period), alpha_(ewma_alpha) {
-  assert(period.as_micros() > 0);
-}
-
-UtilizationMonitor::~UtilizationMonitor() { stop(); }
-
-std::size_t UtilizationMonitor::add_probe(std::string name, Probe probe) {
-  probes_.push_back(
-      Entry{std::move(name), std::move(probe), common::Ewma{alpha_}, 0.0});
-  return probes_.size() - 1;
-}
-
-void UtilizationMonitor::start() {
-  if (running_) return;
-  running_ = true;
+UtilizationMonitor::UtilizationMonitor(Simulator& sim) : sim_(sim) {
   schedule_next();
 }
 
-void UtilizationMonitor::stop() {
-  running_ = false;
-  if (pending_ != 0) {
-    sim_.cancel(pending_);
-    pending_ = 0;
-  }
+UtilizationMonitor::~UtilizationMonitor() { sim_.cancel(pending_); }
+
+std::size_t UtilizationMonitor::add_probe(std::string name, Probe probe) {
+  probes_.push_back(
+      Entry{std::move(name), std::move(probe), common::Ewma{kEwmaAlpha}, 0.0});
+  return probes_.size() - 1;
 }
 
 void UtilizationMonitor::sample_now() {
@@ -57,10 +40,8 @@ double UtilizationMonitor::last_raw(std::size_t i) const {
 }
 
 void UtilizationMonitor::schedule_next() {
-  pending_ = sim_.schedule(period_, [this] {
+  pending_ = sim_.schedule(kPeriod, [this] {
     AH_HOT_ENTRY;  // periodic sampling tick driven by the event loop
-    pending_ = 0;
-    if (!running_) return;
     sample_now();
     schedule_next();
   });

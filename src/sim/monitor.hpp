@@ -2,8 +2,9 @@
 //
 // The reconfiguration algorithm (paper Section IV) reacts to *smoothed*
 // resource utilization, not instantaneous readings; this monitor samples a
-// set of probes on a fixed period and keeps an EWMA per probe.  Probes are
-// closures so the monitor needs no knowledge of nodes or resources.
+// set of probes every kPeriod, from construction until destruction, and
+// keeps an EWMA per probe.  Probes are closures so the monitor needs no
+// knowledge of nodes or resources.
 #pragma once
 
 #include <string>
@@ -27,8 +28,14 @@ class UtilizationMonitor {
   /// so it is a move-only InlineFunction rather than a std::function.
   using Probe = common::InlineFunction<double()>;
 
-  UtilizationMonitor(Simulator& sim, common::SimTime period,
-                     double ewma_alpha = 0.3);
+  /// Sampling period.
+  static constexpr common::SimTime kPeriod = common::SimTime::seconds(5.0);
+  /// EWMA weight of the newest sample.
+  static constexpr double kEwmaAlpha = 0.3;
+
+  /// Arms the first sample one kPeriod from now; the destructor cancels
+  /// the pending one.
+  explicit UtilizationMonitor(Simulator& sim);
   ~UtilizationMonitor();
 
   UtilizationMonitor(const UtilizationMonitor&) = delete;
@@ -36,11 +43,6 @@ class UtilizationMonitor {
 
   /// Registers a probe; returns its index for later reads.
   std::size_t add_probe(std::string name, Probe probe);
-
-  /// Starts (or restarts) periodic sampling.
-  void start();
-  /// Stops sampling; readings freeze at their last values.
-  void stop();
 
   /// Forces a sample of all probes right now.
   void sample_now();
@@ -64,11 +66,8 @@ class UtilizationMonitor {
   void schedule_next();
 
   Simulator& sim_;
-  common::SimTime period_;
-  double alpha_;
   std::vector<Entry> probes_;
   EventId pending_ = 0;
-  bool running_ = false;
   std::uint64_t samples_ = 0;
 };
 

@@ -8,11 +8,10 @@ AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
-Resource::Resource(Simulator& sim, std::string name, Config config)
-    : sim_(sim), name_(std::move(name)), config_(config),
+Resource::Resource(Simulator& sim, std::string name, int servers)
+    : sim_(sim), name_(std::move(name)), servers_(servers),
       last_account_(sim.now()) {
-  assert(config_.servers >= 0);
-  assert(config_.slowdown > 0.0);
+  assert(servers_ >= 0);
 }
 
 void Resource::account_now() {
@@ -28,23 +27,16 @@ void Resource::account_now() {
 
 void Resource::submit(common::SimTime demand, Completion on_complete) {
   account_now();
-  if (busy_ < config_.servers) {
+  if (busy_ < servers_) {
     start_service(demand, std::move(on_complete));
     return;
   }
   queue_.push_back(Job{demand, std::move(on_complete)});
 }
 
-void Resource::set_servers(int servers) {
-  assert(servers >= 0);
-  account_now();
-  config_.servers = servers;
-  start_pending();
-}
-
 void Resource::set_slowdown(double slowdown) {
   assert(slowdown > 0.0);
-  config_.slowdown = slowdown;
+  slowdown_ = slowdown;
 }
 
 std::int64_t Resource::busy_integral() const {
@@ -55,10 +47,10 @@ std::int64_t Resource::busy_integral() const {
 double Resource::utilization_since(std::int64_t integral_at_t0,
                                    common::SimTime t0) const {
   const std::int64_t window = (sim_.now() - t0).as_micros();
-  if (window <= 0 || config_.servers <= 0) return 0.0;
+  if (window <= 0 || servers_ <= 0) return 0.0;
   const std::int64_t busy_time = busy_integral() - integral_at_t0;
   return static_cast<double>(busy_time) /
-         (static_cast<double>(config_.servers) * static_cast<double>(window));
+         (static_cast<double>(servers_) * static_cast<double>(window));
 }
 
 std::int64_t Resource::queue_integral() const {
@@ -75,7 +67,7 @@ std::size_t Resource::clear_queue() {
 }
 
 void Resource::start_pending() {
-  while (busy_ < config_.servers && !queue_.empty()) {
+  while (busy_ < servers_ && !queue_.empty()) {
     Job& job = queue_.front();
     start_service(job.demand, std::move(job.on_complete));
     queue_.pop_front();
@@ -90,7 +82,7 @@ void Resource::start_service(common::SimTime demand,
   };
   static_assert(EventFn::stores_inline<decltype(finish)>(),
                 "service-completion closure must not allocate");
-  sim_.schedule(demand * config_.slowdown, std::move(finish));
+  sim_.schedule(demand * slowdown_, std::move(finish));
 }
 
 void Resource::on_service_done(Completion& on_complete) {

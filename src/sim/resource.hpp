@@ -34,14 +34,9 @@ class Resource {
   /// captures (tests) fall back to the heap and still work.
   using Completion = common::InlineFunction<void(), 16>;
 
-  struct Config {
-    int servers = 1;
-    /// Service-time multiplier (>1 = slower).  Lets node speed and software
-    /// overheads scale demands without touching every call site.
-    double slowdown = 1.0;
-  };
-
-  Resource(Simulator& sim, std::string name, Config config);
+  /// `servers` identical servers; service times start at their demand
+  /// (slowdown 1.0).
+  Resource(Simulator& sim, std::string name, int servers);
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
@@ -51,15 +46,12 @@ class Resource {
   /// when the job finishes service.
   void submit(common::SimTime demand, Completion on_complete);
 
-  /// Changes the number of servers.  Growth starts queued jobs immediately;
-  /// shrink lets in-service jobs finish (capacity drops as they complete).
-  void set_servers(int servers);
-
-  /// Changes the service-time multiplier for jobs that start from now on.
+  /// Changes the service-time multiplier (>1 = slower) for jobs that start
+  /// from now on: paging and fail-slow faults scale demands through it.
   void set_slowdown(double slowdown);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] int servers() const { return config_.servers; }
+  [[nodiscard]] int servers() const { return servers_; }
   [[nodiscard]] int busy() const { return busy_; }
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
 
@@ -101,7 +93,8 @@ class Resource {
 
   Simulator& sim_;
   std::string name_;
-  Config config_;
+  const int servers_;
+  double slowdown_ = 1.0;
 
   int busy_ = 0;
   common::RingBuffer<Job> queue_;

@@ -1,7 +1,6 @@
-// Single grammar engine for FaultPlan (fault verbs only) and ScenarioPlan
-// (fault verbs + arrival/mix/correlated-failure verbs).  Both entry points
-// share the tokenizer, the line/column diagnostics, and the hardening
-// sweeps; FaultPlan::parse is the restricted dialect.
+// The scenario grammar's one parser: fault, arrival, mix and
+// correlated-failure verbs, line/column diagnostics and the hardening
+// sweeps.
 #include "sim/scenario.hpp"
 
 #include <algorithm>
@@ -85,12 +84,11 @@ struct EntrySpan {
 };
 
 struct Parser {
-  Parser(std::string_view full_text, std::string* error_out, bool scenario)
-      : full(full_text), error(error_out), scenario_dialect(scenario) {}
+  Parser(std::string_view full_text, std::string* error_out)
+      : full(full_text), error(error_out) {}
 
   std::string_view full;
   std::string* error;
-  bool scenario_dialect;
 
   ScenarioPlan plan;
   std::vector<EntrySpan> entries;
@@ -234,13 +232,6 @@ bool Parser::parse_entry(const EntrySpan& e, std::size_t index) {
     push_event(degrade, index);
     push_event(restore, index);
     return true;
-  }
-
-  const bool is_scenario_verb = keyword == "flash" || keyword == "ramp" ||
-                                keyword == "diurnal" || keyword == "mix" ||
-                                keyword == "rack" || keyword == "switch";
-  if (is_scenario_verb && !scenario_dialect) {
-    return fail(e, "scenario verb; use ScenarioPlan::parse");
   }
 
   if (keyword == "flash" || keyword == "ramp") {
@@ -459,16 +450,9 @@ bool Parser::run(std::string_view text) {
 
 }  // namespace
 
-std::optional<FaultPlan> FaultPlan::parse(std::string_view text,
-                                          std::string* error) {
-  Parser parser{text, error, /*scenario_dialect=*/false};
-  if (!parser.run(text)) return std::nullopt;
-  return std::move(parser.plan.faults);
-}
-
 std::optional<ScenarioPlan> ScenarioPlan::parse(std::string_view text,
                                                 std::string* error) {
-  Parser parser{text, error, /*scenario_dialect=*/true};
+  Parser parser{text, error};
   if (!parser.run(text)) return std::nullopt;
   return std::move(parser.plan);
 }

@@ -1,15 +1,26 @@
 // Seeded scenario grammar: faults + arrival modulation + mix drift.
 //
-// A ScenarioPlan extends the FaultPlan text grammar with the load-side half
-// of an overload experiment: arrival-pattern modulation (flash crowds,
-// diurnal swells, ramps), workload-mix drift, and correlated failure
-// domains (whole racks, shared switches) that expand into the existing
-// fault events.  One text string therefore scripts a complete "black
+// A ScenarioPlan is a FaultPlan (fault_injector.hpp) plus the load-side
+// half of an overload experiment: arrival-pattern modulation (flash
+// crowds, diurnal swells, ramps), workload-mix drift, and correlated
+// failure domains (whole racks, shared switches) that expand into the
+// plain fault events.  One text string therefore scripts a complete "black
 // Friday" run — the flash crowd, the mix shifting toward ordering, and the
 // rack that picks that moment to die — reproducibly at any `--threads`
 // setting, because everything lands on the ordinary event queues.
 //
-// Scenario entries, on top of the FaultPlan verbs (fault_injector.hpp):
+// Text format (entries separated by ';', whitespace ignored, times in
+// simulated seconds, node `*` = any node in link entries).  Faults:
+//
+//   crash:<node>@<t>              node stops answering at t
+//   restart:<node>@<t>            node returns at t
+//   slow:<node>@<t0>-<t1>x<f>     CPU demand multiplied by f in the window
+//   link:<a>-<b>@<t0>-<t1>,drop=<p>[,delay=<ms>ms]
+//                                 directed link a->b drops each message
+//                                 with probability p and delays survivors
+//                                 by <ms> milliseconds during the window
+//
+// Load and correlated failures:
 //
 //   flash:<peak>@<t0>-<t1>        arrival rate swells linearly to <peak>x
 //                                 at the window midpoint and back to 1x
@@ -32,12 +43,13 @@
 // run, which is what keeps the golden benchmark CSVs stable when no
 // scenario is installed.
 //
-// The parser is the single grammar engine for both dialects —
-// FaultPlan::parse accepts only the fault verbs — and is hardened per the
-// shared rules: entry start times must be non-decreasing, a node cannot
-// crash twice without a restart in between (nor restart uncrashed), slow
-// windows on one node must not overlap, and rack/switch member lists must
-// not repeat a node.  Errors carry line/column positions.
+// Example: "flash:3@60-180; crash:3@120; restart:3@300;
+//           link:*-2@400-460,drop=0.2,delay=5ms"
+//
+// The parser is hardened: entry start times must be non-decreasing, a node
+// cannot crash twice without a restart in between (nor restart uncrashed),
+// slow windows on one node must not overlap, and rack/switch member lists
+// must not repeat a node.  Errors carry line/column positions.
 #pragma once
 
 #include <cmath>
@@ -127,9 +139,9 @@ struct ScenarioPlan {
     return faults.empty() && arrival.empty() && mix_changes.empty();
   }
 
-  /// Parses the scenario text format documented above (a superset of the
-  /// FaultPlan grammar).  Returns std::nullopt on malformed input; when
-  /// `error` is non-null it receives a description with line/column.
+  /// Parses the text format documented above.  Returns std::nullopt on
+  /// malformed input; when `error` is non-null it receives a description
+  /// with line/column.
   static std::optional<ScenarioPlan> parse(std::string_view text,
                                            std::string* error = nullptr);
 };

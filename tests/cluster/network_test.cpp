@@ -11,12 +11,11 @@ class NetworkTest : public ::testing::Test {
  protected:
   sim::Simulator sim_;
   Network net_{sim_};
-  NodeHardware hw_{};
 };
 
 TEST_F(NetworkTest, DeliveryAfterSerializationPlusLatency) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
   SimTime delivered = SimTime::zero();
   // 12'500 bytes at 100 Mbps = 1 ms serialization; +200 us latency.
   net_.send(a, b, 12'500, [&] { delivered = sim_.now(); });
@@ -25,8 +24,8 @@ TEST_F(NetworkTest, DeliveryAfterSerializationPlusLatency) {
 }
 
 TEST_F(NetworkTest, SenderNicCharged) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
   net_.send(a, b, 12'500, [] {});
   sim_.run();
   EXPECT_EQ(a.nic().messages(), 1u);
@@ -36,7 +35,7 @@ TEST_F(NetworkTest, SenderNicCharged) {
 }
 
 TEST_F(NetworkTest, LoopbackIsFree) {
-  Node a(sim_, 0, "a", hw_);
+  Node a(sim_, 0, "a");
   SimTime delivered = SimTime::millis(99);
   net_.send(a, a, 1'000'000, [&] { delivered = sim_.now(); });
   sim_.run();
@@ -46,8 +45,8 @@ TEST_F(NetworkTest, LoopbackIsFree) {
 }
 
 TEST_F(NetworkTest, ConcurrentSendsSerializeOnNic) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
   SimTime first = SimTime::zero();
   SimTime second = SimTime::zero();
   net_.send(a, b, 12'500, [&] { first = sim_.now(); });
@@ -59,8 +58,8 @@ TEST_F(NetworkTest, ConcurrentSendsSerializeOnNic) {
 }
 
 TEST_F(NetworkTest, SlowdownScalesDeliveries) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
   // A fail-slow node's CPU slows down; nothing slows its NIC.
   a.set_fault_slowdown(2.0);
   SimTime first = SimTime::zero();
@@ -74,9 +73,9 @@ TEST_F(NetworkTest, SlowdownScalesDeliveries) {
 }
 
 TEST_F(NetworkTest, DroppedMessageStillChargesNic) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
-  Node c(sim_, 2, "c", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
+  Node c(sim_, 2, "c");
   net_.set_link_fault(a.id(), c.id(), /*drop=*/1.0, SimTime::zero());
   std::vector<std::pair<int, SimTime>> delivered;
   net_.send(a, b, 12'500, [&] { delivered.push_back({1, sim_.now()}); });
@@ -95,8 +94,8 @@ TEST_F(NetworkTest, DroppedMessageStillChargesNic) {
 }
 
 TEST_F(NetworkTest, CountsTraffic) {
-  Node a(sim_, 0, "a", hw_);
-  Node b(sim_, 1, "b", hw_);
+  Node a(sim_, 0, "a");
+  Node b(sim_, 1, "b");
   net_.send(a, b, 100, [] {});
   net_.send(b, a, 200, [] {});
   sim_.run();

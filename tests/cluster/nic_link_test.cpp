@@ -81,7 +81,7 @@ struct Pair {
 
   explicit Pair(int messages)
       : link(sim),
-        oracle(sim, "oracle", sim::Resource::Config{1}),
+        oracle(sim, "oracle", 1),
         link_end(static_cast<std::size_t>(messages), kNever),
         oracle_end(static_cast<std::size_t>(messages), kNever) {}
 

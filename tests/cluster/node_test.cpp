@@ -10,13 +10,12 @@ using common::SimTime;
 class NodeTest : public ::testing::Test {
  protected:
   sim::Simulator sim_;
-  NodeHardware hw_{};
 };
 
 TEST_F(NodeTest, ResourcesMatchHardware) {
-  hw_.cpu_cores = 4;
-  Node node(sim_, 0, "n0", hw_);
-  EXPECT_EQ(node.cpu().servers(), 4);
+  Node node(sim_, 0, "n0");
+  EXPECT_EQ(node.cpu().servers(), Node::kCpuCores);
+  EXPECT_EQ(Node::kCpuCores, 2);  // the testbed's dual Athlon
   EXPECT_EQ(node.disk().servers(), 1);
   EXPECT_EQ(node.nic().busy_until(), SimTime::zero());  // an idle link
   EXPECT_EQ(node.id(), 0u);
@@ -24,33 +23,24 @@ TEST_F(NodeTest, ResourcesMatchHardware) {
 }
 
 TEST_F(NodeTest, DiskTimeHasSeekFloor) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   const auto t0 = node.disk_time(0);
-  EXPECT_NEAR(t0.as_seconds(), hw_.disk_seek_s, 1e-9);
+  EXPECT_NEAR(t0.as_seconds(), Node::kDiskSeekS, 1e-9);
   // Transfer adds on top of the seek.
   const auto t1 = node.disk_time(35'000'000);  // 1s at 35 MB/s
-  EXPECT_NEAR(t1.as_seconds(), hw_.disk_seek_s + 1.0, 1e-6);
+  EXPECT_NEAR(t1.as_seconds(), Node::kDiskSeekS + 1.0, 1e-6);
 }
 
 TEST_F(NodeTest, NicTimeScalesWithBytes) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   // 100 Mbps: 12'500'000 bytes per second.
   const auto t = node.nic_time(12'500'000);
   EXPECT_NEAR(t.as_seconds(), 1.0, 1e-6);
   EXPECT_EQ(node.nic_time(0), SimTime::zero());
 }
 
-TEST_F(NodeTest, FasterCpuShortensService) {
-  hw_.cpu_speed = 2.0;
-  Node node(sim_, 0, "n0", hw_);
-  SimTime done = SimTime::zero();
-  node.cpu().submit(SimTime::millis(10), [&] { done = sim_.now(); });
-  sim_.run();
-  EXPECT_EQ(done, SimTime::millis(5));
-}
-
 TEST_F(NodeTest, MemoryAccounting) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   EXPECT_EQ(node.memory_used(), 0);
   node.alloc_memory(100);
   node.alloc_memory(50);
@@ -60,25 +50,24 @@ TEST_F(NodeTest, MemoryAccounting) {
 }
 
 TEST_F(NodeTest, FreeBelowZeroClamps) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   node.alloc_memory(10);
   node.free_memory(100);
   EXPECT_EQ(node.memory_used(), 0);
 }
 
 TEST_F(NodeTest, MemoryPressureFraction) {
-  hw_.memory = 1000;
-  Node node(sim_, 0, "n0", hw_);
-  node.alloc_memory(500);
+  Node node(sim_, 0, "n0");
+  EXPECT_EQ(Node::kMemory, 1024LL * 1024 * 1024);  // 1 GiB
+  node.alloc_memory(Node::kMemory / 2);
   EXPECT_DOUBLE_EQ(node.memory_pressure(), 0.5);
-  node.alloc_memory(1500);
+  node.alloc_memory(Node::kMemory * 3 / 2);
   EXPECT_DOUBLE_EQ(node.memory_pressure(), 2.0);  // overcommit allowed
 }
 
 TEST_F(NodeTest, NoPagingSlowdownBelowThreshold) {
-  hw_.memory = 1000;
-  Node node(sim_, 0, "n0", hw_);
-  node.alloc_memory(900);  // 90% < 95% threshold
+  Node node(sim_, 0, "n0");
+  node.alloc_memory(Node::kMemory / 10 * 9);  // 90% < 95% threshold
   SimTime done = SimTime::zero();
   node.cpu().submit(SimTime::millis(10), [&] { done = sim_.now(); });
   sim_.run();
@@ -86,9 +75,8 @@ TEST_F(NodeTest, NoPagingSlowdownBelowThreshold) {
 }
 
 TEST_F(NodeTest, PagingSlowsCpuWhenOvercommitted) {
-  hw_.memory = 1000;
-  Node node(sim_, 0, "n0", hw_);
-  node.alloc_memory(2000);  // 200% pressure
+  Node node(sim_, 0, "n0");
+  node.alloc_memory(2 * Node::kMemory);  // 200% pressure
   SimTime done = SimTime::zero();
   node.cpu().submit(SimTime::millis(10), [&] { done = sim_.now(); });
   sim_.run();
@@ -96,10 +84,9 @@ TEST_F(NodeTest, PagingSlowsCpuWhenOvercommitted) {
 }
 
 TEST_F(NodeTest, PagingRecoversAfterFree) {
-  hw_.memory = 1000;
-  Node node(sim_, 0, "n0", hw_);
-  node.alloc_memory(2000);
-  node.free_memory(1500);
+  Node node(sim_, 0, "n0");
+  node.alloc_memory(2 * Node::kMemory);
+  node.free_memory(Node::kMemory * 3 / 2);
   SimTime done = SimTime::zero();
   node.cpu().submit(SimTime::millis(10), [&] { done = sim_.now(); });
   sim_.run();
@@ -107,7 +94,7 @@ TEST_F(NodeTest, PagingRecoversAfterFree) {
 }
 
 TEST_F(NodeTest, UtilizationProbesDeltaBased) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   // Saturate both CPU cores for 10ms, then idle 10ms.
   node.cpu().submit(SimTime::millis(10), {});
   node.cpu().submit(SimTime::millis(10), {});
@@ -118,7 +105,7 @@ TEST_F(NodeTest, UtilizationProbesDeltaBased) {
 }
 
 TEST_F(NodeTest, DiskAndNicProbes) {
-  Node node(sim_, 0, "n0", hw_);
+  Node node(sim_, 0, "n0");
   node.disk().submit(SimTime::millis(5), {});
   node.nic().send_lost(SimTime::millis(2));
   sim_.run_until(SimTime::millis(10));

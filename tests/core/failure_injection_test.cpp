@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/system_model.hpp"
+#include "sim/scenario.hpp"
 #include "webstack/params.hpp"
 
 namespace ah::core {
@@ -160,28 +161,77 @@ TEST(FailureInjectionTest, FaultPlanNamingUnknownNodesIsRejected) {
   SystemModel system(sim, {});  // nodes 0-2
   for (const char* text :
        {"crash:3@10", "slow:7@10-20x3", "link:0-3@10-20,drop=0.5",
-        "link:9-*@10-20,drop=0.5", "crash:1@10; crash:5@11"}) {
-    const auto plan = sim::FaultPlan::parse(text);
+        "link:9-*@10-20,drop=0.5", "crash:1@10; crash:5@11",
+        "rack:1+4@10-20", "switch:2+8@10-20,drop=0.5"}) {
+    const auto plan = sim::ScenarioPlan::parse(text);
     ASSERT_TRUE(plan.has_value()) << text;
-    EXPECT_THROW(system.install_fault_plan(*plan), std::invalid_argument)
+    EXPECT_THROW(system.install_scenario(*plan), std::invalid_argument)
         << text;
   }
+  EXPECT_EQ(system.scenario(), nullptr);
   sim.run_until(SimTime::seconds(30.0));
   EXPECT_EQ(system.disturbance_count(), 0u);  // nothing was armed
 
   // Known ids and wildcard link ends are accepted on every line.
-  const auto plan = sim::FaultPlan::parse(
+  const auto plan = sim::ScenarioPlan::parse(
       "link:*-2@40-50,drop=0.5; link:*-*@40-50,drop=0.1; crash:2@45");
   ASSERT_TRUE(plan.has_value());
-  EXPECT_NO_THROW(system.install_fault_plan(*plan));
+  EXPECT_NO_THROW(system.install_scenario(*plan));
   SystemModel::Config config;
   config.lines = {SystemModel::LineSpec{1, 1, 1},
                   SystemModel::LineSpec{1, 1, 1}};
   SystemModel two_lines(config);
-  const auto beyond = sim::FaultPlan::parse("crash:6@10");
+  const auto beyond = sim::ScenarioPlan::parse("crash:6@10");
   ASSERT_TRUE(beyond.has_value());
-  EXPECT_THROW(two_lines.install_fault_plan(*beyond), std::invalid_argument);
-  EXPECT_NO_THROW(two_lines.install_fault_plan(*plan));
+  EXPECT_THROW(two_lines.install_scenario(*beyond), std::invalid_argument);
+  EXPECT_NO_THROW(two_lines.install_scenario(*plan));
+}
+
+TEST(FailureInjectionTest, RejectedScenarioLeavesTheInstalledOne) {
+  // A scenario is checked before anything is replaced: the workloads keep
+  // reading the installed plan's arrival modulation, and its faults stay
+  // armed, while nothing of the rejected plan is.
+  sim::Simulator sim;
+  SystemModel system(sim, {});  // nodes 0-2
+  Experiment experiment(system, small_config());
+  experiment.apply_scenario(
+      *sim::ScenarioPlan::parse("flash:2@0-100; crash:1@30; restart:1@40"));
+  const sim::ScenarioPlan* installed = system.scenario();
+  ASSERT_NE(installed, nullptr);
+
+  const auto rejected =
+      sim::ScenarioPlan::parse("flash:3@0-100; crash:0@35; crash:99@50");
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_THROW(experiment.apply_scenario(*rejected), std::invalid_argument);
+  ASSERT_EQ(system.scenario(), installed);
+  ASSERT_EQ(installed->arrival.phases.size(), 1u);
+  EXPECT_DOUBLE_EQ(installed->arrival.phases[0].magnitude, 2.0);
+  EXPECT_EQ(installed->faults.events.size(), 2u);
+
+  experiment.run_iteration();  // 0..26 s
+  const auto result = experiment.run_iteration();  // 26..52 s
+  EXPECT_GT(result.wips, 0.0);
+  EXPECT_TRUE(system.cluster().node(1).alive());  // crashed and restarted
+  EXPECT_TRUE(system.cluster().node(0).alive());  // never armed
+  EXPECT_EQ(system.disturbance_count(), 2u);
+}
+
+TEST(FailureInjectionTest, ReinstalledScenarioKeepsWorkloadPointersValid) {
+  // Installing straight on the model (not through the experiment) keeps
+  // the arrival modulation the workloads read at its address; the
+  // workloads then follow the new plan.
+  sim::Simulator sim;
+  SystemModel system(sim, {});
+  Experiment experiment(system, small_config());
+  experiment.apply_scenario(*sim::ScenarioPlan::parse("flash:2@0-100"));
+  const sim::ArrivalModulation* arrival = &system.scenario()->arrival;
+  experiment.run_iteration();  // 0..26 s
+
+  system.install_scenario(*sim::ScenarioPlan::parse("ramp:3@30-60"));
+  ASSERT_EQ(&system.scenario()->arrival, arrival);
+  ASSERT_EQ(arrival->phases.size(), 1u);
+  EXPECT_EQ(arrival->phases[0].kind, sim::ArrivalPhase::Kind::kRamp);
+  EXPECT_GT(experiment.run_iteration().wips, 0.0);  // 26..52 s
 }
 
 TEST(FailureInjectionTest, NodeCrashedDuringMoveStaysDownInItsNewTier) {

@@ -12,7 +12,7 @@
 #include "core/experiment.hpp"
 #include "core/system_model.hpp"
 #include "core/tuning_driver.hpp"
-#include "sim/fault_injector.hpp"
+#include "sim/scenario.hpp"
 
 namespace ah::core {
 namespace {
@@ -58,9 +58,9 @@ TEST(FaultRecoveryTest, CrashMarkDownRerouteGoodputAndRecovery) {
   const std::string plan_text = "crash:" + std::to_string(victim) +
                                 "@60; restart:" + std::to_string(victim) +
                                 "@120";
-  const auto plan = sim::FaultPlan::parse(plan_text);
+  const auto plan = sim::ScenarioPlan::parse(plan_text);
   ASSERT_TRUE(plan.has_value());
-  system.install_fault_plan(*plan);
+  system.install_scenario(*plan);
 
   // 52..78 s: the crash (and its health transition) lands mid-window.
   const auto transition_down = experiment.run_iteration();
@@ -116,7 +116,7 @@ TEST(FaultRecoveryTest, SequentialDriverDiscardsDisturbedWindows) {
   const std::string plan_text = "crash:" + std::to_string(victim) +
                                 "@30; restart:" + std::to_string(victim) +
                                 "@90";
-  system.install_fault_plan(*sim::FaultPlan::parse(plan_text));
+  system.install_scenario(*sim::ScenarioPlan::parse(plan_text));
 
   TuningDriver::Options options;
   options.method = TuningMethod::kDuplication;
@@ -146,11 +146,11 @@ std::vector<double> two_line_series(std::size_t threads, bool faults) {
     // time-sorted.
     const std::string a = std::to_string(system.line_nodes(0).at(2));
     const std::string b = std::to_string(system.line_nodes(1).at(2));
-    const auto plan = sim::FaultPlan::parse("crash:" + a + "@30; crash:" + b +
-                                            "@30; restart:" + a +
-                                            "@90; restart:" + b + "@90");
+    const auto plan = sim::ScenarioPlan::parse(
+        "crash:" + a + "@30; crash:" + b + "@30; restart:" + a +
+        "@90; restart:" + b + "@90");
     EXPECT_TRUE(plan.has_value());
-    if (plan.has_value()) system.install_fault_plan(*plan);
+    if (plan.has_value()) system.install_scenario(*plan);
   }
   Experiment experiment(system, small_config(120));
   std::vector<double> series;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +45,20 @@ sim::ScenarioPlan parse_scenario(const std::string& text) {
   auto plan = sim::ScenarioPlan::parse(text, &error);
   EXPECT_TRUE(plan.has_value()) << error;
   return *plan;
+}
+
+TEST(OverloadControlTest, SecondAdmissionEnableThrows) {
+  // Admission control is set up once per model; a second call is refused
+  // and leaves the running controller in place.
+  sim::Simulator sim;
+  SystemModel system(sim, lines_config({{1, 1, 1}}));
+  system.enable_admission_control({});
+  const ctrl::AdmissionController* controller = system.line_admission(0);
+  ASSERT_NE(controller, nullptr);
+  EXPECT_THROW(system.enable_admission_control({}), std::logic_error);
+  EXPECT_EQ(system.line_admission(0), controller);
+  sim.run_until(SimTime::seconds(3.0));
+  EXPECT_EQ(controller->ticks(), 3u);
 }
 
 TEST(OverloadControlTest, AdmissionShedsUnderOverloadAndTaintsWindows) {
@@ -113,15 +128,15 @@ TEST(OverloadControlTest, ReactiveBorrowsOnMarkDown) {
   // mark-down still leaves one healthy member (no borrow) and the second
   // leaves none (borrow).
   const double crash_at = system.now().as_seconds() + 5.0;
-  sim::FaultPlan plan;
+  sim::ScenarioPlan plan;
   for (std::size_t k = 0; k < 2; ++k) {
     sim::FaultEvent crash;
     crash.kind = sim::FaultEvent::Kind::kCrash;
     crash.at = SimTime::seconds(crash_at + 5.0 * static_cast<double>(k));
     crash.node = system.cluster().tier(TierKind::kDb).members()[k];
-    plan.events.push_back(crash);
+    plan.faults.events.push_back(crash);
   }
-  system.install_fault_plan(plan);
+  system.install_scenario(plan);
 
   for (int i = 0; i < 2; ++i) experiment.run_iteration();
   // The second mark-down left the db tier below kMinHealthy; the
@@ -130,7 +145,8 @@ TEST(OverloadControlTest, ReactiveBorrowsOnMarkDown) {
   ASSERT_EQ(controller.moves().size(), 1u);
   EXPECT_EQ(controller.moves()[0].to_tier, static_cast<int>(TierKind::kDb));
   // The move relieves the db node whose mark-down triggered it.
-  EXPECT_EQ(controller.moves()[0].overloaded_node, plan.events[1].node);
+  EXPECT_EQ(controller.moves()[0].overloaded_node,
+            plan.faults.events[1].node);
   EXPECT_GE(system.cluster().healthy_count(TierKind::kDb),
             ReconfigController::kMinHealthy);
 }
@@ -235,7 +251,7 @@ TEST(OverloadControlTest, RetryAndServeStaleUnderFailSlowPlusLinkFaults) {
   std::snprintf(text, sizeof(text), "slow:%u@%.0f-%.0fx8; "
                 "link:%u-%u@%.0f-%.0f,drop=0.8,delay=10ms",
                 db, t0, t1, app, db, t0, t1);
-  system.install_fault_plan(*sim::FaultPlan::parse(text));
+  system.install_scenario(*sim::ScenarioPlan::parse(text));
 
   const IterationResult result = experiment.run_iteration();
   const obs::Registry& metrics = system.metrics();
@@ -257,7 +273,7 @@ TEST(OverloadControlTest, HealthMetricsTrackDownNodesInRegistry) {
   char text[64];
   std::snprintf(text, sizeof(text), "crash:%u@%.0f; restart:%u@%.0f", victim,
                 now_s + 2.0, victim, now_s + 12.0);
-  system.install_fault_plan(*sim::FaultPlan::parse(text));
+  system.install_scenario(*sim::ScenarioPlan::parse(text));
   for (int i = 0; i < 2; ++i) experiment.run_iteration();
 
   const obs::Registry& metrics = system.metrics();

@@ -121,13 +121,13 @@ TEST(ShardedModelTest, AsymmetricLinesApplyValuesLineIsScoped) {
 TEST(ShardedModelTest, FaultPlanStaysLineLocal) {
   SystemModel system(lines_config({{1, 1, 1}, {1, 1, 1}}));
   const auto victim = system.line_nodes(1).at(0);
-  sim::FaultPlan plan;
+  sim::ScenarioPlan plan;
   sim::FaultEvent crash;
   crash.kind = sim::FaultEvent::Kind::kCrash;
   crash.at = SimTime::seconds(1.0);
   crash.node = victim;
-  plan.events.push_back(crash);
-  system.install_fault_plan(plan);
+  plan.faults.events.push_back(crash);
+  system.install_scenario(plan);
   system.run_all_until(SimTime::seconds(2.0));
   EXPECT_FALSE(system.cluster().node(victim).alive());
   for (const auto id : system.line_nodes(0)) {
@@ -139,15 +139,16 @@ TEST(ShardedModelTest, FaultPlanStaysLineLocal) {
 TEST(ShardedModelTest, PerLineHealthCheckersAreScoped) {
   SystemModel system(lines_config({{1, 1, 1}, {1, 1, 1}}));
   system.enable_fault_tolerance({});
+  // Two 500 ms ticks per line, each probing that line's three nodes only.
+  system.run_all_until(SimTime::seconds(1.0));
   for (std::size_t line = 0; line < 2; ++line) {
     auto* checker = system.line_health_checker(line);
     ASSERT_NE(checker, nullptr);
-    EXPECT_EQ(checker->scope(), system.line_nodes(line));
+    EXPECT_EQ(checker->probes_sent(), 2 * system.line_nodes(line).size());
   }
   // A crash in line 1 is marked down by line 1's checker; line 0's marks
   // are untouched.
   const auto victim = system.line_nodes(1).at(0);
-  system.run_all_until(SimTime::seconds(1.0));
   system.crash_node(victim);
   system.run_all_until(
       SimTime::seconds(1.0) +

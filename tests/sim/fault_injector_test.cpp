@@ -2,16 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
+
+#include "sim/scenario.hpp"
 
 namespace ah::sim {
 namespace {
 
 using common::SimTime;
 
+/// The fault half of a parsed scenario; nullopt when `text` is rejected.
+std::optional<FaultPlan> faults(std::string_view text,
+                                std::string* error = nullptr) {
+  auto plan = ScenarioPlan::parse(text, error);
+  if (!plan.has_value()) return std::nullopt;
+  return std::move(plan->faults);
+}
+
 TEST(FaultPlanTest, ParsesCrashAndRestart) {
-  const auto plan = FaultPlan::parse("crash:3@120; restart:3@300");
+  const auto plan = faults("crash:3@120; restart:3@300");
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->events.size(), 2u);
   EXPECT_EQ(plan->events[0].kind, FaultEvent::Kind::kCrash);
@@ -22,7 +35,7 @@ TEST(FaultPlanTest, ParsesCrashAndRestart) {
 }
 
 TEST(FaultPlanTest, SlowWindowExpandsToStartEndPair) {
-  const auto plan = FaultPlan::parse("slow:1@10-40x3.5");
+  const auto plan = faults("slow:1@10-40x3.5");
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->events.size(), 2u);
   EXPECT_EQ(plan->events[0].kind, FaultEvent::Kind::kSlowStart);
@@ -34,7 +47,7 @@ TEST(FaultPlanTest, SlowWindowExpandsToStartEndPair) {
 }
 
 TEST(FaultPlanTest, LinkWindowWithWildcardAndDelay) {
-  const auto plan = FaultPlan::parse("link:*-2@400-460,drop=0.2,delay=5ms");
+  const auto plan = faults("link:*-2@400-460,drop=0.2,delay=5ms");
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->events.size(), 2u);
   const FaultEvent& degrade = plan->events[0];
@@ -48,34 +61,34 @@ TEST(FaultPlanTest, LinkWindowWithWildcardAndDelay) {
 }
 
 TEST(FaultPlanTest, LinkWithoutDelayDefaultsToZero) {
-  const auto plan = FaultPlan::parse("link:0-1@5-6,drop=1");
+  const auto plan = faults("link:0-1@5-6,drop=1");
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->events[0].delay, SimTime::zero());
   EXPECT_DOUBLE_EQ(plan->events[0].magnitude, 1.0);
 }
 
 TEST(FaultPlanTest, EmptyTextIsEmptyPlan) {
-  const auto plan = FaultPlan::parse("  ;  ; ");
+  const auto plan = faults("  ;  ; ");
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
 }
 
 TEST(FaultPlanTest, RejectsMalformedEntries) {
   std::string error;
-  EXPECT_FALSE(FaultPlan::parse("explode:1@10", &error).has_value());
+  EXPECT_FALSE(faults("explode:1@10", &error).has_value());
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(FaultPlan::parse("crash:1", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("crash:*@10", &error).has_value());  // no wildcard
-  EXPECT_FALSE(FaultPlan::parse("slow:1@40-10x2", &error).has_value());  // t1 < t0
-  EXPECT_FALSE(FaultPlan::parse("slow:1@10-40x0.5", &error).has_value());  // < 1
-  EXPECT_FALSE(FaultPlan::parse("link:0-1@5-6,drop=1.5", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("crash:1@10 trailing", &error).has_value());
+  EXPECT_FALSE(faults("crash:1", &error).has_value());
+  EXPECT_FALSE(faults("crash:*@10", &error).has_value());  // no wildcard
+  EXPECT_FALSE(faults("slow:1@40-10x2", &error).has_value());  // t1 < t0
+  EXPECT_FALSE(faults("slow:1@10-40x0.5", &error).has_value());  // < 1
+  EXPECT_FALSE(faults("link:0-1@5-6,drop=1.5", &error).has_value());
+  EXPECT_FALSE(faults("crash:1@10 trailing", &error).has_value());
 }
 
 TEST(FaultInjectorTest, FiresEventsAtScheduledTimes) {
   Simulator sim;
   FaultInjector injector(sim);
-  const auto plan = FaultPlan::parse("crash:0@10; restart:0@20");
+  const auto plan = faults("crash:0@10; restart:0@20");
   ASSERT_TRUE(plan.has_value());
 
   std::vector<std::pair<FaultEvent::Kind, double>> log;
@@ -100,7 +113,7 @@ TEST(FaultInjectorTest, FiresEventsAtScheduledTimes) {
 TEST(FaultInjectorTest, DisarmCancelsPendingEvents) {
   Simulator sim;
   FaultInjector injector(sim);
-  const auto plan = FaultPlan::parse("crash:0@10");
+  const auto plan = faults("crash:0@10");
   ASSERT_TRUE(plan.has_value());
   int fired = 0;
   injector.arm(*plan, [&fired](const FaultEvent&) { ++fired; });
@@ -115,9 +128,9 @@ TEST(FaultInjectorTest, RearmReplacesPreviousPlan) {
   FaultInjector injector(sim);
   int crashes = 0;
   int slows = 0;
-  injector.arm(*FaultPlan::parse("crash:0@10"),
+  injector.arm(*faults("crash:0@10"),
                [&crashes](const FaultEvent&) { ++crashes; });
-  injector.arm(*FaultPlan::parse("slow:0@5-6x2"),
+  injector.arm(*faults("slow:0@5-6x2"),
                [&slows](const FaultEvent&) { ++slows; });
   sim.run_until(SimTime::seconds(20.0));
   EXPECT_EQ(crashes, 0);  // first plan was disarmed

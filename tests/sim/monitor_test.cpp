@@ -7,57 +7,69 @@ namespace {
 
 using common::SimTime;
 
+static_assert(UtilizationMonitor::kPeriod == SimTime::seconds(5.0),
+              "the tests below place tick k at 5k seconds");
+static_assert(UtilizationMonitor::kEwmaAlpha == 0.3);
+
 class MonitorTest : public ::testing::Test {
  protected:
   Simulator sim_;
 };
 
 TEST_F(MonitorTest, SamplesOnPeriod) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
+  UtilizationMonitor monitor(sim_);
   int calls = 0;
   monitor.add_probe("p", [&] {
     ++calls;
     return 0.5;
   });
-  monitor.start();
-  sim_.run_until(SimTime::seconds(5.5));
+  sim_.run_until(SimTime::seconds(27.5));
   EXPECT_EQ(calls, 5);
   EXPECT_EQ(monitor.samples_taken(), 5u);
 }
 
-TEST_F(MonitorTest, NoSamplesBeforeStart) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
+TEST_F(MonitorTest, NoSampleBeforeFirstPeriod) {
+  // Construction arms the first tick one full period later.
+  UtilizationMonitor monitor(sim_);
   monitor.add_probe("p", [] { return 1.0; });
-  sim_.run_until(SimTime::seconds(10.0));
+  sim_.run_until(UtilizationMonitor::kPeriod - SimTime::micros(1));
   EXPECT_EQ(monitor.samples_taken(), 0u);
+  sim_.run_until(UtilizationMonitor::kPeriod);
+  EXPECT_EQ(monitor.samples_taken(), 1u);
 }
 
-TEST_F(MonitorTest, StopHaltsSampling) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
-  monitor.add_probe("p", [] { return 1.0; });
-  monitor.start();
-  sim_.run_until(SimTime::seconds(2.5));
-  monitor.stop();
-  const auto samples = monitor.samples_taken();
-  sim_.run_until(SimTime::seconds(10.0));
-  EXPECT_EQ(monitor.samples_taken(), samples);
+TEST_F(MonitorTest, DestructionCancelsPendingTick) {
+  int calls = 0;
+  {
+    UtilizationMonitor monitor(sim_);
+    monitor.add_probe("p", [&] {
+      ++calls;
+      return 1.0;
+    });
+    sim_.run_until(SimTime::seconds(12.5));
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(sim_.pending_events(), 1u);  // the next tick
+  }
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  sim_.run_until(SimTime::seconds(50.0));
+  EXPECT_EQ(calls, 2);
 }
 
 TEST_F(MonitorTest, SmoothedIsEwma) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0), 0.5);
+  UtilizationMonitor monitor(sim_);
   double value = 0.0;
   monitor.add_probe("p", [&] { return value; });
   value = 1.0;
   monitor.sample_now();
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 1.0);
+  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 1.0);  // the first sample seeds it
   value = 0.0;
   monitor.sample_now();
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.5);
+  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.7);  // 0.3*0.0 + 0.7*1.0
   EXPECT_DOUBLE_EQ(monitor.last_raw(0), 0.0);
 }
 
 TEST_F(MonitorTest, MultipleProbesIndependent) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0), 1.0);
+  UtilizationMonitor monitor(sim_);
   const auto a = monitor.add_probe("a", [] { return 0.25; });
   const auto b = monitor.add_probe("b", [] { return 0.75; });
   monitor.sample_now();
@@ -68,81 +80,27 @@ TEST_F(MonitorTest, MultipleProbesIndependent) {
 }
 
 TEST_F(MonitorTest, ZeroBeforeFirstSample) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
+  UtilizationMonitor monitor(sim_);
   monitor.add_probe("p", [] { return 0.9; });
   EXPECT_EQ(monitor.smoothed(0), 0.0);
   EXPECT_EQ(monitor.last_raw(0), 0.0);
 }
 
-TEST_F(MonitorTest, RestartResumesSampling) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
-  monitor.add_probe("p", [] { return 0.1; });
-  monitor.start();
-  sim_.run_until(SimTime::seconds(2.5));
-  monitor.stop();
-  monitor.start();
-  sim_.run_until(SimTime::seconds(5.5));
-  EXPECT_GE(monitor.samples_taken(), 4u);
-}
-
 TEST_F(MonitorTest, SampleNowInterleavesWithPeriodicSampling) {
   // A forced sample between periodic ticks feeds the same EWMA stream and
   // counts in samples_taken, without disturbing the periodic schedule.
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0), 0.5);
+  UtilizationMonitor monitor(sim_);
   double value = 1.0;
   monitor.add_probe("p", [&] { return value; });
-  monitor.start();
-  sim_.run_until(SimTime::seconds(1.5));  // one periodic tick: ewma = 1.0
+  sim_.run_until(SimTime::seconds(7.5));  // one periodic tick: ewma = 1.0
   value = 0.0;
-  monitor.sample_now();                   // forced: ewma = 0.5
+  monitor.sample_now();                   // forced: ewma = 0.7
   EXPECT_EQ(monitor.samples_taken(), 2u);
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.5);
+  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.7);
   value = 1.0;
-  sim_.run_until(SimTime::seconds(2.5));  // next periodic tick still at t=2
+  sim_.run_until(SimTime::seconds(12.5));  // next periodic tick still at 10 s
   EXPECT_EQ(monitor.samples_taken(), 3u);
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.75);
-}
-
-TEST_F(MonitorTest, SampleNowWorksWhileStopped) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0), 1.0);
-  monitor.add_probe("p", [] { return 0.6; });
-  monitor.stop();  // never started; must be harmless
-  monitor.sample_now();
-  EXPECT_EQ(monitor.samples_taken(), 1u);
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.6);
-  sim_.run_until(SimTime::seconds(5.0));
-  EXPECT_EQ(monitor.samples_taken(), 1u);  // still no periodic sampling
-}
-
-TEST_F(MonitorTest, EwmaSurvivesStopRestart) {
-  // Readings freeze while stopped and the EWMA resumes from its frozen
-  // value — restart must not reset smoothing state.
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0), 0.5);
-  double value = 1.0;
-  monitor.add_probe("p", [&] { return value; });
-  monitor.start();
-  sim_.run_until(SimTime::seconds(1.5));
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 1.0);
-  monitor.stop();
-  sim_.run_until(SimTime::seconds(10.0));
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 1.0);  // frozen
-  value = 0.0;
-  monitor.start();
-  sim_.run_until(SimTime::seconds(11.5));  // one tick after restart
-  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.5);  // 0.5*1.0 + 0.5*0.0
-}
-
-TEST_F(MonitorTest, DoubleStartIsIdempotent) {
-  UtilizationMonitor monitor(sim_, SimTime::seconds(1.0));
-  int calls = 0;
-  monitor.add_probe("p", [&] {
-    ++calls;
-    return 0.0;
-  });
-  monitor.start();
-  monitor.start();
-  sim_.run_until(SimTime::seconds(3.5));
-  EXPECT_EQ(calls, 3);  // not doubled
+  EXPECT_DOUBLE_EQ(monitor.smoothed(0), 0.79);  // 0.3*1.0 + 0.7*0.7
 }
 
 }  // namespace

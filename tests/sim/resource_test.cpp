@@ -19,7 +19,7 @@ class ResourceTest : public ::testing::Test {
 };
 
 TEST_F(ResourceTest, SingleJobCompletesAfterDemand) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   SimTime done_at = SimTime::zero();
   r.submit(SimTime::millis(10), [&] { done_at = sim_.now(); });
   sim_.run();
@@ -28,7 +28,7 @@ TEST_F(ResourceTest, SingleJobCompletesAfterDemand) {
 }
 
 TEST_F(ResourceTest, FifoQueueing) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   std::vector<int> order;
   r.submit(SimTime::millis(10), [&] { order.push_back(1); });
   r.submit(SimTime::millis(5), [&] { order.push_back(2); });
@@ -40,7 +40,7 @@ TEST_F(ResourceTest, FifoQueueing) {
 }
 
 TEST_F(ResourceTest, MultipleServersRunConcurrently) {
-  Resource r(sim_, "r", {.servers = 2});
+  Resource r(sim_, "r", 2);
   int completed = 0;
   r.submit(SimTime::millis(10), [&] { ++completed; });
   r.submit(SimTime::millis(10), [&] { ++completed; });
@@ -50,7 +50,8 @@ TEST_F(ResourceTest, MultipleServersRunConcurrently) {
 }
 
 TEST_F(ResourceTest, SlowdownScalesServiceTime) {
-  Resource r(sim_, "r", {.servers = 1, .slowdown = 2.0});
+  Resource r(sim_, "r", 1);
+  r.set_slowdown(2.0);
   SimTime done_at = SimTime::zero();
   r.submit(SimTime::millis(10), [&] { done_at = sim_.now(); });
   sim_.run();
@@ -58,7 +59,7 @@ TEST_F(ResourceTest, SlowdownScalesServiceTime) {
 }
 
 TEST_F(ResourceTest, SlowdownChangeAffectsNewJobsOnly) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   std::vector<SimTime> done;
   r.submit(SimTime::millis(10), [&] { done.push_back(sim_.now()); });
   r.set_slowdown(3.0);
@@ -69,34 +70,8 @@ TEST_F(ResourceTest, SlowdownChangeAffectsNewJobsOnly) {
   EXPECT_EQ(done[1], SimTime::millis(40));  // 10 + 10*3
 }
 
-TEST_F(ResourceTest, GrowServersStartsQueuedJobs) {
-  Resource r(sim_, "r", {.servers = 1});
-  int completed = 0;
-  r.submit(SimTime::millis(10), [&] { ++completed; });
-  r.submit(SimTime::millis(10), [&] { ++completed; });
-  r.set_servers(2);  // second job starts immediately
-  sim_.run();
-  EXPECT_EQ(sim_.now(), SimTime::millis(10));
-  EXPECT_EQ(completed, 2);
-}
-
-TEST_F(ResourceTest, ShrinkLetsRunningJobsFinish) {
-  Resource r(sim_, "r", {.servers = 2});
-  int completed = 0;
-  r.submit(SimTime::millis(10), [&] { ++completed; });
-  r.submit(SimTime::millis(10), [&] { ++completed; });
-  r.set_servers(1);
-  EXPECT_EQ(r.busy(), 2);  // both still in service
-  r.submit(SimTime::millis(10), [&] { ++completed; });
-  sim_.run();
-  EXPECT_EQ(completed, 3);
-  // Third job waits until both finish (t=10), runs on the 1 remaining
-  // server until t=20.
-  EXPECT_EQ(sim_.now(), SimTime::millis(20));
-}
-
 TEST_F(ResourceTest, BusyIntegralTracksUtilization) {
-  Resource r(sim_, "r", {.servers = 2});
+  Resource r(sim_, "r", 2);
   r.submit(SimTime::millis(10), {});
   r.submit(SimTime::millis(10), {});
   sim_.run_until(SimTime::millis(20));
@@ -105,7 +80,7 @@ TEST_F(ResourceTest, BusyIntegralTracksUtilization) {
 }
 
 TEST_F(ResourceTest, UtilizationSinceWindow) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   const auto integral0 = r.busy_integral();
   const auto t0 = sim_.now();
   r.submit(SimTime::millis(5), {});
@@ -114,12 +89,12 @@ TEST_F(ResourceTest, UtilizationSinceWindow) {
 }
 
 TEST_F(ResourceTest, UtilizationZeroWindow) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   EXPECT_EQ(r.utilization_since(0, sim_.now()), 0.0);
 }
 
 TEST_F(ResourceTest, QueueIntegralAccumulates) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   r.submit(SimTime::millis(10), {});
   r.submit(SimTime::millis(10), {});  // queued for 10ms
   sim_.run();
@@ -127,7 +102,7 @@ TEST_F(ResourceTest, QueueIntegralAccumulates) {
 }
 
 TEST_F(ResourceTest, ClearQueueDropsWaiters) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   int completed = 0;
   r.submit(SimTime::millis(10), [&] { ++completed; });
   r.submit(SimTime::millis(10), [&] { ++completed; });
@@ -139,14 +114,14 @@ TEST_F(ResourceTest, ClearQueueDropsWaiters) {
 }
 
 TEST_F(ResourceTest, EmptyCompletionAllowed) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   r.submit(SimTime::millis(1), {});
   sim_.run();
   EXPECT_EQ(r.completed(), 1u);
 }
 
 TEST_F(ResourceTest, ZeroDemandJobCompletesImmediately) {
-  Resource r(sim_, "r", {.servers = 1});
+  Resource r(sim_, "r", 1);
   bool done = false;
   r.submit(SimTime::zero(), [&] { done = true; });
   sim_.run();
@@ -161,7 +136,7 @@ TEST_F(ResourceTest, CompletionMovesAtMostFourTimesOnAFreeServer) {
   static_assert(Resource::Completion::stores_inline<test::MoveCounter>());
   test::MoveCounts counts;
   {
-    Resource r(sim_, "r", {.servers = 1});
+    Resource r(sim_, "r", 1);
     r.submit(SimTime::millis(1), test::MoveCounter(&counts));
     sim_.run();
     EXPECT_EQ(r.completed(), 1u);
@@ -246,7 +221,7 @@ TEST(ResourceQueueingTest, MeanWaitMatchesErlangC) {
   for (const Case& c : kCases) {
     SCOPED_TRACE(::testing::Message() << "c=" << c.servers);
     Simulator sim;
-    Resource resource(sim, "mmc", {.servers = c.servers});
+    Resource resource(sim, "mmc", c.servers);
     MmcSource source(sim, resource, c.lambda, c.mu, /*seed=*/2004, kJobs);
     sim.run();
     ASSERT_EQ(resource.completed(), kJobs);

@@ -1,5 +1,5 @@
 // Scenario grammar: arrival-phase math, correlated-failure expansion, mix
-// drift, the dialect split against FaultPlan, and one test per hardening
+// drift, fault verbs in the one grammar, and one test per hardening
 // rejection (all with line/column diagnostics).
 #include "sim/scenario.hpp"
 
@@ -74,7 +74,7 @@ TEST(ArrivalModulationTest, FactorsMultiplyAndEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(modulation.factor(SimTime::seconds(200.0)), 9.0);
 }
 
-// -- Parsing the scenario dialect ------------------------------------------
+// -- Parsing ------------------------------------------------------------------
 
 TEST(ScenarioPlanTest, ParsesArrivalPhasesAndMix) {
   const auto plan = ScenarioPlan::parse(
@@ -133,14 +133,6 @@ TEST(ScenarioPlanTest, FaultVerbsStillWorkInScenarioDialect) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->faults.events.size(), 4u);
   EXPECT_TRUE(plan->arrival.empty());
-}
-
-TEST(ScenarioPlanTest, FaultPlanRejectsScenarioVerbs) {
-  std::string error;
-  EXPECT_FALSE(FaultPlan::parse("flash:3@10-20", &error).has_value());
-  EXPECT_NE(error.find("scenario verb"), std::string::npos);
-  EXPECT_FALSE(FaultPlan::parse("rack:1+2@10-20", &error).has_value());
-  EXPECT_FALSE(FaultPlan::parse("mix:ordering@10", &error).has_value());
 }
 
 // -- Hardening rejections (one per rule) -----------------------------------

@@ -20,7 +20,7 @@ using common::SimTime;
 class WorkloadTest : public ::testing::Test {
  protected:
   WorkloadTest()
-      : node_(sim_, 0, "p0", {}),
+      : node_(sim_, 0, "p0"),
         frontend_(sim_, cluster::BalancePolicy::kRoundRobin) {
     webstack::ProxyParams params;
     params.maximum_object_size_in_memory = 64 * 1024;
@@ -112,7 +112,7 @@ TEST_F(WorkloadTest, DeterministicAcrossRuns) {
   std::uint64_t issued[2];
   for (int run = 0; run < 2; ++run) {
     sim::Simulator sim;
-    cluster::Node node(sim, 0, "p0", {});
+    cluster::Node node(sim, 0, "p0");
     webstack::FrontendRouter frontend(sim,
                                       cluster::BalancePolicy::kRoundRobin);
     webstack::ProxyServer proxy(
@@ -158,7 +158,7 @@ TEST_F(WorkloadTest, FailedInteractionsAreRetried) {
   // A frontend that fails the first attempt of every request id and
   // succeeds on retry.
   sim::Simulator sim;
-  cluster::Node node(sim, 0, "p0", {});
+  cluster::Node node(sim, 0, "p0");
   webstack::FrontendRouter frontend(sim, cluster::BalancePolicy::kRoundRobin);
   std::set<std::uint64_t> seen;
   webstack::ProxyServer proxy(
@@ -196,7 +196,7 @@ TEST_F(WorkloadTest, FailedInteractionsAreRetried) {
 
 TEST_F(WorkloadTest, RetriesGiveUpAfterMaxAttempts) {
   sim::Simulator sim;
-  cluster::Node node(sim, 0, "p0", {});
+  cluster::Node node(sim, 0, "p0");
   webstack::FrontendRouter frontend(sim, cluster::BalancePolicy::kRoundRobin);
   std::uint64_t attempts = 0;
   webstack::ProxyServer proxy(

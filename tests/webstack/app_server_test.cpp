@@ -11,7 +11,7 @@ using common::SimTime;
 
 class AppServerTest : public ::testing::Test {
  protected:
-  AppServerTest() : node_(sim_, 0, "a0", {}) {}
+  AppServerTest() : node_(sim_, 0, "a0") {}
 
   DbQueryFn stub_db(SimTime latency = SimTime::millis(5)) {
     return [this, latency](const DbQuery&, cluster::Node&, DbResultFn done) {

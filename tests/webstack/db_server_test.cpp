@@ -9,7 +9,7 @@ using common::SimTime;
 
 class DbServerTest : public ::testing::Test {
  protected:
-  DbServerTest() : node_(sim_, 0, "d0", {}) {}
+  DbServerTest() : node_(sim_, 0, "d0") {}
 
   DbQuery query(QueryClass cls, std::uint64_t table = 0) {
     DbQuery q;

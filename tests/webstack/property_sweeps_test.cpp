@@ -20,7 +20,7 @@ using common::SimTime;
 SimTime db_total_time(const DbParams& params, QueryClass cls, int count,
                       std::uint64_t seed = 17) {
   sim::Simulator sim;
-  cluster::Node node(sim, 0, "db", {});
+  cluster::Node node(sim, 0, "db");
   DbServer db(sim, node, params, seed);
   SimTime last = SimTime::zero();
   for (int i = 0; i < count; ++i) {
@@ -61,7 +61,7 @@ class TableCacheSweep : public ::testing::TestWithParam<int> {};
 TEST_P(TableCacheSweep, LargerTableCacheNeverIncreasesMisses) {
   auto run = [](int table_cache) {
     sim::Simulator sim;
-    cluster::Node node(sim, 0, "db", {});
+    cluster::Node node(sim, 0, "db");
     DbParams params;
     params.table_cache = table_cache;
     params.thread_concurrency = 64;
@@ -118,7 +118,7 @@ class ProxyCacheSweep : public ::testing::TestWithParam<ProxyCacheCase> {};
 TEST_P(ProxyCacheSweep, MemoryHitsNeverDecreaseWithBiggerCache) {
   auto run = [](const ProxyCacheCase& cache_case) {
     sim::Simulator sim;
-    cluster::Node node(sim, 0, "p", {});
+    cluster::Node node(sim, 0, "p");
     ProxyParams params;
     params.cache_mem = cache_case.cache_mem;
     params.maximum_object_size_in_memory = cache_case.max_in_mem;
@@ -174,7 +174,7 @@ class SwapWatermarkSweep
 TEST_P(SwapWatermarkSweep, WatermarksAreNearInert) {
   auto run = [](int low, int high) {
     sim::Simulator sim;
-    cluster::Node node(sim, 0, "p", {});
+    cluster::Node node(sim, 0, "p");
     ProxyParams params;
     params.cache_swap_low = low;
     params.cache_swap_high = high;

@@ -13,7 +13,7 @@ using common::SimTime;
 
 class ProxyServerTest : public ::testing::Test {
  protected:
-  ProxyServerTest() : node_(sim_, 0, "p0", {}) {}
+  ProxyServerTest() : node_(sim_, 0, "p0") {}
 
   /// Upstream stub: replies ok after a fixed delay; counts forwards.
   ForwardFn stub_upstream(common::Bytes reply_bytes = 8192,

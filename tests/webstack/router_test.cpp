@@ -24,8 +24,7 @@ class RouterTest : public ::testing::Test {
 
   cluster::Node& add_node(const std::string& name) {
     nodes_.push_back(std::make_unique<cluster::Node>(
-        sim_, static_cast<cluster::NodeId>(nodes_.size()), name,
-        cluster::NodeHardware{}));
+        sim_, static_cast<cluster::NodeId>(nodes_.size()), name));
     return *nodes_.back();
   }
 

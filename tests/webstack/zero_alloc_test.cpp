@@ -63,8 +63,7 @@ class ZeroAllocTest : public ::testing::Test {
 
   cluster::Node& add_node(const std::string& name) {
     nodes_.push_back(std::make_unique<cluster::Node>(
-        sim_, static_cast<cluster::NodeId>(nodes_.size()), name,
-        cluster::NodeHardware{}));
+        sim_, static_cast<cluster::NodeId>(nodes_.size()), name));
     return *nodes_.back();
   }
 
@@ -188,7 +187,6 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
   ctrl::AdmissionController controller(sim_, config);
   proxies_.back()->set_admission(&controller,
                                  ProxyServer::ShedMode::kServeStale);
-  controller.start();
 
   // Each slice sends a burst: wide open, a control period then collects
   // four times the samples a window needs before the controller acts on it,
@@ -199,7 +197,7 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
   constexpr int kBurst = static_cast<int>(
       4 * ctrl::AdmissionController::kMinSamples) / kSlicesPerPeriod;
 
-  // The started controller re-arms a tick every period, so the event queue
+  // The controller re-arms a tick every period, so the event queue
   // never drains; advance in bounded slices instead of sim_.run().  Returns
   // how many of the slice's burst completed (served or shed).
   auto run_timed = [this, kSlice](const RequestProfile& profile) {
@@ -229,7 +227,6 @@ TEST_F(ZeroAllocTest, AdmissionControlledPathDoesNotAllocate) {
     completed += run_timed(dynamic_db);
   }
   g_track.store(false);
-  controller.stop();
 
   EXPECT_EQ(completed, 2 * kMeasured * kBurst);
   EXPECT_EQ(g_allocs.load(), 0u)
