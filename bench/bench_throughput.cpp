@@ -93,10 +93,11 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: this bench built from the commit before the NIC link (each
-// message a NIC service completion plus a delivery, and a separate event
-// for the browser's outbound leg) and run on the recording host.  Median
-// of five full runs, alternated with runs of the current build.
+// Baseline: this bench built from the commit before plain-data closures
+// (each event a 24-byte node plus a 64-byte closure with a move/destroy
+// manager in a separate chunk) and run on the recording host.  Median of
+// ten full runs, in two sets of five alternated with runs of the current
+// build.
 // Re-measured numbers land in "after"; keeping the baseline in-source makes
 // the JSON self-contained and the speedup claims auditable.
 // ---------------------------------------------------------------------------
@@ -116,14 +117,14 @@ struct BaselineNumbers {
 };
 
 constexpr BaselineNumbers kBaseline = {
-    /*zipf_samples_per_sec=*/106.47e6,
-    /*lru_ops_per_sec=*/25.11e6,
-    /*event_queue_ops_per_sec=*/78.38e6,
+    /*zipf_samples_per_sec=*/64.69e6,
+    /*lru_ops_per_sec=*/15.20e6,
+    /*event_queue_ops_per_sec=*/41.50e6,
     /*allocs_per_request=*/0.0,
     {
-        /*Browsing=*/{22001342, 1927636, 6.669e-05},
-        /*Shopping=*/{20855840, 1335853, 1.120e-04},
-        /*Ordering=*/{20906081, 791012, 1.624e-04},
+        /*Browsing=*/{9984161, 1248141, 1.031e-04},
+        /*Shopping=*/{9318798, 859283, 1.741e-04},
+        /*Ordering=*/{9577746, 517336, 2.482e-04},
     },
 };
 
@@ -379,11 +380,12 @@ void write_json(double zipf_rate, double lru_rate, const EventQueueRun& queue,
   std::fprintf(out, "  \"browsers\": 530,\n");
   std::fprintf(out, "  \"before\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"median of five full runs of the "
-               "build before the NIC link (c268c09) on the same host, "
-               "alternated with five runs of the after build: each "
-               "message a NIC service completion plus a delivery, and an "
-               "event of its own for the browser's outbound leg\",\n");
+               "    \"provenance\": \"median of ten full runs of the "
+               "build before plain-data closures (c47c34e) on the same "
+               "host, in two sets of five alternated with runs of the after "
+               "build: each "
+               "event a 24-byte node plus a 64-byte closure with a "
+               "move/destroy manager in a separate chunk\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n",
                kBaseline.zipf_samples_per_sec);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n",
@@ -405,10 +407,10 @@ void write_json(double zipf_rate, double lru_rate, const EventQueueRun& queue,
   std::fprintf(out, "    ]\n  },\n");
   std::fprintf(out, "  \"after\": {\n");
   std::fprintf(out,
-               "    \"provenance\": \"NIC link: each node's NIC a "
-               "busy-until FIFO, so a message is one delivery event; the "
-               "browser's outbound leg folded into its think timer; "
-               "BM_EventQueueMixed holds a steady ~530-event queue\",\n");
+               "    \"provenance\": \"plain-data closures: a trivially "
+               "copyable InlineFunction and one 64-byte record per event "
+               "(time, generation, links, closure); BM_EventQueueMixed "
+               "holds a steady ~530-event queue\",\n");
   std::fprintf(out, "    \"zipf_samples_per_sec\": %.0f,\n", zipf_rate);
   std::fprintf(out, "    \"lru_ops_per_sec\": %.0f,\n", lru_rate);
   std::fprintf(out, "    \"event_queue_ops_per_sec\": %.0f,\n",

@@ -21,9 +21,14 @@
 // Usage: adaptive_cluster [iterations] [check_every] [--faults <scenario>]
 //                         [--metrics <path>] [--trace <path>]
 // Example: adaptive_cluster 60 10 --faults "crash:5@400; restart:5@900"
+// check_every must be at least 1.  The storm starts at iteration
+// max(1, iterations / 3), so even a short run begins with browsing.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "core/experiment.hpp"
 #include "core/reconfig_controller.hpp"
@@ -32,6 +37,21 @@
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
 #include "tpcw/mix.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: adaptive_cluster [iterations] [check_every >= 1] "
+    "[--faults <scenario>] [--metrics <path>] [--trace <path>]\n";
+
+/// Parses a positional count; false unless `text` is a plain decimal.
+bool parse_count(const std::string& text, std::size_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ah;
@@ -61,16 +81,22 @@ int main(int argc, char** argv) {
         return 1;
       }
       trace_path = argv[++a];
-    } else if (positional == 0) {
-      iterations = std::stoul(arg);
-      ++positional;
-    } else if (positional == 1) {
-      check_every = std::stoul(arg);
+    } else if (positional < 2) {
+      std::size_t& count = positional == 0 ? iterations : check_every;
+      if (!parse_count(arg, count)) {
+        std::fprintf(stderr, "'%s' is not a count\n%s", arg.c_str(), kUsage);
+        return 1;
+      }
       ++positional;
     } else {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+      std::fprintf(stderr, "unexpected argument '%s'\n%s", arg.c_str(),
+                   kUsage);
       return 1;
     }
+  }
+  if (check_every == 0) {
+    std::fprintf(stderr, "check_every must be at least 1\n%s", kUsage);
+    return 1;
   }
 
   sim::Simulator sim;
@@ -119,10 +145,12 @@ int main(int argc, char** argv) {
   reconfig_options.resources[core::SystemModel::kNic].low_threshold = 0.50;
   core::ReconfigController controller(system, reconfig_options);
 
+  // Iteration 0 always measures browsing, so the storm is visible.
+  const std::size_t storm_at = std::max<std::size_t>(1, iterations / 3);
   std::uint64_t discarded = 0;
   std::printf("# iter workload  WIPS   proxies apps dbs  note\n");
   for (std::size_t i = 0; i < iterations; ++i) {
-    if (i == iterations / 3) {
+    if (i == storm_at) {
       experiment.set_workload(tpcw::WorkloadKind::kOrdering);
     }
     const auto result = driver.run(1, /*validation_iterations=*/0);

@@ -48,11 +48,9 @@ class HealthChecker {
     return config.period * static_cast<double>(config.mark_down_after + 1);
   }
 
-  /// Observer fired on each transition as (node, now_up).  Sized like an
-  /// EventFn; SBO-required so observers cannot silently allocate.
-  using TransitionFn =
-      common::InlineFunction<void(NodeId, bool), 48,
-                             common::SboPolicy::kRequired>;
+  /// Observer fired on each transition as (node, now_up).  Plain data
+  /// (common/inline_function.hpp), so an observer cannot allocate.
+  using TransitionFn = common::InlineFunction<void(NodeId, bool)>;
 
   /// Probes `nodes` (a work line's slice of the cluster: core::SystemModel
   /// gives each line's checker that line's nodes, so health traffic and

@@ -1,7 +1,7 @@
 // Annotations and compile-time audits consumed by tools/ah_lint.
 //
 // The simulator's headline properties — thread-count-independent
-// determinism, a zero-allocation steady-state request path, SBO-only
+// determinism, a zero-allocation steady-state request path, plain-data
 // callables — are cheap to regress silently: one careless std::function or
 // stray rand() keeps every test green while the bench numbers drift.  This
 // header provides the markers that promote those invariants from runtime
@@ -72,16 +72,14 @@ namespace ah::common {
 /// destruction between requests (the next user overwrites the fields it
 /// needs), so a pooled call must:
 ///   * default-construct without throwing (slot creation), and
-///   * destroy without throwing (pool teardown at end of run), and
-///   * be non-polymorphic — a vtable would mean someone expects virtual
-///     dispatch on a struct whose dynamic type the pool erases.
-/// Trivial destructibility is deliberately NOT required: call structs hold
-/// InlineFunction continuations, whose destructor is what guarantees a
-/// parked capture is released exactly once.
+///   * be trivially copyable: plain data, like the InlineFunction
+///     continuations it holds, so a reused slot owns nothing that its
+///     previous user could leak and a copy is a byte copy.  That also rules
+///     out a vtable, whose dynamic type the pool would erase.
 template <typename T>
 inline constexpr bool is_poolable_call_v =
     std::is_nothrow_default_constructible_v<T> &&
-    std::is_nothrow_destructible_v<T> && !std::is_polymorphic_v<T>;
+    std::is_trivially_copyable_v<T>;
 
 }  // namespace ah::common
 

@@ -3,10 +3,11 @@
 // For hooks that are only invoked during the call that receives them — a
 // load probe consulted inside LoadBalancer::pick(), a per-index body handed
 // to parallel_for — owning the callable is pure overhead: std::function may
-// heap-allocate, and InlineFunction is move-only so it cannot bind a
-// temporary lambda at a call site that keeps using it.  FunctionRef is two
-// pointers, trivially copyable, and binds any callable (including mutable
-// lambdas and plain functions) without taking ownership.
+// heap-allocate, and InlineFunction copies its target into a fixed buffer,
+// which a capture that is not trivially copyable (a std::function, a lambda
+// holding a std::vector) cannot enter.  FunctionRef is two pointers,
+// trivially copyable, and binds any callable (including mutable lambdas and
+// plain functions) without taking ownership.
 //
 // Lifetime rule: a FunctionRef must not outlive the callable it was bound
 // to.  Only use it for parameters consumed before the call returns.  It is

@@ -10,8 +10,8 @@
 //
 // Addresses are stable (deque-backed), so a T* stays valid across later
 // acquires.  Slots are NOT reset between uses: the caller overwrites the
-// fields it needs, which avoids destructor/constructor churn for structs
-// holding InlineFunction members.
+// fields it needs.  The pooled calls are plain data (AH_ASSERT_POOLED_CALL,
+// common/analysis.hpp), so a released slot holds nothing to release.
 #pragma once
 
 #include <cstddef>

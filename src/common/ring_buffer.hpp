@@ -6,15 +6,14 @@
 // keeps one power-of-two buffer that only ever grows; after warm-up,
 // push/pop are allocation-free no matter how many elements have cycled.
 //
-// T must be default-constructible and move-assignable (the queues hold
-// move-only InlineFunction closures).  pop_front() overwrites the vacated
-// slot with a default-constructed T so captured resources are dropped as
-// eagerly as a deque would have.
+// T must be default-constructible and trivially copyable: the queues hold
+// plain-data jobs and InlineFunction closures, so a popped slot owns
+// nothing and is simply left for the next push to overwrite.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/analysis.hpp"
@@ -26,6 +25,9 @@ namespace ah::common {
 
 template <typename T>
 class RingBuffer {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "a popped slot is not cleared, so it must own nothing");
+
  public:
   RingBuffer() = default;
 
@@ -35,7 +37,7 @@ class RingBuffer {
 
   void push_back(T value) {
     if (size_ == buffer_.size()) grow();
-    buffer_[(head_ + size_) & mask_] = std::move(value);
+    buffer_[(head_ + size_) & mask_] = value;
     ++size_;
   }
 
@@ -46,23 +48,19 @@ class RingBuffer {
 
   void pop_front() {
     assert(size_ > 0);
-    buffer_[head_] = T{};
     head_ = (head_ + 1) & mask_;
     --size_;
   }
 
-  /// Convenience: move the front element out and pop it.
+  /// Convenience: copy the front element out and pop it.
   [[nodiscard]] T take_front() {
-    T value = std::move(front());
+    const T value = front();
     pop_front();
     return value;
   }
 
   /// Drops all elements; keeps the buffer for reuse.
   void clear() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      buffer_[(head_ + i) & mask_] = T{};
-    }
     head_ = 0;
     size_ = 0;
   }
@@ -72,7 +70,7 @@ class RingBuffer {
     const std::size_t new_capacity = buffer_.empty() ? 8 : buffer_.size() * 2;
     std::vector<T> bigger(new_capacity);
     for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = std::move(buffer_[(head_ + i) & mask_]);
+      bigger[i] = buffer_[(head_ + i) & mask_];
     }
     buffer_ = std::move(bigger);
     head_ = 0;

@@ -15,9 +15,8 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
-
-#include "common/inline_function.hpp"
 
 namespace ah::common {
 
@@ -36,13 +35,12 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    // The queue holds move-only callables, so the packaged_task is stored
-    // directly — no shared_ptr indirection.
     std::packaged_task<R()> packaged(std::forward<F>(task));
     std::future<R> result = packaged.get_future();
     {
       const std::scoped_lock lock(mutex_);
-      queue_.emplace_back(std::move(packaged));
+      // The queue holds void tasks; the inner task keeps the result.
+      queue_.emplace_back([inner = std::move(packaged)]() mutable { inner(); });
     }
     cv_.notify_one();
     return result;
@@ -55,7 +53,7 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  using Task = InlineFunction<void(), 48>;
+  using Task = std::packaged_task<void()>;
 
   void worker_loop();
 

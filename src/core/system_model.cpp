@@ -390,57 +390,58 @@ SystemModel::FaultToleranceConfig::default_proxy_resilience() {
 }
 
 void SystemModel::enable_fault_tolerance(const FaultToleranceConfig& config) {
-  if (!fault_tolerance_enabled()) {
-    for (Line& line : lines_) {
-      // Each checker probes only its line's nodes: health state stays
-      // line-local, and the per-line sums below keep the metric totals.
-      line.health = std::make_unique<cluster::HealthChecker>(
-          *line.sim, cluster_, config.health, line.nodes);
-      line.health->set_transition_observer([this](NodeId id, bool up) {
-        disturbances_.fetch_add(1, std::memory_order_relaxed);
-        if (health_hook_) health_hook_(id, up);
-      });
-    }
-    // First enable: the health counters join the registry (PR-5 migration).
-    // Probe-budget and mark-down visibility: how much of the probe budget
-    // is being burnt (failed_probes), how often it is exhausted into a
-    // mark flip (mark_downs/mark_ups), and the durations those flips cost
-    // (downtime_us aggregate + nodes_down level).
-    const auto health_sum =
-        [this](std::uint64_t (cluster::HealthChecker::*counter)() const) {
-          std::uint64_t total = 0;
-          for (const Line& line : lines_) total += (*line.health.*counter)();
-          return total;
-        };
-    using cluster::HealthChecker;
-    metrics_.add_counter("health.probes_sent", [health_sum] {
-      return health_sum(&HealthChecker::probes_sent);
-    });
-    metrics_.add_counter("health.transitions", [health_sum] {
-      return health_sum(&HealthChecker::transitions);
-    });
-    metrics_.add_counter("health.failed_probes", [health_sum] {
-      return health_sum(&HealthChecker::failed_probes);
-    });
-    metrics_.add_counter("health.mark_downs", [health_sum] {
-      return health_sum(&HealthChecker::mark_downs);
-    });
-    metrics_.add_counter("health.mark_ups", [health_sum] {
-      return health_sum(&HealthChecker::mark_ups);
-    });
-    metrics_.add_counter("health.downtime_us", [this] {
-      common::SimTime total = common::SimTime::zero();
-      for (const Line& line : lines_) {
-        total = total + line.health->total_downtime();
-      }
-      return static_cast<std::uint64_t>(total.as_micros());
-    });
-    metrics_.add_gauge("health.nodes_down", [this] {
-      int total = 0;
-      for (const Line& line : lines_) total += line.health->nodes_down();
-      return static_cast<double>(total);
+  if (fault_tolerance_enabled()) {
+    throw std::logic_error("SystemModel: fault tolerance already enabled");
+  }
+  for (Line& line : lines_) {
+    // Each checker probes only its line's nodes: health state stays
+    // line-local, and the per-line sums below keep the metric totals.
+    line.health = std::make_unique<cluster::HealthChecker>(
+        *line.sim, cluster_, config.health, line.nodes);
+    line.health->set_transition_observer([this](NodeId id, bool up) {
+      disturbances_.fetch_add(1, std::memory_order_relaxed);
+      if (health_hook_) health_hook_(id, up);
     });
   }
+  // The health counters join the registry.  Probe-budget and mark-down
+  // visibility: how much of the probe budget is being burnt
+  // (failed_probes), how often it is exhausted into a mark flip
+  // (mark_downs/mark_ups), and the durations those flips cost (downtime_us
+  // aggregate + nodes_down level).
+  const auto health_sum =
+      [this](std::uint64_t (cluster::HealthChecker::*counter)() const) {
+        std::uint64_t total = 0;
+        for (const Line& line : lines_) total += (*line.health.*counter)();
+        return total;
+      };
+  using cluster::HealthChecker;
+  metrics_.add_counter("health.probes_sent", [health_sum] {
+    return health_sum(&HealthChecker::probes_sent);
+  });
+  metrics_.add_counter("health.transitions", [health_sum] {
+    return health_sum(&HealthChecker::transitions);
+  });
+  metrics_.add_counter("health.failed_probes", [health_sum] {
+    return health_sum(&HealthChecker::failed_probes);
+  });
+  metrics_.add_counter("health.mark_downs", [health_sum] {
+    return health_sum(&HealthChecker::mark_downs);
+  });
+  metrics_.add_counter("health.mark_ups", [health_sum] {
+    return health_sum(&HealthChecker::mark_ups);
+  });
+  metrics_.add_counter("health.downtime_us", [this] {
+    common::SimTime total = common::SimTime::zero();
+    for (const Line& line : lines_) {
+      total = total + line.health->total_downtime();
+    }
+    return static_cast<std::uint64_t>(total.as_micros());
+  });
+  metrics_.add_gauge("health.nodes_down", [this] {
+    int total = 0;
+    for (const Line& line : lines_) total += line.health->nodes_down();
+    return static_cast<double>(total);
+  });
   for (Line& line : lines_) {
     line.frontend->set_hop_timeout(config.hop_timeout);
     line.app_router->set_hop_timeout(config.hop_timeout);

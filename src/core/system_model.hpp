@@ -182,8 +182,8 @@ class SystemModel {
   };
 
   /// Starts health checking and arms per-hop timeouts + proxy resilience on
-  /// every line.  Idempotent (later calls just update the knobs).  Each
-  /// line gets its own checker scoped to its nodes.
+  /// every line.  Each line gets its own checker scoped to its nodes.
+  /// Throws std::logic_error when fault tolerance is already enabled.
   void enable_fault_tolerance(const FaultToleranceConfig& config);
   [[nodiscard]] bool fault_tolerance_enabled() const {
     return lines_.front().health != nullptr;

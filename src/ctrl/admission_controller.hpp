@@ -67,8 +67,7 @@ class AdmissionController {
 
   /// Observer fired when the admit fraction actually changes (controller
   /// actuation — the system model uses it to taint measurement windows).
-  using ChangeFn = common::InlineFunction<void(double), 48,
-                                          common::SboPolicy::kRequired>;
+  using ChangeFn = common::InlineFunction<void(double)>;
 
   /// Ticks every kPeriod from construction until destruction: the first
   /// tick is one period from now, and the destructor cancels the pending

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <memory>
 
 AH_HOT_PATH_FILE;
 
@@ -13,24 +12,20 @@ namespace ah::sim {
 std::uint32_t EventQueue::claim_slot() {
   if (free_head_ != kNil) {
     const std::uint32_t n = free_head_;
-    free_head_ = nodes_[n].next;
+    free_head_ = records_[n].next;
     return n;
   }
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  if ((n & kChunkMask) == 0) {
-    // Growth only: chunks are kept for the queue's lifetime, so once the
-    // slab holds the peak pending population this branch is never taken.
-    AH_LINT_ALLOW(hot_path_alloc, "closure chunk growth, warm-up only");
-    chunks_.push_back(std::make_unique<Chunk>());
-  }
-  nodes_.push_back(Node{});
+  const auto n = static_cast<std::uint32_t>(records_.size());
+  // Growth only: once the slab holds the peak pending population every
+  // slot comes from the free list.
+  records_.emplace_back();
   return n;
 }
 
 EventId EventQueue::insert(std::uint32_t n, common::SimTime time) {
-  Node& node = nodes_[n];
-  node.time = time;
-  const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
+  Record& record = records_[n];
+  record.time = time;
+  const EventId id = (static_cast<EventId>(record.generation) << 32) | n;
   ++size_;
   place(n);
   return id;
@@ -41,9 +36,9 @@ bool EventQueue::cancel(EventId id) {
   // cancelled ids are a no-op so callers need not track event lifetimes.
   if (!is_pending(id)) return false;
   const std::uint32_t n = slot_of(id);
-  // The node sits where place() would put it against the current cursor
+  // The record sits where place() would put it against the current cursor
   // (see the file comment), so its list follows from its tick alone.
-  const std::uint64_t tick = tick_of(nodes_[n].time);
+  const std::uint64_t tick = tick_of(records_[n].time);
   if (tick <= cursor_) {
     unlink(ready_, n);
   } else if (const std::size_t level = level_of(tick); level >= kLevels) {
@@ -59,60 +54,60 @@ bool EventQueue::cancel(EventId id) {
   // Generation wrap after 2^32 reuses of one slot is accepted: a caller
   // would need to hold an id across four billion pushes into the same slot
   // to see a false match.
-  ++nodes_[n].generation;
+  ++records_[n].generation;
   --size_;
   release(n);
   return true;
 }
 
 void EventQueue::append(List& list, std::uint32_t n) {
-  nodes_[n].prev = list.tail;
-  nodes_[n].next = kNil;
+  records_[n].prev = list.tail;
+  records_[n].next = kNil;
   if (list.tail == kNil) {
     list.head = n;
   } else {
-    nodes_[list.tail].next = n;
+    records_[list.tail].next = n;
   }
   list.tail = n;
 }
 
 void EventQueue::unlink(List& list, std::uint32_t n) {
-  const Node& node = nodes_[n];
-  if (node.prev == kNil) {
-    list.head = node.next;
+  const Record& record = records_[n];
+  if (record.prev == kNil) {
+    list.head = record.next;
   } else {
-    nodes_[node.prev].next = node.next;
+    records_[record.prev].next = record.next;
   }
-  if (node.next == kNil) {
-    list.tail = node.prev;
+  if (record.next == kNil) {
+    list.tail = record.prev;
   } else {
-    nodes_[node.next].prev = node.prev;
+    records_[record.next].prev = record.prev;
   }
 }
 
 void EventQueue::sorted_insert(List& list, std::uint32_t n) {
-  const common::SimTime t = nodes_[n].time;
-  // The last node at or before t (upper bound from the back), so same-time
+  const common::SimTime t = records_[n].time;
+  // The last record at or before t (upper bound from the back), so same-time
   // events keep push order.  Most arrivals are at or after the tail.
   std::uint32_t prev = list.tail;
-  while (prev != kNil && nodes_[prev].time > t) prev = nodes_[prev].prev;
-  const std::uint32_t next = prev == kNil ? list.head : nodes_[prev].next;
-  nodes_[n].prev = prev;
-  nodes_[n].next = next;
+  while (prev != kNil && records_[prev].time > t) prev = records_[prev].prev;
+  const std::uint32_t next = prev == kNil ? list.head : records_[prev].next;
+  records_[n].prev = prev;
+  records_[n].next = next;
   if (prev == kNil) {
     list.head = n;
   } else {
-    nodes_[prev].next = n;
+    records_[prev].next = n;
   }
   if (next == kNil) {
     list.tail = n;
   } else {
-    nodes_[next].prev = n;
+    records_[next].prev = n;
   }
 }
 
 void EventQueue::place(std::uint32_t n) {
-  const std::uint64_t tick = tick_of(nodes_[n].time);
+  const std::uint64_t tick = tick_of(records_[n].time);
   if (tick <= cursor_) {
     // In or behind the current level-0 bucket (near-term pushes, or pushes
     // after the cursor peeked ahead of virtual time): joins the ready run.
@@ -170,24 +165,24 @@ void EventQueue::advance() {
   *source = List{};
   assert(taken.head != kNil);
   if (taken.head == taken.tail) {
-    // A lone node is its own ready run.
-    cursor_ = tick_of(nodes_[taken.head].time) | kGrainMask;
+    // A lone record is its own ready run.
+    cursor_ = tick_of(records_[taken.head].time) | kGrainMask;
     ready_ = taken;
     return;
   }
-  // Jump the cursor to the last tick of the earliest node's level-0 bucket
+  // Jump the cursor to the last tick of the earliest record's level-0 bucket
   // and re-file the nodes in stored order: that bucket's nodes form the
   // ready run, the rest land in lower buckets that are provably empty
   // (overflow nodes of later epochs go back to the overflow list), so FIFO
   // ties survive.
   std::uint64_t earliest = ~std::uint64_t{0};
-  for (std::uint32_t n = taken.head; n != kNil; n = nodes_[n].next) {
-    earliest = std::min(earliest, tick_of(nodes_[n].time));
+  for (std::uint32_t n = taken.head; n != kNil; n = records_[n].next) {
+    earliest = std::min(earliest, tick_of(records_[n].time));
   }
   cursor_ = earliest | kGrainMask;
   std::uint32_t n = taken.head;
   while (n != kNil) {
-    const std::uint32_t next = nodes_[n].next;
+    const std::uint32_t next = records_[n].next;
     place(n);
     n = next;
   }

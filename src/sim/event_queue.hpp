@@ -18,21 +18,23 @@
 // lower levels.  A source holding a single node becomes the ready run
 // without re-filing.
 //
-// Storage is split in two.  A slab of 24-byte nodes (time, generation and
-// the links) doubles as the id slot table; buckets, the ready run, the
-// overflow list and the free list are intrusive lists threaded through it.
-// Closures live apart, in fixed chunks of 256 EventFns indexed by the same
-// slot number.  Chunks never move, so push() builds a closure directly in
-// its slot and run_next() calls it there: moving an event between levels is
-// a splice of 24-byte nodes, and the closure itself never moves.  Once the
-// slab has grown to the peak pending population the queue performs no heap
-// allocation at all, no matter which buckets future times touch.
+// Storage is one slab of 64-byte records, one cache line per event: the
+// time, the generation, the two list links and the EventFn.  The slab
+// doubles as the id slot table; buckets, the ready run, the overflow list
+// and the free list are intrusive lists threaded through it (the records
+// are their nodes), so moving an event between levels relinks indices and
+// never touches its closure.  EventFn is plain data
+// (common/inline_function.hpp), so push() writes the closure's bytes into
+// the record and run_next() copies them out.  Once the slab has grown to
+// the peak pending population the queue performs no heap allocation at
+// all, no matter which buckets future times touch.
 //
-// Closure lifetime: run_next() unlinks the earliest node and retires its id
-// before it calls the closure, and destroys the closure and frees the slot
-// only after the call returns or throws.  A running closure may therefore
-// push (it never receives its own slot) and cancel anything, its own id
-// included: that id is retired already, so cancelling it is a no-op.
+// Closure lifetime: run_next() unlinks the earliest record, retires its id,
+// copies the closure out and frees the slot, and only then calls the copy.
+// A running closure may therefore push (possibly into the slot it just
+// vacated, under a new generation) and cancel anything, its own id
+// included: that id is retired already, so cancelling it is a no-op.  A
+// closure that throws leaves nothing to clean up.
 //
 // Determinism: equal-time events pop in push order, with no sequence
 // numbers stored.  Every level-0 bucket, and the ready run, is kept sorted:
@@ -47,32 +49,30 @@
 // (higher levels) or in (time, push order) (level 0 and the ready run), and
 // pop order equals a (time, sequence) binary heap's.
 //
-// Cancellation is eager: cancel() unlinks the node, destroys its closure
-// and frees its slot at once, so a cancelled timer costs no memory and is
-// never re-filed.  The node's list needs no stored location; it follows
-// from the node's tick and the cursor exactly as in place(): at or behind
-// the cursor means the ready run, otherwise the highest base-256 digit above
-// the level-0 grain in which tick and cursor differ names the wheel level
-// (overflow beyond the last one).  The mapping holds for as long as the node
-// is stored: the cursor only ever moves to the last tick of the next
-// populated level-0 bucket, whose nodes become the ready run (or are
-// re-filed), and every node it leaves in place still differs from it in the
-// same highest digit.  Unlinking never reorders the nodes that remain, so
-// cancellation cannot change pop order.
+// Cancellation is eager: cancel() unlinks the record and frees its slot at
+// once, so a cancelled timer costs no memory and is never re-filed.  The
+// record's list needs no stored location; it follows from its tick and the
+// cursor exactly as in place(): at or behind the cursor means the ready
+// run, otherwise the highest base-256 digit above the level-0 grain in
+// which tick and cursor differ names the wheel level (overflow beyond the
+// last one).  The mapping holds for as long as the record is stored: the
+// cursor only ever moves to the last tick of the next populated level-0
+// bucket, whose nodes become the ready run (or are re-filed), and every
+// node it leaves in place still differs from it in the same highest digit.
+// Unlinking never reorders the nodes that remain, so cancellation cannot
+// change pop order.
 //
 // Event ids are generation-stamped slot handles: the low 32 bits index the
 // slab, the high 32 bits carry that slot's generation at push time.
 // cancel() is then a single array probe (no hash set), and a recycled slot
 // can never be confused with the event that used it before — the stale
-// id's generation no longer matches.  Closures are stored in a
-// small-buffer-optimised InlineFunction, so scheduling a typical
-// `[this, ...]` capture performs no heap allocation.
+// id's generation no longer matches.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -85,22 +85,20 @@ AH_HOT_PATH_FILE;
 namespace ah::sim {
 
 using EventId = std::uint64_t;
-/// Event closures up to 48 bytes are stored inline (move-only).  SBO is
-/// *required*: an oversized capture is a compile error, never a silent
-/// per-event heap allocation.
-using EventFn =
-    common::InlineFunction<void(), 48, common::SboPolicy::kRequired>;
+/// Event closure: up to 32 bytes of trivially copyable capture, stored in
+/// the event's record.  A larger or owning capture is a compile error.
+using EventFn = common::InlineFunction<void(), 32>;
 
 class EventQueue {
  public:
-  /// Inserts an event whose closure is built from `fn` directly in its
-  /// slot (one move for an rvalue callable, none in transit); returns its
-  /// id (usable with `cancel`).  Ids are never zero, so 0 is safe as a
-  /// caller-side "no event" sentinel.
+  /// Inserts an event whose closure is `fn`, written into its record;
+  /// returns its id (usable with `cancel`).  Ids are never zero, so 0 is
+  /// safe as a caller-side "no event" sentinel.
   template <typename F>
   EventId push(common::SimTime time, F&& fn) {
     const std::uint32_t n = claim_slot();
-    closure(n) = std::forward<F>(fn);
+    // Built straight in its record; a freed slot holds nothing to destroy.
+    ::new (static_cast<void*>(&records_[n].fn)) EventFn(std::forward<F>(fn));
     return insert(n, time);
   }
 
@@ -115,33 +113,28 @@ class EventQueue {
   /// Time of the earliest pending event.  Precondition: !empty().
   [[nodiscard]] common::SimTime next_time() {
     if (ready_.head == kNil) advance();
-    return nodes_[ready_.head].time;
+    return records_[ready_.head].time;
   }
 
-  /// Removes the earliest pending event, sets `now` to its time and runs
-  /// its closure in its slot.  The closure is destroyed and its slot freed
-  /// once the call returns or throws (see the file comment for what a
-  /// running closure may do).  Precondition: !empty().
+  /// Removes the earliest pending event, sets `now` to its time, frees its
+  /// slot and then runs a copy of its closure (see the file comment for
+  /// what a running closure may do).  Precondition: !empty().
   void run_next(common::SimTime& now) {
     if (ready_.head == kNil) advance();
     const std::uint32_t n = ready_.head;
-    Node& node = nodes_[n];
-    ready_.head = node.next;
-    if (node.next == kNil) {
+    Record& record = records_[n];
+    ready_.head = record.next;
+    if (record.next == kNil) {
       ready_.tail = kNil;
     } else {
-      nodes_[node.next].prev = kNil;
+      records_[record.next].prev = kNil;
     }
-    ++node.generation;  // retire the id before the closure can see it
+    ++record.generation;  // retire the id before the closure can see it
     --size_;
-    now = node.time;
-    try {
-      closure(n)();
-    } catch (...) {
-      release(n);
-      throw;
-    }
+    now = record.time;
+    EventFn fn = record.fn;
     release(n);
+    fn();
   }
 
   /// Number of pending events, which is also the number of slab slots in
@@ -158,22 +151,19 @@ class EventQueue {
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
   static constexpr std::size_t kLevels = 4;
   static constexpr std::uint64_t kIndexMask = kBuckets - 1;
-  /// Closures per chunk (one chunk per 256 slab slots).
-  static constexpr std::size_t kChunkBits = 8;
-  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  /// Slab node: id slot + intrusive list links.  The slab index is the
-  /// id's low 32 bits and the closure's index in the chunks.
-  struct Node {
+  /// One pending event: its id slot, its list links and its closure, in one
+  /// cache line.
+  struct alignas(64) Record {
     common::SimTime time;
     std::uint32_t generation = 1;  // bumped on run/cancel; 0 never occurs
     std::uint32_t prev = kNil;     // kNil at a list's head
     std::uint32_t next = kNil;     // kNil at a list's tail; free-list link
+    EventFn fn;
   };
-  static_assert(sizeof(Node) == 24, "a re-filed event moves 24 bytes");
-
-  using Chunk = std::array<EventFn, std::size_t{1} << kChunkBits>;
+  static_assert(sizeof(Record) == 64 && alignof(Record) == 64,
+                "one cache line per event");
 
   struct List {
     std::uint32_t head = kNil;
@@ -204,8 +194,8 @@ class EventQueue {
   /// True when `id` refers to a pending event.
   [[nodiscard]] bool is_pending(EventId id) const {
     const std::uint32_t slot = slot_of(id);
-    return slot < nodes_.size() &&
-           nodes_[slot].generation == generation_of(id);
+    return slot < records_.size() &&
+           records_[slot].generation == generation_of(id);
   }
   /// Wheel level of a tick strictly after the cursor: the highest digit
   /// (base 2^kBucketBits, above the grain) in which the two differ.  The
@@ -220,34 +210,28 @@ class EventQueue {
                                              std::size_t level) {
     return static_cast<std::size_t>((tick >> shift_of(level)) & kIndexMask);
   }
-  [[nodiscard]] EventFn& closure(std::uint32_t n) {
-    return (*chunks_[n >> kChunkBits])[n & kChunkMask];
-  }
 
-  /// A free slot, growing the slab (and the closure chunks) when none is
-  /// left.
+  /// A free slot, growing the slab when none is left.
   std::uint32_t claim_slot();
-  /// Destroys slot `n`'s closure and returns the slot to the free list.
-  /// Destroys first: a capture's destructor may push, and must not be
-  /// handed the slot it is still being destroyed in.
+  /// Returns slot `n` to the free list.  Its closure is plain data and
+  /// needs no destruction.
   void release(std::uint32_t n) {
-    closure(n).reset();
-    nodes_[n].next = free_head_;
+    records_[n].next = free_head_;
     free_head_ = n;
   }
   /// Files the claimed slot `n` (closure already in place) at `time`.
   EventId insert(std::uint32_t n, common::SimTime time);
   void append(List& list, std::uint32_t n);
   void unlink(List& list, std::uint32_t n);
-  /// Inserts after the last node whose time is at or before `n`'s, keeping
-  /// a list of nodes received in push order sorted by (time, push order).
-  /// Walks back from the tail, so in-order arrivals cost O(1).
+  /// Inserts after the last record whose time is at or before `n`'s,
+  /// keeping a list of records received in push order sorted by (time,
+  /// push order).  Walks back from the tail, so in-order arrivals cost O(1).
   void sorted_insert(List& list, std::uint32_t n);
-  /// Routes a node to the ready run, a wheel bucket, or the overflow list
+  /// Routes a record to the ready run, a wheel bucket, or the overflow list
   /// according to its tick's distance from the cursor.
   void place(std::uint32_t n);
   /// Moves the cursor to the next populated level-0 bucket and makes its
-  /// nodes the ready run.  Precondition: the ready run is empty and
+  /// records the ready run.  Precondition: the ready run is empty and
   /// !empty().
   void advance();
   /// Next set bucket index >= `from` at `level`, or -1.
@@ -258,14 +242,13 @@ class EventQueue {
   /// The current level-0 bucket's events (plus late pushes before it),
   /// sorted by (time, push order).
   List ready_;
-  /// The last tick of the current level-0 bucket: every stored node with
+  /// The last tick of the current level-0 bucket: every stored record with
   /// a tick at or below it sits in the ready run.
   std::uint64_t cursor_ = kGrainMask;
 
-  std::vector<Node> nodes_;
-  /// Closure storage, slot n at chunks_[n >> kChunkBits][n & kChunkMask].
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  /// Head of the free-slot list, threaded through Node::next.
+  /// The slab: slot n is the id's low 32 bits.
+  std::vector<Record> records_;
+  /// Head of the free-slot list, threaded through Record::next.
   std::uint32_t free_head_ = kNil;
   std::size_t size_ = 0;
 };

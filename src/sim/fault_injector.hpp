@@ -61,11 +61,10 @@ struct FaultPlan {
 
 class FaultInjector {
  public:
-  /// Receives each fault event at its scheduled time.  SBO-required: the
-  /// dispatcher must be a thin trampoline (e.g. `[model](ev){...}`), never
-  /// an allocating closure.
-  using Handler = common::InlineFunction<void(const FaultEvent&), 48,
-                                         common::SboPolicy::kRequired>;
+  /// Receives each fault event at its scheduled time.  Plain data: the
+  /// dispatcher is a thin trampoline (e.g. `[model](ev){...}`), never an
+  /// allocating closure.
+  using Handler = common::InlineFunction<void(const FaultEvent&)>;
 
   explicit FaultInjector(Simulator& sim) : sim_(sim) {}
 

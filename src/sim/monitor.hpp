@@ -25,7 +25,7 @@ class UtilizationMonitor {
   /// A probe returns the utilization accumulated since its previous call,
   /// in [0, 1+] (values above 1 are possible transiently after a capacity
   /// shrink).  Registered once at startup but sampled every monitor period,
-  /// so it is a move-only InlineFunction rather than a std::function.
+  /// so it is a plain-data InlineFunction rather than a std::function.
   using Probe = common::InlineFunction<double()>;
 
   /// Sampling period.

@@ -28,10 +28,10 @@ void Resource::account_now() {
 void Resource::submit(common::SimTime demand, Completion on_complete) {
   account_now();
   if (busy_ < servers_) {
-    start_service(demand, std::move(on_complete));
+    start_service(demand, on_complete);
     return;
   }
-  queue_.push_back(Job{demand, std::move(on_complete)});
+  queue_.push_back(Job{demand, on_complete});
 }
 
 void Resource::set_slowdown(double slowdown) {
@@ -68,24 +68,18 @@ std::size_t Resource::clear_queue() {
 
 void Resource::start_pending() {
   while (busy_ < servers_ && !queue_.empty()) {
-    Job& job = queue_.front();
-    start_service(job.demand, std::move(job.on_complete));
-    queue_.pop_front();
+    const Job job = queue_.take_front();
+    start_service(job.demand, job.on_complete);
   }
 }
 
-void Resource::start_service(common::SimTime demand,
-                             Completion&& on_complete) {
+void Resource::start_service(common::SimTime demand, Completion on_complete) {
   ++busy_;
-  auto finish = [this, on_complete = std::move(on_complete)]() mutable {
-    on_service_done(on_complete);
-  };
-  static_assert(EventFn::stores_inline<decltype(finish)>(),
-                "service-completion closure must not allocate");
-  sim_.schedule(demand * slowdown_, std::move(finish));
+  sim_.schedule(demand * slowdown_,
+                [this, on_complete] { on_service_done(on_complete); });
 }
 
-void Resource::on_service_done(Completion& on_complete) {
+void Resource::on_service_done(Completion on_complete) {
   account_now();
   --busy_;
   ++completed_;

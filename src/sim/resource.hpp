@@ -28,10 +28,8 @@ class Resource {
   /// Callback invoked when a job finishes service.  Capacity 16: hot-path
   /// callers park per-request state in a pooled struct and capture a single
   /// pointer, and start_service wraps the Completion in a
-  /// [this, on_complete] closure that must still fit the simulator's
-  /// 48-byte EventFn inline buffer (sizeof(Completion) = 32 with alignment
-  /// and the two dispatch pointers, + 8 for `this` = 40 <= 48).  Oversized
-  /// captures (tests) fall back to the heap and still work.
+  /// [this, on_complete] closure that must fit the simulator's 32-byte
+  /// EventFn buffer (8 for `this` + sizeof(Completion) 24 = 32).
   using Completion = common::InlineFunction<void(), 16>;
 
   /// `servers` identical servers; service times start at their demand
@@ -87,9 +85,9 @@ class Resource {
   void account_now();
   /// Starts queued jobs while servers are available.
   void start_pending();
-  /// Starts one job; the completion is moved once, into the event closure.
-  void start_service(common::SimTime demand, Completion&& on_complete);
-  void on_service_done(Completion& on_complete);
+  /// Starts one job; its completion rides in the service event's closure.
+  void start_service(common::SimTime demand, Completion on_complete);
+  void on_service_done(Completion on_complete);
 
   Simulator& sim_;
   std::string name_;

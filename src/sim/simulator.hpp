@@ -5,13 +5,13 @@
 // Simulator instances concurrently (one per candidate configuration or work
 // line), never from sharing one timeline across threads.
 //
-// Each event's closure runs where the EventQueue built it: run_until() and
-// step() advance the clock to the event's time, call the closure in its
-// slot, then destroy it and free the slot, also when the closure throws
-// (the exception then leaves run_until() or step(), and the next call
-// carries on with the next event).  A running event may schedule new events
-// and cancel any event, its own id included (a no-op: that id is retired
-// before the closure runs).
+// run_until() and step() advance the clock to the next event's time, free
+// its slot and run a copy of its closure (EventFn is plain data, see
+// EventQueue).  A closure that throws leaves the queue consistent: the
+// exception leaves run_until() or step(), and the next call carries on with
+// the next event.  A running event may schedule new events and cancel any
+// event, its own id included (a no-op: that id is retired before the
+// closure runs).
 #pragma once
 
 #include <algorithm>
@@ -36,10 +36,9 @@ class Simulator {
   [[nodiscard]] common::SimTime now() const { return now_; }
 
   /// Schedules `fn` to run `delay` after now.  Negative delays clamp to now
-  /// (an event can never fire in the past).  A forwarding template: the
-  /// callable travels by reference and is built once, as an EventFn in its
-  /// queue slot.  A capture too large for EventFn's inline buffer is still
-  /// a compile error.
+  /// (an event can never fire in the past).  A capture that EventFn cannot
+  /// hold (larger than its buffer, or not trivially copyable) is a compile
+  /// error.
   template <typename F>
   EventId schedule(common::SimTime delay, F&& fn) {
     return schedule_at(now_ + std::max(delay, common::SimTime::zero()),

@@ -23,9 +23,9 @@ namespace ah::sim {
 class SlotPool {
  public:
   /// Grant callback.  Aliased to the simulator's event type so grant_next()
-  /// can move a queued waiter straight into sim_.schedule() without
-  /// re-wrapping it in another closure (which would both allocate and
-  /// overflow the event's inline buffer).
+  /// can hand a queued waiter straight to sim_.schedule() without
+  /// re-wrapping it in another closure (which would overflow the event's
+  /// 32-byte buffer).
   using Granted = EventFn;
 
   struct Config {

@@ -135,7 +135,7 @@ void Workload::dispatch(std::size_t browser_index,
       // reloading an error page.  The retry keeps the original
       // issue timestamp so latency reflects the user's real wait.
       // The state is parked in a pooled struct: Request + bookkeeping
-      // exceeds the EventFn inline buffer, and EventFn requires SBO.
+      // exceeds the EventFn inline buffer.
       Retry* retry = retries_.acquire();
       retry->self = this;
       retry->browser_index = browser_index;

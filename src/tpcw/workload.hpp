@@ -109,9 +109,10 @@ class Workload {
 
  private:
   /// Parked state for a backed-off retry: Request + bookkeeping exceeds the
-  /// 48-byte EventFn inline buffer, so the scheduled closure captures one
-  /// pooled pointer instead (retries are rare — error responses only — but
-  /// the SBO-required EventFn makes even the rare path allocation-free).
+  /// 32-byte EventFn inline buffer, so the scheduled closure captures one
+  /// pooled pointer instead (retries are rare — error responses only — and
+  /// EventFn has no heap fallback, so even the rare path allocates
+  /// nothing).
   struct Retry {
     Workload* self = nullptr;
     std::size_t browser_index = 0;

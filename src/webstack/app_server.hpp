@@ -38,10 +38,10 @@ namespace ah::webstack {
 
 /// Hook for issuing a database query from this node; `done` receives the
 /// result.  Wired to a DbTierRouter by the system model.  Invoked once per
-/// query, so it is an SBO-required InlineFunction, not a std::function.
-using DbQueryFn = common::InlineFunction<
-    void(const DbQuery&, cluster::Node& from, DbResultFn done), 48,
-    common::SboPolicy::kRequired>;
+/// query, so it is a plain-data InlineFunction, not a std::function.
+using DbQueryFn = common::InlineFunction<void(const DbQuery&,
+                                              cluster::Node& from,
+                                              DbResultFn done)>;
 
 class AppServer {
  public:

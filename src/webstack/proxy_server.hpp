@@ -41,10 +41,10 @@ namespace ah::webstack {
 /// given node; `done` receives the upstream response.  Wired to an
 /// AppTierRouter by the system model; a small closure keeps the proxy
 /// testable without a full cluster.  Invoked once per forwarded request, so
-/// it is an SBO-required InlineFunction, not a std::function.
-using ForwardFn = common::InlineFunction<
-    void(const Request&, cluster::Node& from, ResponseFn done), 48,
-    common::SboPolicy::kRequired>;
+/// it is a plain-data InlineFunction, not a std::function.
+using ForwardFn = common::InlineFunction<void(const Request&,
+                                              cluster::Node& from,
+                                              ResponseFn done)>;
 
 class ProxyServer {
  public:

@@ -80,17 +80,16 @@ struct Response {
   common::Bytes bytes = 0;
 };
 
-/// Response continuation.  A small-buffer InlineFunction rather than
+/// Response continuation.  A plain-data InlineFunction rather than
 /// std::function: the server tiers park their per-request state in pooled
 /// structs and thread single-pointer closures through the event queue, so
 /// the continuation always fits inline and the steady-state request path
 /// performs no heap allocations.  The 80-byte capacity leaves room for the
 /// workload driver's browser closure (Request + bookkeeping, ~72 bytes),
-/// the largest capture that crosses this interface.  Move-only: a response
-/// callback fires exactly once.  SBO is required: an oversized capture is a
-/// compile error, never a silent per-request allocation.
-using ResponseFn = common::InlineFunction<void(const Response&), 80,
-                                          common::SboPolicy::kRequired>;
+/// the largest capture that crosses this interface.  A response callback
+/// fires exactly once; an oversized or owning capture is a compile error,
+/// never a silent per-request allocation.
+using ResponseFn = common::InlineFunction<void(const Response&), 80>;
 
 /// One database query as issued by an application server.
 struct DbQuery {
@@ -109,7 +108,6 @@ struct DbResult {
 };
 
 /// Query-result continuation (see ResponseFn for the callable choice).
-using DbResultFn = common::InlineFunction<void(const DbResult&), 48,
-                                          common::SboPolicy::kRequired>;
+using DbResultFn = common::InlineFunction<void(const DbResult&), 48>;
 
 }  // namespace ah::webstack

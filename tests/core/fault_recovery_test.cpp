@@ -5,6 +5,7 @@
 // restore throughput — all bit-identically across worker thread counts.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,23 @@ TEST(FaultRecoveryTest, CrashMarkDownRerouteGoodputAndRecovery) {
   // The dead node served requests again after recovery.
   EXPECT_GT(system.app_on(victim).stats().refused, 0u);  // pre-mark-down window
   EXPECT_GE(system.disturbance_count(), 4u);  // crash, down, restart, up
+}
+
+TEST(FaultRecoveryTest, SecondFaultToleranceEnableThrows) {
+  // Fault tolerance is set up once per model.  A second call is refused
+  // instead of dropping its health config, and the first checkers stay.
+  sim::Simulator sim;
+  SystemModel::Config topology;
+  topology.lines = {SystemModel::LineSpec{1, 1, 1}};
+  SystemModel system(sim, topology);
+  system.enable_fault_tolerance({});
+  const cluster::HealthChecker* checker = system.line_health_checker(0);
+  ASSERT_NE(checker, nullptr);
+  EXPECT_THROW(system.enable_fault_tolerance(fast_fault_tolerance()),
+               std::logic_error);
+  EXPECT_EQ(system.line_health_checker(0), checker);
+  EXPECT_EQ(checker->config().period,
+            SystemModel::FaultToleranceConfig{}.health.period);
 }
 
 TEST(FaultRecoveryTest, SequentialDriverDiscardsDisturbedWindows) {

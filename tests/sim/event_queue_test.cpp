@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,22 @@ namespace ah::sim {
 namespace {
 
 using common::SimTime;
+
+// An event's closure is plain data of up to 32 bytes.
+static_assert(std::is_trivially_copyable_v<EventFn>);
+
+struct Bytes32 {
+  char blob[32];
+  void operator()() {}
+};
+struct Bytes33 {
+  char blob[33];
+  void operator()() {}
+};
+using OwningCapture = decltype([p = std::unique_ptr<int>()] { (void)p; });
+static_assert(EventFn::stores_inline<Bytes32>());
+static_assert(!EventFn::stores_inline<Bytes33>());
+static_assert(!EventFn::stores_inline<OwningCapture>());
 
 /// Runs the earliest event and returns the time it ran at.
 SimTime run_one(EventQueue& q) {
@@ -152,6 +170,28 @@ TEST(EventQueueTest, FiredIdCannotCancelRecycledSlot) {
   EXPECT_FALSE(q.cancel(fired_id));
   EXPECT_TRUE(q.cancel(live_id));
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, RunningClosureReusesItsSlotAndPopsInPushOrder) {
+  // The running event's slot is free before its closure runs, so the
+  // closure's first push lands in it under a new generation.  That event
+  // still pops after a same-time sibling pushed earlier into a higher slot,
+  // and before one pushed after it.
+  EventQueue q;
+  std::vector<int> order;
+  EventId reused = 0;
+  const EventId first = q.push(SimTime::millis(1), [&] {
+    reused = q.push(SimTime::millis(2), [&] { order.push_back(2); });
+    q.push(SimTime::millis(2), [&] { order.push_back(3); });
+  });
+  q.push(SimTime::millis(2), [&] { order.push_back(1); });
+  EXPECT_EQ(run_one(q), SimTime::millis(1));
+  EXPECT_EQ(static_cast<std::uint32_t>(reused),
+            static_cast<std::uint32_t>(first));
+  EXPECT_NE(reused, first);
+  EXPECT_FALSE(q.cancel(first));
+  run_all(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, CancelHeavyStressKeepsOrderAndCounts) {

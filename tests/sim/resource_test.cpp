@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
-#include "../support/move_counter.hpp"
 #include "common/rng.hpp"
 
 namespace ah::sim {
 namespace {
 
 using common::SimTime;
+
+// A completion is plain data, and the service event carries it whole:
+// `this` plus the Completion fill EventFn's 32-byte buffer exactly.
+static_assert(std::is_trivially_copyable_v<Resource::Completion>);
+static_assert(sizeof(void*) + sizeof(Resource::Completion) == 32);
 
 class ResourceTest : public ::testing::Test {
  protected:
@@ -127,23 +132,6 @@ TEST_F(ResourceTest, ZeroDemandJobCompletesImmediately) {
   sim_.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim_.now(), SimTime::zero());
-}
-
-TEST_F(ResourceTest, CompletionMovesAtMostFourTimesOnAFreeServer) {
-  // Into submit's parameter, into the service-completion closure, and with
-  // that closure into its queue slot and out at pop.  The counter fits
-  // Completion's 16-byte buffer, so no heap fallback hides a move.
-  static_assert(Resource::Completion::stores_inline<test::MoveCounter>());
-  test::MoveCounts counts;
-  {
-    Resource r(sim_, "r", 1);
-    r.submit(SimTime::millis(1), test::MoveCounter(&counts));
-    sim_.run();
-    EXPECT_EQ(r.completed(), 1u);
-  }
-  EXPECT_LE(counts.moves, 4);
-  EXPECT_EQ(counts.runs, 1);
-  EXPECT_EQ(counts.destroyed, counts.constructed);
 }
 
 /// Erlang-C mean wait in queue (seconds) of an M/M/c system with arrival

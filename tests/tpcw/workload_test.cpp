@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <set>
-
-#include "../support/parked.hpp"
 
 namespace ah::tpcw {
 namespace {
@@ -30,7 +29,7 @@ class WorkloadTest : public ::testing::Test {
                webstack::ResponseFn done) {
           sim_.schedule(SimTime::millis(10),
                         [bytes = r.response_bytes,
-                         done = test::park(std::move(done))]() mutable {
+                         done = &parked_.emplace_back(done)] {
                           (*done)(webstack::Response{
                               true, webstack::Response::Origin::kApp, bytes});
                         });
@@ -48,6 +47,9 @@ class WorkloadTest : public ::testing::Test {
 
   sim::Simulator sim_;
   cluster::Node node_;
+  /// Replies the upstream stubs hold until they answer: a ResponseFn is
+  /// wider than an event closure, so the event captures a pointer.
+  std::deque<webstack::ResponseFn> parked_;
   webstack::FrontendRouter frontend_;
   std::unique_ptr<webstack::ProxyServer> proxy_;
   WipsMeter meter_;
@@ -117,11 +119,11 @@ TEST_F(WorkloadTest, DeterministicAcrossRuns) {
                                       cluster::BalancePolicy::kRoundRobin);
     webstack::ProxyServer proxy(
         sim, node,
-        [&sim](const webstack::Request& r, cluster::Node&,
-               webstack::ResponseFn done) {
+        [this, &sim](const webstack::Request& r, cluster::Node&,
+                     webstack::ResponseFn done) {
           sim.schedule(SimTime::millis(10),
                        [bytes = r.response_bytes,
-                        done = test::park(std::move(done))]() mutable {
+                        done = &parked_.emplace_back(done)] {
                          (*done)(webstack::Response{
                              true, webstack::Response::Origin::kApp, bytes});
                        });
@@ -163,13 +165,13 @@ TEST_F(WorkloadTest, FailedInteractionsAreRetried) {
   std::set<std::uint64_t> seen;
   webstack::ProxyServer proxy(
       sim, node,
-      [&sim, &seen](const webstack::Request& r, cluster::Node&,
-                    webstack::ResponseFn done) {
+      [this, &sim, &seen](const webstack::Request& r, cluster::Node&,
+                          webstack::ResponseFn done) {
         const bool first_attempt = seen.insert(r.id).second;
         sim.schedule(
             SimTime::millis(5),
             [bytes = r.response_bytes, first_attempt,
-             done = test::park(std::move(done))]() mutable {
+             done = &parked_.emplace_back(done)] {
               (*done)(webstack::Response{
                   !first_attempt,
                   first_attempt ? webstack::Response::Origin::kError
@@ -201,11 +203,11 @@ TEST_F(WorkloadTest, RetriesGiveUpAfterMaxAttempts) {
   std::uint64_t attempts = 0;
   webstack::ProxyServer proxy(
       sim, node,
-      [&sim, &attempts](const webstack::Request&, cluster::Node&,
-                        webstack::ResponseFn done) {
+      [this, &sim, &attempts](const webstack::Request&, cluster::Node&,
+                              webstack::ResponseFn done) {
         ++attempts;
         sim.schedule(SimTime::millis(1),
-                     [done = test::park(std::move(done))]() mutable {
+                     [done = &parked_.emplace_back(done)] {
                        (*done)(webstack::Response{
                            false, webstack::Response::Origin::kError, 0});
                      });

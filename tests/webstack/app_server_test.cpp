@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "../support/parked.hpp"
+#include <deque>
 
 namespace ah::webstack {
 namespace {
@@ -16,7 +16,7 @@ class AppServerTest : public ::testing::Test {
   DbQueryFn stub_db(SimTime latency = SimTime::millis(5)) {
     return [this, latency](const DbQuery&, cluster::Node&, DbResultFn done) {
       ++db_queries_;
-      sim_.schedule(latency, [done = test::park(std::move(done))]() mutable {
+      sim_.schedule(latency, [done = &parked_.emplace_back(done)] {
         (*done)(DbResult{true});
       });
     };
@@ -44,6 +44,9 @@ class AppServerTest : public ::testing::Test {
 
   sim::Simulator sim_;
   cluster::Node node_;
+  /// Continuations the database stub holds until it replies (a DbResultFn
+  /// is wider than an event closure).
+  std::deque<DbResultFn> parked_;
   int db_queries_ = 0;
   std::uint64_t next_id_ = 1;
 };

@@ -3,7 +3,7 @@
 // value in a parameter's range, not just the defaults the unit tests pin.
 #include <gtest/gtest.h>
 
-#include "../support/parked.hpp"
+#include <deque>
 
 #include "webstack/db_server.hpp"
 #include "webstack/proxy_server.hpp"
@@ -119,15 +119,15 @@ TEST_P(ProxyCacheSweep, MemoryHitsNeverDecreaseWithBiggerCache) {
   auto run = [](const ProxyCacheCase& cache_case) {
     sim::Simulator sim;
     cluster::Node node(sim, 0, "p");
+    std::deque<ResponseFn> parked;  // replies the upstream stub holds
     ProxyParams params;
     params.cache_mem = cache_case.cache_mem;
     params.maximum_object_size_in_memory = cache_case.max_in_mem;
     ProxyServer proxy(
         sim, node,
-        [&sim](const Request& r, cluster::Node&, ResponseFn done) {
-          sim.schedule(SimTime::millis(5),
-                       [bytes = r.response_bytes,
-                        done = test::park(std::move(done))]() mutable {
+        [&sim, &parked](const Request& r, cluster::Node&, ResponseFn done) {
+          sim.schedule(SimTime::millis(5), [bytes = r.response_bytes,
+                                            done = &parked.emplace_back(done)] {
             (*done)(Response{true, Response::Origin::kApp, bytes});
           });
         },
@@ -175,15 +175,15 @@ TEST_P(SwapWatermarkSweep, WatermarksAreNearInert) {
   auto run = [](int low, int high) {
     sim::Simulator sim;
     cluster::Node node(sim, 0, "p");
+    std::deque<ResponseFn> parked;  // replies the upstream stub holds
     ProxyParams params;
     params.cache_swap_low = low;
     params.cache_swap_high = high;
     ProxyServer proxy(
         sim, node,
-        [&sim](const Request& r, cluster::Node&, ResponseFn done) {
-          sim.schedule(SimTime::millis(5),
-                       [bytes = r.response_bytes,
-                        done = test::park(std::move(done))]() mutable {
+        [&sim, &parked](const Request& r, cluster::Node&, ResponseFn done) {
+          sim.schedule(SimTime::millis(5), [bytes = r.response_bytes,
+                                            done = &parked.emplace_back(done)] {
             (*done)(Response{true, Response::Origin::kApp, bytes});
           });
         },

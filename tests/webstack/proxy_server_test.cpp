@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include "../support/parked.hpp"
-
+#include <deque>
+#include <type_traits>
 #include <vector>
 
 namespace ah::webstack {
 namespace {
 
 using common::SimTime;
+
+// Continuations are plain data: pooled calls and queued events copy them
+// as bytes.
+static_assert(std::is_trivially_copyable_v<ResponseFn>);
+static_assert(std::is_trivially_copyable_v<DbResultFn>);
+static_assert(std::is_trivially_copyable_v<ForwardFn>);
 
 class ProxyServerTest : public ::testing::Test {
  protected:
@@ -21,8 +27,7 @@ class ProxyServerTest : public ::testing::Test {
     return [this, reply_bytes, delay](const Request&, cluster::Node&,
                                       ResponseFn done) {
       ++forwards_;
-      sim_.schedule(delay,
-                    [reply_bytes, done = test::park(std::move(done))]() mutable {
+      sim_.schedule(delay, [reply_bytes, done = &parked_.emplace_back(done)] {
         (*done)(Response{true, Response::Origin::kApp, reply_bytes});
       });
     };
@@ -70,6 +75,9 @@ class ProxyServerTest : public ::testing::Test {
 
   sim::Simulator sim_;
   cluster::Node node_;
+  /// Continuations the upstream stub holds until it replies: a ResponseFn
+  /// is wider than an event closure, so the event captures a pointer.
+  std::deque<ResponseFn> parked_;
   int forwards_ = 0;
   std::uint64_t next_id_ = 1;
 };

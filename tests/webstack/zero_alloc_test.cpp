@@ -4,8 +4,9 @@
 // miniature deployment (client -> frontend -> proxy -> app -> db and back)
 // serves requests.  After warm-up every pool, ring buffer and cache slab has
 // reached its high-water capacity, so a steady-state request must complete
-// without a single heap allocation.  This test lives in its own executable
-// because the hook is process-global.
+// without a single heap allocation.  The hook replaces the over-aligned
+// operator new too: the event queue's one-cache-line records come from it.
+// This test lives in its own executable because the hook is process-global.
 
 #include <gtest/gtest.h>
 
@@ -37,15 +38,40 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return operator new(n); }
 
-// The replacement operator new above allocates with malloc, so freeing with
-// std::free is the matching deallocation; GCC cannot see through the
-// replacement and reports a false mismatched-new-delete pair.
+// std::allocator takes a type aligned above __STDCPP_DEFAULT_NEW_ALIGNMENT__
+// from this overload, which does not go through operator new(size_t).
+void* operator new(std::size_t n, std::align_val_t align) {
+  if (g_track.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, ((n ? n : 1) + a - 1) & ~(a - 1))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t n, std::align_val_t align) {
+  return operator new(n, align);
+}
+
+// The replacement operator new above allocates with malloc or aligned_alloc,
+// so freeing with std::free is the matching deallocation; GCC cannot see
+// through the replacement and reports a false mismatched-new-delete pair.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace ah::webstack {
@@ -120,6 +146,29 @@ class ZeroAllocTest : public ::testing::Test {
   std::vector<std::unique_ptr<DbServer>> dbs_;
   std::uint64_t next_id_ = 1;
 };
+
+TEST_F(ZeroAllocTest, EventStorageGrowthPastItsPeakIsCounted) {
+  // The tests below can only catch a queue that grows its event storage if
+  // the hook sees that growth.  Records reused up to the warm-up peak cost
+  // nothing; pushing past the peak inside the tracked window must count.
+  constexpr int kPeak = 100;
+  const auto push = [this](int n) {
+    for (int i = 0; i < n; ++i) sim_.schedule(SimTime::millis(1), [] {});
+  };
+  push(kPeak);
+  sim_.run();
+
+  g_allocs.store(0);
+  g_track.store(true);
+  push(kPeak);
+  const std::uint64_t up_to_peak = g_allocs.load();
+  push(kPeak);
+  g_track.store(false);
+  sim_.run();
+
+  EXPECT_EQ(up_to_peak, 0u) << "reused event records performed allocations";
+  EXPECT_GT(g_allocs.load(), 0u) << "the hook missed the event storage growth";
+}
 
 TEST_F(ZeroAllocTest, SteadyStateRequestPathDoesNotAllocate) {
   RequestProfile dynamic_db;

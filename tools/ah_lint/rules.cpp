@@ -14,14 +14,16 @@ const std::vector<RuleDoc>& docs() {
       {"hot_path_alloc",
        "AH_HOT_PATH_FILE files must not use std::function, std::shared_ptr, "
        "std::make_shared, std::make_unique, or new-expressions (::new "
-       "placement form is exempt). Use common::InlineFunction, "
-       "common::FunctionRef, or a common::ObjectPool call struct.",
+       "placement form is exempt). Use common::InlineFunction (a "
+       "trivially copyable capture held by value), common::FunctionRef, or "
+       "a common::ObjectPool call struct.",
        "The steady-state request path performs zero heap allocations "
        "(zero_alloc_test); one careless std::function keeps every test green "
        "while allocs/request drifts off zero.  Applies to every line of a "
        "file carrying the AH_HOT_PATH_FILE; marker.  `new(std::nothrow)` and "
        "other `new(`-forms count as new-expressions; placement `::new` (the "
-       "repo idiom for SBO buffers) is exempt.\n"
+       "repo idiom for InlineFunction buffers and event records) is "
+       "exempt.\n"
        "  bad:  callback_ = std::function<void()>([this] { tick(); });\n"
        "  good: callback_ = common::InlineFunction<void()>([this] { ... });"},
       {"determinism",
@@ -149,8 +151,9 @@ const std::vector<Check>& hot_path_checks() {
     std::vector<Check> c;
     c.push_back({"hot_path_alloc", std::regex(R"(std\s*::\s*function\b)"),
                  "std::function type-erases through a heap allocation; use "
-                 "common::InlineFunction (owning) or common::FunctionRef "
-                 "(non-owning)"});
+                 "common::InlineFunction (a trivially copyable capture held "
+                 "by value) or common::FunctionRef (a view of a callable "
+                 "that outlives the call)"});
     c.push_back({"hot_path_alloc",
                  std::regex(R"(std\s*::\s*(shared_ptr\b|make_shared\b))"),
                  "shared ownership on the hot path: control-block allocation "
